@@ -1,0 +1,59 @@
+"""Byte-for-byte CLI outputs on B3 and F4 real forms.
+
+Each case pins the exit code and the SHA-256 of stdout for one command.
+The digests were recorded from the Fraction-based implementation that
+predates the integer lattice core, so any change in rendering, ordering
+or arithmetic shows up here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from dischar.cli import main
+
+CONFIGS = {
+    "B3": {
+        "cartan": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+        "compact_simple": [True, True, False],
+        "lambda": ["-2", "-1", "-3"],
+    },
+    "F4": {
+        "cartan": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+        "compact_simple": [True, True, True, False],
+        "lambda": ["-2", "-1", "-1", "-3"],
+    },
+}
+
+GOLDEN = [
+    ("B3", "describe", 0, "9396a6d3fbf066d05dbd3fcd5892d4f83597fa66408d02adcf8cc4bccbfe7c3b"),
+    ("B3", "orbits", 0, "923f38f3f435789a834e822c96b09309e8ffef06c0f17ccc198cbe471dec8806"),
+    ("B3", "kostant", 0, "f23ee1a04caee1789c622e650c3bcf89ea140e74b6aefe27cf1a638a094f6857"),
+    ("B3", "schmid", 0, "9a61736c39b70ea60e7cd9c9ae2733fb513547e62d70c112a5435284411deb5c"),
+    ("B3", "character --which weyl", 0,
+     "5c2447d5918e048fc10cc3497228a78c83cba5fab73cb2ee1efd786a57fb3703"),
+    ("B3", "character --which discrete", 0,
+     "0d37af9f237d51cd56878bf1a9b527cde94acc07ee7447a26a43f7cdac8a3eaf"),
+    ("B3", "orbits --format tsv", 0,
+     "c4b0554b0ed41de19694dc1a112293ddc05960903f2db29fb89d0cf5c480a54a"),
+    ("F4", "describe", 0, "5759f606f1f8020a71bd5b0470eec0e5fa6a35c286fe2d1f80065f6f3bd7756c"),
+    ("F4", "orbits", 0, "805f0be0088ce6a367e3b8f22995d8c2238bab28bb19f84d6548a82e27d8344b"),
+    ("F4", "kostant", 0, "8223b7188b23466e92a2feb35fc0f0b5878fac6ebd8f294fb6fc15acd017f956"),
+    ("F4", "schmid", 0, "6542dd8cd71e90651569e518717244cef2489572b9541fa18fbc518d219a0f9c"),
+    ("F4", "character --which weyl", 0,
+     "daa7e7b28bc2ab612b90dfff68ab6b478ad1de18ce71f00643b796e1197ba28d"),
+    ("F4", "character --which discrete", 0,
+     "72288eb85049effb01862a156fbf389fd4c9b91990fe5ac29ef2ea673782b30c"),
+    ("F4", "orbits --format tsv", 0,
+     "69ca939066c24a19f213e3a820ecddd849956c248553ab2f6156db8b8e73d737"),
+]
+
+
+@pytest.mark.parametrize("name,command,code,digest", GOLDEN)
+def test_cli_output_matches_golden(tmp_path, capsys, name, command, code, digest):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(CONFIGS[name]))
+    assert main(command.split() + ["--config", str(path)]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
