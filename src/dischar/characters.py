@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -29,7 +28,7 @@ from .rootdata import (
     classify_weight,
     dominant_representative,
 )
-from .weyl import WeylGroup, act
+from .weyl import WeylGroup, act, generate
 
 
 class FormalCharacter:
@@ -144,28 +143,23 @@ class HomologyTable:
 def weyl_denominator(rs: RootSystem) -> FormalCharacter:
     """The product of (1 - e^alpha) over the positive roots.
 
-    Computed both as an expanded product and as the signed sum over all
-    subsets of positive roots; the two expansions must agree exactly.
+    Computed both as an expanded product and by the Weyl denominator
+    formula, the sum over W of (-1)^l(w) e^{rho - w rho}; the two
+    expansions must agree exactly.
     """
     product = FormalCharacter.one(rs.rank)
     for alpha in rs.positive_roots:
         factor = FormalCharacter({Weight.zero(rs.rank): 1, alpha.weight(): -1})
         product = product * factor
 
-    by_subsets: dict[Weight, int] = {}
-    for size in range(len(rs.positive_roots) + 1):
-        coeff = -1 if size % 2 else 1
-        for subset in combinations(rs.positive_roots, size):
-            total = Weight.zero(rs.rank)
-            for alpha in subset:
-                total = total + alpha.weight()
-            value = by_subsets.get(total, 0) + coeff
-            if value:
-                by_subsets[total] = value
-            else:
-                del by_subsets[total]
-    if FormalCharacter(by_subsets) != product:
-        raise InvariantViolation("denominator product and subset expansion disagree")
+    # rho is regular, so the exponents rho - w rho are pairwise distinct
+    alternating = FormalCharacter({
+        Weight(tuple(r - x for r, x in zip(rs.rho.coords, w.rho_image))):
+            -1 if w.length % 2 else 1
+        for w in generate(rs).elements
+    })
+    if alternating != product:
+        raise InvariantViolation("denominator product and Weyl-group sum disagree")
     return product
 
 

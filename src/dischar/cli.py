@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -60,6 +60,33 @@ class JobConfig:
         return data
 
 
+def _fraction(value: object, what: str) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ParameterIncompatible(f"{what} entry {value!r} is not an exact number") from None
+
+
+def _weight(values: object, rank: int) -> Weight:
+    if not isinstance(values, list):
+        raise ParameterIncompatible("lambda must be a list of exact numbers")
+    lam = Weight([_fraction(c, "lambda") for c in values])
+    if lam.rank != rank:
+        raise ParameterIncompatible("lambda length differs from rank")
+    return lam
+
+
+def _box(lo: object, hi: object, rank: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    if not isinstance(lo, list) or not isinstance(hi, list):
+        raise ParameterIncompatible("nu_box must be a pair of lists")
+    if len(lo) != rank or len(hi) != rank:
+        raise ParameterIncompatible("nu_box endpoints must have one entry per rank")
+    return (
+        tuple(_fraction(c, "nu_box") for c in lo),
+        tuple(_fraction(c, "nu_box") for c in hi),
+    )
+
+
 def parse_config(data: dict) -> JobConfig:
     if not isinstance(data, dict):
         raise NotFiniteType("config must be a JSON object")
@@ -72,27 +99,28 @@ def parse_config(data: dict) -> JobConfig:
     rank = len(cartan)
 
     compact_raw = data.get("compact_simple", [True] * rank)
-    if len(compact_raw) != rank or not all(isinstance(c, bool) for c in compact_raw):
+    if (
+        not isinstance(compact_raw, list)
+        or len(compact_raw) != rank
+        or not all(isinstance(c, bool) for c in compact_raw)
+    ):
         raise ParameterIncompatible("compact_simple must list one boolean per simple root")
 
     lam = None
     if data.get("lambda") is not None:
-        lam = Weight([Fraction(str(c)) for c in data["lambda"]])
-        if lam.rank != rank:
-            raise ParameterIncompatible("lambda length differs from rank")
+        lam = _weight(data["lambda"], rank)
 
     nu_box = None
     if data.get("nu_box") is not None:
-        lo, hi = data["nu_box"]
-        nu_box = (
-            tuple(Fraction(str(c)) for c in lo),
-            tuple(Fraction(str(c)) for c in hi),
-        )
-        if len(nu_box[0]) != rank or len(nu_box[1]) != rank:
-            raise ParameterIncompatible("nu_box endpoints must have one entry per rank")
+        box_raw = data["nu_box"]
+        if not isinstance(box_raw, list) or len(box_raw) != 2:
+            raise ParameterIncompatible("nu_box must be a pair of lists")
+        nu_box = _box(box_raw[0], box_raw[1], rank)
 
     orbit_index = data.get("orbit_index")
-    if orbit_index is not None and not isinstance(orbit_index, int):
+    if orbit_index is not None and (
+        not isinstance(orbit_index, int) or isinstance(orbit_index, bool)
+    ):
         raise ParameterIncompatible("orbit_index must be an integer")
 
     return JobConfig(
@@ -273,19 +301,19 @@ def run(command: str, config: JobConfig, fmt: str = "json", jobs: int = 1,
     return (0 if failed == 0 else 2), output
 
 
-def _parse_lambda(text: str) -> Weight:
-    return Weight([Fraction(part.strip()) for part in text.split(",")])
+def _parse_lambda(text: str, rank: int) -> Weight:
+    return _weight([part.strip() for part in text.split(",")], rank)
 
 
-def _parse_box(text: str) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+def _parse_box(text: str, rank: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     los, his = [], []
     for part in text.split(","):
         lo_text, _, hi_text = part.partition("..")
         if not _:
             raise ParameterIncompatible(f"box coordinate {part!r} is not of the form lo..hi")
-        los.append(Fraction(lo_text.strip()))
-        his.append(Fraction(hi_text.strip()))
-    return tuple(los), tuple(his)
+        los.append(lo_text.strip())
+        his.append(hi_text.strip())
+    return _box(los, his, rank)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,30 +346,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         config = parse_config(raw)
+        rank = len(config.cartan)
         if args.lam is not None:
-            config = JobConfig(
-                cartan=config.cartan,
-                compact_simple=config.compact_simple,
-                lam=_parse_lambda(args.lam),
-                nu_box=config.nu_box,
-                orbit_index=config.orbit_index,
-            )
+            config = replace(config, lam=_parse_lambda(args.lam, rank))
         if args.box is not None:
-            config = JobConfig(
-                cartan=config.cartan,
-                compact_simple=config.compact_simple,
-                lam=config.lam,
-                nu_box=_parse_box(args.box),
-                orbit_index=config.orbit_index,
-            )
+            config = replace(config, nu_box=_parse_box(args.box, rank))
         if args.orbit is not None:
-            config = JobConfig(
-                cartan=config.cartan,
-                compact_simple=config.compact_simple,
-                lam=config.lam,
-                nu_box=config.nu_box,
-                orbit_index=args.orbit,
-            )
+            config = replace(config, orbit_index=args.orbit)
         code, output = run(
             args.command,
             config,

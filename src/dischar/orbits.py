@@ -33,17 +33,8 @@ class ClosedOrbit:
 
 
 def _positive_system_of(rs: RootSystem, w: WeylElement) -> dict[Root, int]:
-    # +1 on the positive roots beta lying in w(Sigma+), -1 otherwise
-    image_fw = set()
-    for alpha in rs.positive_roots:
-        fw = tuple(
-            sum(w.matrix[k][m] * alpha.fw_coords[m] for m in range(rs.rank))
-            for k in range(rs.rank)
-        )
-        image_fw.add(fw)
-    return {
-        beta: (1 if beta.fw_coords in image_fw else -1) for beta in rs.positive_roots
-    }
+    # +1 on the positive roots beta lying in w(Sigma+), i.e. with w^-1 beta > 0
+    return {beta: (1 if w.rho_pairing(beta) > 0 else -1) for beta in rs.positive_roots}
 
 
 def _strata_for(u: WeylElement, kdata: KWeylData) -> tuple[Stratum, ...]:
@@ -71,10 +62,13 @@ def enumerate_closed_orbits(
         kdata = weyl_k(rs, grading, group)
     orbits = []
     for w in group.elements:
-        system = _positive_system_of(rs, w)
-        if all(system[alpha] == 1 for alpha in grading.compact_positive):
+        if all(w.rho_pairing(alpha) > 0 for alpha in grading.compact_positive):
             orbits.append(
-                ClosedOrbit(positive_system=system, u=w, strata=_strata_for(w, kdata))
+                ClosedOrbit(
+                    positive_system=_positive_system_of(rs, w),
+                    u=w,
+                    strata=_strata_for(w, kdata),
+                )
             )
     orbits.sort(key=lambda orbit: orbit.u.reduced_word)
     return orbits

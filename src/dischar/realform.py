@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, IncompleteAssignment, InvariantViolation
 from .rootdata import Root, RootSystem, Weight
-from .weyl import WeylElement, WeylGroup, reflection_matrix
+from .weyl import WeylElement, WeylGroup, _apply, reflection_matrix
 
 
 @dataclass
@@ -117,7 +117,11 @@ def validate_grading(rs: RootSystem, assignment: Mapping[Root, int]) -> bool:
 
 
 def weyl_k(rs: RootSystem, grading: CompactGrading, group: WeylGroup) -> KWeylData:
-    """Close the compact-root reflections into W_K and compute its lengths."""
+    """Close the compact-root reflections into W_K and compute its lengths.
+
+    l_K(w) counts the compact positive roots beta with <beta-check, w rho> < 0,
+    which are exactly those that w^-1 makes negative.
+    """
     generators = [group.lookup(reflection_matrix(rs, a)) for a in grading.compact_positive]
     members = {group.identity}
     frontier = [group.identity]
@@ -131,22 +135,13 @@ def weyl_k(rs: RootSystem, grading: CompactGrading, group: WeylGroup) -> KWeylDa
                     new_frontier.append(prod)
         frontier = new_frontier
 
-    compact_fw = frozenset(r.fw_coords for r in grading.compact_positive)
+    compact_fw = {r.fw_coords for r in grading.compact_positive}
+    compact_fw |= {tuple(-c for c in fw) for fw in compact_fw}
     lengthK = {}
     for w in members:
-        count = 0
-        for alpha in grading.compact_positive:
-            image = tuple(
-                sum(w.matrix[k][m] * alpha.fw_coords[m] for m in range(rs.rank))
-                for k in range(rs.rank)
-            )
-            if image in compact_fw:
-                continue
-            if tuple(-c for c in image) in compact_fw:
-                count += 1
-            else:
-                raise InvariantViolation("W_K does not preserve the compact roots")
-        lengthK[w] = count
+        if any(_apply(w.matrix, a.fw_coords) not in compact_fw for a in grading.compact_positive):
+            raise InvariantViolation("W_K does not preserve the compact roots")
+        lengthK[w] = sum(1 for beta in grading.compact_positive if w.rho_pairing(beta) < 0)
 
     decomposable = set()
     compact_coords = {r.root_coords for r in grading.compact_positive}

@@ -2,8 +2,11 @@
 
 Every root is tracked in three integer coordinate systems at once: the
 simple-root basis, the fundamental-weight basis and the simple-coroot
-basis.  Reflections and coroot pairings then never leave integer (or
-rational, for weights) arithmetic; there is no floating point anywhere.
+basis.  Reflections and coroot pairings then never leave integer
+arithmetic; there is no floating point anywhere.  In fundamental-weight
+coordinates rho is (1,...,1), so every weight the Weyl-group layers touch
+is an integer vector: a weight coordinate is an ``int`` whenever it is
+integral and a ``Fraction`` only when it is not.
 
 Conventions, fixed once:
 
@@ -19,22 +22,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, NotFiniteType
 
 IntVec = tuple[int, ...]
-Coords = tuple[Fraction, ...]
+Coords = tuple[int | Fraction, ...]
+
+
+def _exact(c: Fraction | int | str) -> int | Fraction:
+    """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Weight:
-    """Exact rational vector in fundamental-weight coordinates."""
+    """Exact vector in fundamental-weight coordinates.
+
+    Integral coordinates are stored as ``int``, the others as ``Fraction``;
+    since ``hash(Fraction(n)) == hash(n)`` and both print alike, equality,
+    hashing, order and serialization do not depend on the input's types.
+    """
 
     __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Iterable[Fraction | int | str]) -> None:
-        self.coords: Coords = tuple(Fraction(c) for c in coords)
-        self._hash = hash(self.coords)
+        exact = tuple(coords)
+        for c in exact:
+            if type(c) is not int:
+                exact = tuple(map(_exact, exact))
+                break
+        self.coords: Coords = exact
+        self._hash = hash(exact)
 
     @classmethod
     def zero(cls, rank: int) -> "Weight":
@@ -45,18 +67,18 @@ class Weight:
         return len(self.coords)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return all(type(c) is int for c in self.coords)
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check_rank(other)
-        return Weight(a + b for a, b in zip(self.coords, other.coords))
+        return Weight(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check_rank(other)
-        return Weight(a - b for a, b in zip(self.coords, other.coords))
+        return Weight(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "Weight":
-        return Weight(-a for a in self.coords)
+        return Weight(tuple(map(neg, self.coords)))
 
     def scale(self, factor: Fraction | int) -> "Weight":
         return Weight(a * factor for a in self.coords)
@@ -117,9 +139,10 @@ class RootSystem:
     cartan: tuple[IntVec, ...]
     positive_roots: tuple[Root, ...]
     rho: Weight
-    cartan_inv: tuple[Coords, ...] = field(repr=False)
+    # det(C) and the integer adjugate det(C) * C^-1, for to_root_coords
+    _cartan_det: int = field(repr=False)
+    _cartan_adj: tuple[IntVec, ...] = field(repr=False)
     _by_root_coords: Mapping[IntVec, Root] = field(repr=False)
-    _positive_fw: frozenset[IntVec] = field(repr=False)
 
     @property
     def simple_roots(self) -> tuple[Root, ...]:
@@ -132,26 +155,19 @@ class RootSystem:
     def root_with_coords(self, root_coords: Sequence[int]) -> Root | None:
         return self._by_root_coords.get(tuple(root_coords))
 
-    def is_positive_fw(self, fw: Sequence[Fraction | int]) -> bool | None:
-        """True/False if fw is the weight of a positive/negative root, else None."""
-        fracs = tuple(Fraction(c) for c in fw)
-        if any(c.denominator != 1 for c in fracs):
-            return None
-        key = tuple(int(c) for c in fracs)
-        if key in self._positive_fw:
-            return True
-        if tuple(-c for c in key) in self._positive_fw:
-            return False
-        return None
-
     def to_root_coords(self, lam: Weight) -> Coords:
         """Express a weight in the simple-root basis (rational in general)."""
         if lam.rank != self.rank:
             raise DimensionMismatch(f"rank {lam.rank} weight in rank {self.rank} system")
-        return tuple(
-            sum(self.cartan_inv[i][j] * lam.coords[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        det = self._cartan_det
+        out = []
+        for row in self._cartan_adj:
+            value = sum(map(mul, row, lam.coords))
+            if type(value) is int and value % det == 0:
+                out.append(value // det)
+            else:
+                out.append(_exact(Fraction(value, det)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -182,23 +198,36 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
     return rows
 
 
-def _invert_matrix(rows: tuple[IntVec, ...]) -> tuple[Coords, ...]:
-    # Gauss-Jordan over Fraction; Cartan matrices of finite type are invertible.
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise NotFiniteType("Cartan matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        factor = aug[col][col]
-        aug[col] = [x / factor for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                scale = aug[r][col]
-                aug[r] = [x - scale * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(aug[i][n:]) for i in range(n))
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # exact: Bareiss guarantees prev divides the numerator
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def _adjugate(m: tuple[IntVec, ...]) -> tuple[IntVec, ...]:
+    """The integer matrix det(m) * m^-1, from cofactors."""
+    n = len(m)
+
+    def minor(r: int, c: int) -> list[list[int]]:
+        return [[x for j, x in enumerate(row) if j != c] for i, row in enumerate(m) if i != r]
+
+    return tuple(
+        tuple((-1) ** (i + j) * _det(minor(j, i)) for j in range(n)) for i in range(n)
+    )
 
 
 def build_root_system(cartan: Sequence[Sequence[int]], max_roots: int = 10_000) -> RootSystem:
@@ -252,33 +281,30 @@ def build_root_system(cartan: Sequence[Sequence[int]], max_roots: int = 10_000) 
             raise InvariantViolation(f"coroot of {n} does not pair to 2 against its root")
         roots.append(Root(root_coords=n, fw_coords=fw, coroot_coords=co))
 
-    half_sum = tuple(
-        Fraction(sum(r.fw_coords[i] for r in roots), 2) for i in range(rank)
-    )
-    if half_sum != (Fraction(1),) * rank:
+    if any(sum(r.fw_coords[i] for r in roots) != 2 for i in range(rank)):
         raise InvariantViolation("half sum of positive roots is not (1,...,1)")
+    det = _det(rows)
+    if det == 0:
+        raise NotFiniteType("Cartan matrix is singular")
 
     return RootSystem(
         rank=rank,
         cartan=rows,
         positive_roots=tuple(roots),
-        rho=Weight(half_sum),
-        cartan_inv=_invert_matrix(rows) if rank else (),
+        rho=Weight((1,) * rank),
+        _cartan_det=det,
+        _cartan_adj=_adjugate(rows),
         _by_root_coords={r.root_coords: r for r in roots},
-        _positive_fw=frozenset(r.fw_coords for r in roots),
     )
 
 
-def coroot_pairing(alpha: Root, lam: Weight) -> Fraction:
+def coroot_pairing(alpha: Root, lam: Weight) -> int | Fraction:
     """Pairing of the coroot of ``alpha`` against a weight in fw coordinates."""
     if len(alpha.coroot_coords) != lam.rank:
         raise DimensionMismatch(
             f"root of rank {len(alpha.coroot_coords)} paired with rank {lam.rank} weight"
         )
-    return sum(
-        (Fraction(c) * x for c, x in zip(alpha.coroot_coords, lam.coords)),
-        start=Fraction(0),
-    )
+    return sum(c * x for c, x in zip(alpha.coroot_coords, lam.coords))
 
 
 def classify_weight(rs: RootSystem, lam: Weight) -> WeightFlags:

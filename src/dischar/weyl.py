@@ -1,67 +1,49 @@
 """Weyl group generation by breadth-first closure over simple reflections.
 
-Elements are stored as dense integer matrices acting on fundamental-weight
-coordinates.  Equality and hashing go through the matrix alone; the stored
-reduced word is one shortest word found by the BFS (breadth-first order
-guarantees it is reduced).
+An element is identified by w(rho), which determines w because rho is
+regular; equality and hashing go through that integer vector alone.  Each
+element also carries its dense integer matrix on fundamental-weight
+coordinates, used only to act on weights, and the first shortest word the
+BFS found (breadth-first order guarantees it is reduced).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from operator import mul
 from typing import Iterator, Mapping
 
 from .errors import DimensionMismatch, GroupTooLarge, InvariantViolation
-from .rootdata import Root, RootSystem, Weight
+from .rootdata import Root, RootSystem, Weight, _det
 
-Matrix = tuple[tuple[int, ...], ...]
+IntVec = tuple[int, ...]
+Matrix = tuple[IntVec, ...]
 
 
 def _identity(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _det(m: Matrix) -> int:
-    n = len(m)
-    rows = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                scale = rows[r][col]
-                rows[r] = [x - scale * y for x, y in zip(rows[r], rows[col])]
-    assert det.denominator == 1
-    return int(det)
+def _apply(matrix: Matrix, vec: IntVec) -> IntVec:
+    return tuple([sum(map(mul, row, vec)) for row in matrix])
 
 
 class WeylElement:
-    """Group element: matrix on fw coordinates, one reduced word, length."""
+    """Group element: w(rho), matrix on fw coordinates, one reduced word, length."""
 
-    __slots__ = ("matrix", "reduced_word", "length", "_hash")
+    __slots__ = ("matrix", "rho_image", "reduced_word", "length", "_hash")
 
     def __init__(self, matrix: Matrix, reduced_word: tuple[int, ...]) -> None:
         self.matrix = matrix
+        # rho = (1,...,1), so w(rho) is the vector of row sums
+        self.rho_image: IntVec = tuple(sum(row) for row in matrix)
         self.reduced_word = reduced_word
         self.length = len(reduced_word)
-        self._hash = hash(matrix)
+        self._hash = hash(self.rho_image)
+
+    def rho_pairing(self, alpha: Root) -> int:
+        """<alpha-check, w rho>: positive exactly when w^-1 alpha is a positive root."""
+        return sum(map(mul, alpha.coroot_coords, self.rho_image))
 
     def word_str(self) -> str:
         """Render as "s1*s2*s1" with 1-based generator indices, "e" if trivial."""
@@ -70,21 +52,13 @@ class WeylElement:
         return "*".join(f"s{i + 1}" for i in self.reduced_word)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return isinstance(other, WeylElement) and self.rho_image == other.rho_image
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
         return f"WeylElement({self.word_str()})"
-
-
-def simple_reflection_matrix(rs: RootSystem, i: int) -> Matrix:
-    # (s_i lam)_k = lam_k - lam_i C[k][i]
-    return tuple(
-        tuple(int(k == m) - (rs.cartan[k][i] if m == i else 0) for m in range(rs.rank))
-        for k in range(rs.rank)
-    )
 
 
 def reflection_matrix(rs: RootSystem, alpha: Root) -> Matrix:
@@ -103,7 +77,7 @@ class WeylGroup:
     elements: tuple[WeylElement, ...]
     order: int
     simple: tuple[WeylElement, ...]
-    _by_matrix: Mapping[Matrix, WeylElement] = field(repr=False)
+    _by_rho: Mapping[IntVec, WeylElement] = field(repr=False)
     _inverses: Mapping[WeylElement, WeylElement] = field(repr=False)
 
     @property
@@ -115,14 +89,17 @@ class WeylGroup:
         return self.elements[-1]
 
     def lookup(self, matrix: Matrix) -> WeylElement:
-        try:
-            return self._by_matrix[matrix]
-        except KeyError:
-            raise InvariantViolation("matrix is not an element of this Weyl group") from None
+        element = self._by_rho.get(tuple(sum(row) for row in matrix))
+        if element is None or element.matrix != matrix:
+            raise InvariantViolation("matrix is not an element of this Weyl group")
+        return element
 
     def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
         """The canonical element equal to the composition a after b."""
-        return self.lookup(_matmul(a.matrix, b.matrix))
+        try:
+            return self._by_rho[_apply(a.matrix, b.rho_image)]
+        except KeyError:
+            raise InvariantViolation("product is not an element of this Weyl group") from None
 
     def inverse(self, a: WeylElement) -> WeylElement:
         try:
@@ -136,29 +113,27 @@ class WeylGroup:
 
 def act(w: WeylElement, lam: Weight) -> Weight:
     """Apply a Weyl element to a weight (exact matrix-vector product)."""
-    n = len(w.matrix)
-    if lam.rank != n:
-        raise DimensionMismatch(f"rank {n} element applied to rank {lam.rank} weight")
-    return Weight(
-        sum((Fraction(w.matrix[k][m]) * lam.coords[m] for m in range(n)), start=Fraction(0))
-        for k in range(n)
-    )
+    if lam.rank != len(w.matrix):
+        raise DimensionMismatch(f"rank {len(w.matrix)} element applied to rank {lam.rank} weight")
+    return Weight(_apply(w.matrix, lam.coords))
 
 
-def inversion_count(rs: RootSystem, matrix: Matrix) -> int:
-    """Number of positive roots sent to negative roots by the matrix."""
-    count = 0
-    for alpha in rs.positive_roots:
-        image = tuple(
-            sum(matrix[k][m] * alpha.fw_coords[m] for m in range(rs.rank))
-            for k in range(rs.rank)
-        )
-        positive = rs.is_positive_fw(image)
-        if positive is None:
-            raise InvariantViolation("Weyl image of a root is not a root")
-        if not positive:
-            count += 1
-    return count
+def _length_from_rho_image(coroots: Matrix, rho_image: IntVec) -> int:
+    """l(w) = #{alpha > 0 : <alpha-check, w rho> < 0}, from w(rho) alone.
+
+    ``coroots`` holds the positive coroots as rows; <alpha-check, w rho> < 0
+    exactly when w^-1 alpha < 0, and l(w^-1) = l(w).
+    """
+    values = _apply(coroots, rho_image)
+    if 0 in values:
+        raise InvariantViolation("Weyl image of rho is singular")
+    return sum(v < 0 for v in values)
+
+
+def _reflect(rs: RootSystem, i: int, vec: IntVec) -> IntVec:
+    # (s_i lam)_k = lam_k - lam_i C[k][i]
+    value = vec[i]
+    return tuple(x - value * row[i] for x, row in zip(vec, rs.cartan))
 
 
 def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
@@ -166,20 +141,31 @@ def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
 
     Each element records the first shortest word reaching it, so stored
     words are reduced.  The element list is sorted by (length, word).
+    A candidate w*s_i is recognised by w s_i(rho) = w(rho) - w(alpha_i)
+    before its matrix is built; that matrix differs from w's in column i.
     """
-    gens = [simple_reflection_matrix(rs, i) for i in range(rs.rank)]
-    identity = _identity(rs.rank)
-    found: dict[Matrix, WeylElement] = {identity: WeylElement(identity, ())}
-    frontier = [found[identity]]
+    n = rs.rank
+    alphas = [tuple(row[i] for row in rs.cartan) for i in range(n)]
+    identity = WeylElement(_identity(n), ())
+    found: dict[IntVec, WeylElement] = {identity.rho_image: identity}
+    # w^-1(rho); the inverse of w*s_i is s_i*w^-1, so the reversed word is
+    # applied to rho one simple reflection per element
+    inverse_rho: dict[IntVec, IntVec] = {identity.rho_image: identity.rho_image}
+    frontier = [identity]
     while frontier:
         new_frontier: list[WeylElement] = []
         for w in frontier:
-            for i in range(rs.rank):
-                matrix = _matmul(w.matrix, gens[i])
-                if matrix in found:
+            for i in range(n):
+                w_alpha = _apply(w.matrix, alphas[i])
+                key = tuple(x - y for x, y in zip(w.rho_image, w_alpha))
+                if key in found:
                     continue
+                matrix = tuple(
+                    row[:i] + (row[i] - y,) + row[i + 1:] for row, y in zip(w.matrix, w_alpha)
+                )
                 element = WeylElement(matrix, w.reduced_word + (i,))
-                found[matrix] = element
+                found[element.rho_image] = element
+                inverse_rho[element.rho_image] = _reflect(rs, i, inverse_rho[w.rho_image])
                 new_frontier.append(element)
                 if len(found) > max_order:
                     raise GroupTooLarge(f"Weyl group exceeds {max_order} elements")
@@ -187,8 +173,9 @@ def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
         frontier = new_frontier
 
     elements = sorted(found.values(), key=lambda w: (w.length, w.reduced_word))
+    coroots = tuple(alpha.coroot_coords for alpha in rs.positive_roots)
     for w in elements:
-        if inversion_count(rs, w.matrix) != w.length:
+        if _length_from_rho_image(coroots, w.rho_image) != w.length:
             raise InvariantViolation(
                 f"word length of {w.word_str()} disagrees with its inversion count"
             )
@@ -196,20 +183,14 @@ def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
     if len(top) != 1:
         raise InvariantViolation("longest element is not unique")
 
-    # simple reflections are involutions, so the reversed word inverts
-    inverses = {}
-    for w in elements:
-        matrix = identity
-        for i in reversed(w.reduced_word):
-            matrix = _matmul(matrix, gens[i])
-        inverses[w] = found[matrix]
+    inverses = {w: found[inverse_rho[w.rho_image]] for w in elements}
 
     return WeylGroup(
-        rank=rs.rank,
+        rank=n,
         elements=tuple(elements),
         order=len(elements),
-        simple=tuple(found[g] for g in gens),
-        _by_matrix=found,
+        simple=tuple(found[_reflect(rs, i, identity.rho_image)] for i in range(n)),
+        _by_rho=found,
         _inverses=inverses,
     )
 

@@ -14,6 +14,19 @@ CARTAN = {
 }
 
 
+def _permuted(cartan, perm):
+    return [[cartan[perm[i]][perm[j]] for j in range(len(perm))] for i in range(len(perm))]
+
+
+# larger and reordered types, built on demand by the oracle tests only
+EXTRA_CARTAN = {
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "A1xA2": [[2, 0, 0], [0, 2, -1], [0, -1, 2]],
+    "B3perm": _permuted(CARTAN["B3"], (2, 0, 1)),
+}
+
+
 @pytest.fixture(scope="session")
 def systems():
     return {name: build_root_system(cartan) for name, cartan in CARTAN.items()}

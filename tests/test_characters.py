@@ -4,6 +4,7 @@ import pytest
 
 from dischar import (
     FormalCharacter,
+    act,
     HomologyTable,
     NotAntidominant,
     NotCompatible,
@@ -55,6 +56,30 @@ def test_weyl_denominator_rank_zero():
     from dischar import build_root_system
 
     assert weyl_denominator(build_root_system([])) == FormalCharacter.one(0)
+
+
+@pytest.mark.parametrize("name", ["B3", "D4"])
+def test_weyl_denominator_matches_subset_expansion(name, systems):
+    from itertools import combinations
+
+    from dischar import build_root_system, generate
+    from tests.conftest import EXTRA_CARTAN
+
+    rs = systems[name] if name in systems else build_root_system(EXTRA_CARTAN[name])
+    subsets: dict = {}
+    for size in range(len(rs.positive_roots) + 1):
+        for subset in combinations(rs.positive_roots, size):
+            total = Weight.zero(rs.rank)
+            for alpha in subset:
+                total = total + alpha.weight()
+            subsets[total] = subsets.get(total, 0) + (-1 if size % 2 else 1)
+    den = weyl_denominator(rs)
+    assert den == FormalCharacter(subsets)
+    # one term e^{rho - w rho} with coefficient (-1)^l(w) per Weyl element
+    W = generate(rs)
+    assert len(den) == W.order
+    for w in W.elements:
+        assert den.coefficient(rs.rho - act(w, rs.rho)) == (-1) ** w.length
 
 
 def test_weyl_numerator_a1(systems, groups):

@@ -159,3 +159,35 @@ def test_cli_subprocess_verify_byte_identical(tmp_path):
         assert proc.returncode == 0
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "overrides,flags",
+    [
+        ({}, ["--lambda=abc"]),
+        ({}, ["--lambda=1/0"]),
+        (A2_MIXED, ["--box=-1..x,0..0"]),
+        ({"lambda": ["x"]}, []),
+        ({"nu_box": [1]}, []),
+        ({"compact_simple": 1}, []),
+        ({"orbit_index": True}, []),
+        ({}, ["--lambda=-1,-2"]),
+    ],
+    ids=[
+        "lambda-flag-not-a-number",
+        "lambda-flag-zero-denominator",
+        "box-flag-not-a-number",
+        "lambda-entry-not-a-number",
+        "nu-box-not-a-pair",
+        "compact-simple-not-a-list",
+        "orbit-index-boolean",
+        "lambda-flag-wrong-rank",
+    ],
+)
+def test_main_rejects_malformed_input(tmp_path, capsys, overrides, flags):
+    path = write_config(tmp_path, dict(A1_NC, **overrides))
+    code = main(["blattner", "--config", path] + flags)
+    assert code == 1
+    data = json.loads(capsys.readouterr().out.strip())
+    assert data["error"] == "ParameterIncompatible"
+    assert data["message"]

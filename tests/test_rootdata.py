@@ -11,7 +11,7 @@ from dischar import (
     coroot_pairing,
     dominant_representative,
 )
-from tests.conftest import CARTAN
+from tests.conftest import CARTAN, EXTRA_CARTAN
 
 
 def closure_oracle(cartan):
@@ -185,3 +185,31 @@ def test_to_root_coords_roundtrip(systems):
             assert rs.to_root_coords(alpha.weight()) == tuple(
                 Fraction(c) for c in alpha.root_coords
             )
+
+
+def test_weight_stores_integral_coordinates_as_int():
+    lam = Weight([Fraction(4, 2), "1/2", 3, "-6/3", Fraction(-1, 2)])
+    assert [type(c) for c in lam.coords] == [int, Fraction, int, int, Fraction]
+    assert lam.coords == (2, Fraction(1, 2), 3, -2, Fraction(-1, 2))
+    assert Weight([Fraction(2)]) == Weight([2])
+    assert hash(Weight([Fraction(2)])) == hash(Weight([2]))
+    assert Weight([Fraction(3), Fraction(-1, 2)]).serialize() == ["3", "-1/2"]
+    half = Weight([Fraction(1, 2)])
+    assert type((half + half).coords[0]) is int
+    assert type(half.scale(4).coords[0]) is int
+    assert Weight([Fraction(1, 2), 0]).is_integral() is False
+    assert Weight([Fraction(6, 3), 0]).is_integral() is True
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN) + sorted(EXTRA_CARTAN))
+def test_to_root_coords_inverts_cartan(name):
+    # a weight with simple-root coordinates n has fw coordinates C @ n
+    cartan = dict(CARTAN, **EXTRA_CARTAN)[name]
+    rs = build_root_system(cartan)
+    rank = rs.rank
+    probes = [rs.rho, Weight([Fraction(1, 2)] + [-3] * (rank - 1))]
+    probes += [Weight([int(j == i) for j in range(rank)]) for i in range(rank)]
+    for lam in probes:
+        n = rs.to_root_coords(lam)
+        assert all(type(c) is int or c.denominator != 1 for c in n)
+        assert tuple(sum(cartan[i][j] * n[j] for j in range(rank)) for i in range(rank)) == lam.coords

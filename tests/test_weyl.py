@@ -7,11 +7,13 @@ from dischar import (
     GroupTooLarge,
     Weight,
     act,
+    build_root_system,
     generate,
     length_fiber,
     sign,
 )
 from dischar.weyl import _det
+from tests.conftest import CARTAN, EXTRA_CARTAN
 
 
 @pytest.mark.parametrize(
@@ -105,3 +107,118 @@ def test_word_rendering(groups):
     assert W.identity.word_str() == "e"
     assert W.simple[0].word_str() == "s1"
     assert W.longest.word_str().count("*") == 2
+
+
+# --- brute-force oracle: closure of the simple-reflection matrices --------
+
+
+def _matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def _simple_reflection_matrices(cartan):
+    # (s_i lam)_k = lam_k - lam_i C[k][i]
+    n = len(cartan)
+    return [
+        tuple(
+            tuple(int(k == m) - (cartan[k][i] if m == i else 0) for m in range(n))
+            for k in range(n)
+        )
+        for i in range(n)
+    ]
+
+
+def matrix_closure(cartan):
+    """Matrix -> first shortest word, by BFS over matrix products keyed by matrix."""
+    gens = _simple_reflection_matrices(cartan)
+    identity = tuple(tuple(int(i == j) for j in range(len(cartan))) for i in range(len(cartan)))
+    found = {identity: ()}
+    frontier = [identity]
+    while frontier:
+        new_frontier = []
+        for m in frontier:
+            for i, g in enumerate(gens):
+                product = _matmul(m, g)
+                if product not in found:
+                    found[product] = found[m] + (i,)
+                    new_frontier.append(product)
+        new_frontier.sort(key=found.__getitem__)
+        frontier = new_frontier
+    return found
+
+
+def matrix_inversion_count(rs, matrix):
+    positive = {alpha.fw_coords for alpha in rs.positive_roots}
+    count = 0
+    for alpha in rs.positive_roots:
+        image = tuple(sum(a * x for a, x in zip(row, alpha.fw_coords)) for row in matrix)
+        assert image in positive or tuple(-c for c in image) in positive
+        count += tuple(-c for c in image) in positive
+    return count
+
+
+ORACLE_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "D4", "F4", "A1xA2", "B3perm"]
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    cartans = dict(CARTAN, **EXTRA_CARTAN)
+    cases = {}
+    for name in ORACLE_TYPES:
+        rs = build_root_system(cartans[name])
+        cases[name] = (rs, generate(rs), matrix_closure(cartans[name]), cartans[name])
+    return cases
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_generate_matches_matrix_closure(name, oracle_cases):
+    rs, W, oracle, cartan = oracle_cases[name]
+    assert W.order == len(oracle)
+    assert {w.matrix for w in W.elements} == set(oracle)
+    gens = _simple_reflection_matrices(cartan)
+    assert [s.matrix for s in W.simple] == gens
+    for w in W.elements:
+        assert w.reduced_word == oracle[w.matrix]
+        assert w.length == matrix_inversion_count(rs, w.matrix)
+        assert w.rho_image == tuple(sum(row) for row in w.matrix)
+        inverse = W.inverse(w)
+        assert _matmul(w.matrix, inverse.matrix) == W.identity.matrix
+        assert W.lookup(w.matrix) is w
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_multiply_matches_matrix_product(name, oracle_cases):
+    _rs, W, _oracle, _cartan = oracle_cases[name]
+    if W.order <= 48:
+        pairs = [(a, b) for a in W.elements for b in W.elements]
+    else:
+        rng = random.Random(2024)
+        pairs = [(rng.choice(W.elements), rng.choice(W.elements)) for _ in range(2000)]
+    for a, b in pairs:
+        assert W.multiply(a, b).matrix == _matmul(a.matrix, b.matrix)
+
+
+def test_det_matches_leibniz_expansion():
+    from itertools import permutations
+
+    def leibniz(m):
+        n = len(m)
+        total = 0
+        for perm in permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            term = -1 if inversions % 2 else 1
+            for i in range(n):
+                term *= m[i][perm[i]]
+            total += term
+        return total
+
+    rng = random.Random(5)
+    for n in range(5):
+        for _ in range(40):
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if n and rng.random() < 0.2:
+                m[rng.randrange(n)] = [0] * n
+            assert _det(m) == leibniz(m)
