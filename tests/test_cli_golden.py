@@ -47,6 +47,14 @@ GOLDEN = [
      "72288eb85049effb01862a156fbf389fd4c9b91990fe5ac29ef2ea673782b30c"),
     ("F4", "orbits --format tsv", 0,
      "69ca939066c24a19f213e3a820ecddd849956c248553ab2f6156db8b8e73d737"),
+    # K-type tables, recorded from the per-point closed formula with its
+    # partition memo on the grading, before the one-table implementation
+    ("B3", "blattner --box=-6..0,-6..0,-6..0", 0,
+     "b5f3c59847bd67ea4b842eb0da9870263c5f7577e4a212851dac7f86c90bc0cb"),
+    ("B3", "blattner --box=-3..0,-3..0,-3..0 --verify --lambda=-1,-1,-1", 0,
+     "84b7abe982af125b7ed8fb10fb484ad829a4f6f2c059b7c678b0d319153647e3"),
+    ("F4", "blattner --box=-2..0,-1..0,-1..0,-11..-9", 0,
+     "52d63b70caae90739ad93799841d1a0929a24b22833ee8df48848c6bdd62e73b"),
 ]
 
 
