@@ -13,6 +13,7 @@ from .blattner import (
     blattner_multiplicity,
     bwb_cohomology,
     filtration_oracle,
+    filtration_table,
     ktype_table,
     partition,
     partition_p,
@@ -27,6 +28,7 @@ from .characters import (
     weyl_numerator,
 )
 from .errors import (
+    BoxTooLarge,
     CollapseAmbiguous,
     DimensionMismatch,
     DischarError,
@@ -39,6 +41,8 @@ from .errors import (
     NotIntegral,
     NotStronglyAntidominant,
     ParameterIncompatible,
+    PartitionTableTooLarge,
+    TruncationTooLarge,
     TruncationTooSmall,
     ValidationError,
 )
@@ -75,6 +79,7 @@ __all__ = [
     "blattner_multiplicity",
     "bwb_cohomology",
     "filtration_oracle",
+    "filtration_table",
     "ktype_table",
     "partition",
     "partition_p",
@@ -85,6 +90,7 @@ __all__ = [
     "freudenthal_character",
     "weyl_denominator",
     "weyl_numerator",
+    "BoxTooLarge",
     "CollapseAmbiguous",
     "DimensionMismatch",
     "DischarError",
@@ -97,6 +103,8 @@ __all__ = [
     "NotIntegral",
     "NotStronglyAntidominant",
     "ParameterIncompatible",
+    "PartitionTableTooLarge",
+    "TruncationTooLarge",
     "TruncationTooSmall",
     "ValidationError",
     "ResolutionIndex",

@@ -2,25 +2,70 @@
 
 ``partition``/``partition_p`` count representations of a weight as sums of
 noncompact positive roots (a root may repeat; order is irrelevant).  The
-closed multiplicity formula alternates these counts over W_K; the
-``filtration_oracle`` re-derives the same number on an independent code
-path, by walking the symmetric powers of the normal bundle level by level
-and resolving each line-bundle twist with the Borel-Weil-Bott step for K.
+closed multiplicity formula (Hecht-Schmid) alternates these counts over
+W_K: m(nu) = sum_w (-1)^{l_K(w)} P(lam - rho_n - w(nu - rho_c)).
+
+The closed formula works on a whole box of nu at once.  In simple-root
+coordinates every argument is an integer vector
+
+    base(nu) + N_w nu + c_w,
+
+with base(nu) the root coordinates of lam - rho_n + rho_c - nu,
+N_w = C^-1 (I - M_w) an integer matrix and c_w the root coordinates of
+w rho_c - rho_c; N_w and c_w are computed once per call.  An argument lies
+in the root lattice exactly when base(nu) does (for integral nu the other
+two terms are integral; a non-integral nu leaves both off the lattice), so
+that test runs once per nu.  Every argument that lies in the cone is collected first; then one flat
+integer table of P over 0 <= m <= max(arguments) is filled coin-change
+style (P[m] += P[m - beta] for each noncompact root beta in turn) and every
+term is read from it.  The table belongs to the call: the grading keeps no
+memo.
+
+The ``filtration_oracle``/``filtration_table`` pair re-derives the same
+numbers on an independent code path, by walking the symmetric powers of the
+normal bundle level by level and resolving each line-bundle twist with the
+Borel-Weil-Bott step for K; it never consults the partition function.  One
+walk, up to the largest level any nu of the box needs, buckets every result
+by its lowest K-weight and so serves the whole box.
+
+Sizes the caller controls are bounded before any work starts: the number
+of box points (``MAX_BOX_POINTS``), the entries of the partition table
+(``MAX_TABLE_ENTRIES``) and the multisets the oracle walks at its level
+p_max (``MAX_ORACLE_MULTISETS``).  Each bound raises a ``ValidationError``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
-from .errors import InvariantViolation, ParameterIncompatible, TruncationTooSmall
+from .errors import (
+    BoxTooLarge,
+    DimensionMismatch,
+    InvariantViolation,
+    ParameterIncompatible,
+    PartitionTableTooLarge,
+    TruncationTooLarge,
+    TruncationTooSmall,
+)
 from .realform import CompactGrading, KWeylData
 from .rootdata import Weight, classify_weight, coroot_pairing
-from .weyl import act
+from .weyl import _apply, act
 
 IntVec = tuple[int, ...]
+Box = tuple[Sequence[Fraction | int], Sequence[Fraction | int]]
+
+# nu points one box may span (before the R_c+ antidominance filter)
+MAX_BOX_POINTS = 100_000
+# entries of one partition table; F4 (+,+,+,-) at lam = -2 rho, nu = (-6)^4
+# needs 4.86 M (about 5 s and 60 MB peak RSS)
+MAX_TABLE_ENTRIES = 5_000_000
+# multisets of at most p_max noncompact roots the filtration oracle may walk
+MAX_ORACLE_MULTISETS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -36,45 +81,103 @@ class KTypeTable:
 def _as_root_lattice(grading: CompactGrading, mu: Weight) -> IntVec | None:
     """mu in simple-root coordinates if it lies in the lattice, else None."""
     coords = grading.rs.to_root_coords(mu)
-    if any(c.denominator != 1 for c in coords):
+    if any(type(c) is not int for c in coords):
         return None
-    return tuple(int(c) for c in coords)
+    return coords
 
 
 def _noncompact_root_coords(grading: CompactGrading) -> tuple[IntVec, ...]:
     return tuple(r.root_coords for r in grading.noncompact_positive)
 
 
-def _count_partitions(
-    grading: CompactGrading,
-    target: IntVec,
-    parts: int | None,
-) -> int:
-    """Multisets of noncompact positive roots summing to target.
+class _PartitionTable:
+    """P(m) for every 0 <= m <= extent, as one flat list.
 
-    ``parts`` restricts the multiset size; None means any size.  One fixed
-    root order is peeled recursively, so no multiset is counted twice.
+    The axes are laid out by increasing extent, so the longest axis runs
+    fastest and the DP sweeps fewer, longer runs.
+    """
+
+    def __init__(self, grading: CompactGrading, extent: IntVec) -> None:
+        dims = [e + 1 for e in extent]
+        volume = math.prod(dims)
+        if volume > MAX_TABLE_ENTRIES:
+            raise PartitionTableTooLarge(
+                f"partition table over 0..{list(extent)} has {volume} entries; "
+                f"the limit is {MAX_TABLE_ENTRIES}"
+            )
+        # axes from slowest to fastest
+        order = sorted(range(len(dims)), key=lambda i: dims[i])
+        strides = [0] * len(dims)
+        step = 1
+        for i in reversed(order):
+            strides[i] = step
+            step *= dims[i]
+        self.strides: IntVec = tuple(strides)
+        table = [0] * volume
+        table[0] = 1
+        for beta in _noncompact_root_coords(grading):
+            if any(b > e for b, e in zip(beta, extent)):
+                continue
+            self._add_root(table, dims, order, beta)
+        self.values = table
+
+    def _add_root(
+        self, table: list[int], dims: list[int], order: list[int], beta: IntVec
+    ) -> None:
+        """P[m] += P[m - beta] for every m >= beta, in increasing order of m.
+
+        With k the fastest axis where beta is nonzero, the m >= beta that
+        share their coordinates on the axes slower than k form one
+        contiguous run.  If beta is also nonzero on a slower axis, its flat
+        offset exceeds the run and the run reads only earlier, finished
+        runs; otherwise the run is swept in chunks of the offset, each
+        reading the chunk before it.
+        """
+        strides = self.strides
+        pos = max(p for p, i in enumerate(order) if beta[i])
+        k = order[pos]
+        offset = sum(map(mul, beta, strides))
+        run = (dims[k] - beta[k]) * strides[k]
+        slower = order[:pos]
+        outer_ranges = [range(beta[i], dims[i]) for i in slower]
+        outer_strides = [strides[i] for i in slower]
+        for outer in itertools.product(*outer_ranges):
+            start = sum(map(mul, outer, outer_strides)) + beta[k] * strides[k]
+            end = start + run
+            step = run if offset >= run else offset
+            for lo in range(start, end, step):
+                hi = min(lo + step, end)
+                table[lo:hi] = map(add, table[lo:hi], table[lo - offset:hi - offset])
+
+    def __getitem__(self, m: IntVec) -> int:
+        return self.values[sum(map(mul, m, self.strides))]
+
+
+def _count_partitions(grading: CompactGrading, target: IntVec, parts: int) -> int:
+    """Multisets of exactly ``parts`` noncompact positive roots summing to target.
+
+    One fixed root order is peeled recursively, so no multiset is counted
+    twice; the memo lives for this call only.
     """
     roots = _noncompact_root_coords(grading)
-    cache = grading._partition_cache
+    memo: dict[tuple[int, IntVec, int], int] = {}
 
-    def count(idx: int, remaining: IntVec, budget: int | None) -> int:
+    def count(idx: int, remaining: IntVec, budget: int) -> int:
         if idx == len(roots):
-            done = all(c == 0 for c in remaining) and budget in (None, 0)
-            return 1 if done else 0
+            return 1 if budget == 0 and all(c == 0 for c in remaining) else 0
         key = (idx, remaining, budget)
-        cached = cache.get(key)
+        cached = memo.get(key)
         if cached is not None:
             return cached
         beta = roots[idx]
         total = 0
         k = 0
         current = remaining
-        while (budget is None or k <= budget) and all(c >= 0 for c in current):
-            total += count(idx + 1, current, None if budget is None else budget - k)
+        while k <= budget and all(c >= 0 for c in current):
+            total += count(idx + 1, current, budget - k)
             k += 1
             current = tuple(c - b for c, b in zip(current, beta))
-        cache[key] = total
+        memo[key] = total
         return total
 
     return count(0, target, parts)
@@ -99,7 +202,7 @@ def partition(grading: CompactGrading, mu: Weight) -> int:
     target = _as_root_lattice(grading, mu)
     if target is None or any(c < 0 for c in target):
         return 0
-    return _count_partitions(grading, target, None)
+    return _PartitionTable(grading, target)[target]
 
 
 def bwb_cohomology(
@@ -111,13 +214,15 @@ def bwb_cohomology(
     unique w in W_K with w^{-1} eta strictly antidominant for R_c+ gives the
     cohomological degree l_K(w) and the lowest K-weight w^{-1} eta + rho_c.
     """
-    for alpha in grading.compact_positive:
-        if coroot_pairing(alpha, eta) == 0:
-            return None
+    if eta.rank != grading.rs.rank:
+        raise DimensionMismatch(f"rank {eta.rank} weight in rank {grading.rs.rank} system")
+    coroots = [alpha.coroot_coords for alpha in grading.compact_positive]
+    if any(sum(map(mul, c, eta.coords)) == 0 for c in coroots):
+        return None
     for w in kdata.elements:
-        candidate = act(kdata.weyl.inverse(w), eta)
-        if all(coroot_pairing(a, candidate) < 0 for a in grading.compact_positive):
-            return kdata.lengthK[w], candidate + grading.rho_c
+        candidate = _apply(kdata.weyl.inverse(w).matrix, eta.coords)
+        if all(sum(map(mul, c, candidate)) < 0 for c in coroots):
+            return kdata.lengthK[w], Weight(candidate) + grading.rho_c
     raise InvariantViolation("no W_K chamber representative found for a regular weight")
 
 
@@ -138,18 +243,87 @@ def _check_multiplicity_parameters(
             raise ParameterIncompatible("nu must be antidominant for R_c+")
 
 
+def _box_points(grading: CompactGrading, box: Box) -> list[Weight]:
+    """The integral nu of a box that are antidominant for R_c+, in box order."""
+    rs = grading.rs
+    lo = [Fraction(c) for c in box[0]]
+    hi = [Fraction(c) for c in box[1]]
+    if len(lo) != rs.rank or len(hi) != rs.rank:
+        raise ParameterIncompatible("box endpoints must have one entry per rank")
+    axes = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
+    count = math.prod(len(axis) for axis in axes)
+    if count > MAX_BOX_POINTS:
+        raise BoxTooLarge(f"nu box spans {count} points; the limit is {MAX_BOX_POINTS}")
+    points = (Weight(coords) for coords in itertools.product(*axes))
+    return [
+        nu for nu in points
+        if not any(coroot_pairing(a, nu) > 0 for a in grading.compact_positive)
+    ]
+
+
+def _alternating_terms(
+    grading: CompactGrading, kdata: KWeylData
+) -> list[tuple[int, tuple[IntVec, ...], IntVec]]:
+    """(-1)^{l_K(w)}, N_w = C^-1 (I - M_w) (rows) and c_w for every w in W_K."""
+    rs = grading.rs
+
+    def root_coords(mu: Weight) -> IntVec:
+        coords = _as_root_lattice(grading, mu)
+        if coords is None:
+            raise InvariantViolation("a W_K difference left the root lattice")
+        return coords
+
+    units = [Weight(tuple(int(i == j) for i in range(rs.rank))) for j in range(rs.rank)]
+    terms = []
+    for w in kdata.elements:
+        columns = [root_coords(e - act(w, e)) for e in units]
+        n_w = tuple(zip(*columns)) if columns else ()
+        c_w = root_coords(act(w, grading.rho_c) - grading.rho_c)
+        terms.append((-1 if kdata.lengthK[w] % 2 else 1, n_w, c_w))
+    return terms
+
+
+def _closed_formula(
+    grading: CompactGrading, kdata: KWeylData, lam: Weight, points: Sequence[Weight]
+) -> list[int]:
+    """Blattner multiplicities of every nu in ``points``, from one partition table."""
+    for nu in points:
+        _check_multiplicity_parameters(grading, kdata, lam, nu)
+    terms = _alternating_terms(grading, kdata)
+    shift = lam - grading.rho_n + grading.rho_c
+    per_point: list[list[tuple[int, IntVec]]] = []
+    for nu in points:
+        found: list[tuple[int, IntVec]] = []
+        per_point.append(found)
+        base = _as_root_lattice(grading, shift - nu)
+        if base is None:
+            continue
+        for sign, n_w, c_w in terms:
+            target = tuple(
+                b + sum(map(mul, row, nu.coords)) + c for b, row, c in zip(base, n_w, c_w)
+            )
+            if min(target, default=0) >= 0:
+                found.append((sign, target))
+    targets = [t for found in per_point for _sign, t in found]
+    extent = tuple(map(max, zip(*targets))) if targets else (0,) * grading.rs.rank
+    table = _PartitionTable(grading, extent)
+    return [sum(sign * table[t] for sign, t in found) for found in per_point]
+
+
 def blattner_multiplicity(
     grading: CompactGrading, kdata: KWeylData, lam: Weight, nu: Weight
 ) -> int:
     """Multiplicity of the K-type with lowest weight nu, by the closed formula."""
-    _check_multiplicity_parameters(grading, kdata, lam, nu)
-    shifted = lam - grading.rho_n
-    total = 0
-    for w in kdata.elements:
-        argument = shifted - act(w, nu - grading.rho_c)
-        sign = -1 if kdata.lengthK[w] % 2 else 1
-        total += sign * partition(grading, argument)
-    return total
+    return _closed_formula(grading, kdata, lam, [nu])[0]
+
+
+def ktype_table(
+    grading: CompactGrading, kdata: KWeylData, lam: Weight, box: Box
+) -> KTypeTable:
+    """Blattner multiplicities for every antidominant integral nu in a box."""
+    points = _box_points(grading, box)
+    values = _closed_formula(grading, kdata, lam, points)
+    return KTypeTable(entries={nu: v for nu, v in zip(points, values) if v})
 
 
 def _multisets_by_size(
@@ -173,14 +347,56 @@ def _multisets_by_size(
 
 
 def _max_parts_bound(grading: CompactGrading, mu: Weight) -> int | None:
-    """Largest possible multiset size for mu, from simple-root coordinate sums."""
+    """Largest possible multiset size for mu, from its noncompact simple coordinates.
+
+    The grading is multiplicative, so the coordinates of a noncompact root on
+    the noncompact simple roots have an odd, hence positive, sum; a multiset
+    of s parts summing to mu makes mu's sum at least s.
+    """
     target = _as_root_lattice(grading, mu)
     if target is None or any(c < 0 for c in target):
         return None
-    if not grading.noncompact_positive:
-        return 0 if all(c == 0 for c in target) else None
-    min_height = min(r.height for r in grading.noncompact_positive)
-    return sum(target) // min_height
+    return sum(c for c, s in zip(target, grading.simple_signs) if s == -1)
+
+
+def _filtration_level(
+    grading: CompactGrading, kdata: KWeylData, lam: Weight, points: Sequence[Weight]
+) -> int:
+    """The highest filtration level that can contribute to any nu in ``points``."""
+    shifted = lam - grading.rho_n
+    needed = 0
+    for nu in points:
+        for w in kdata.elements:
+            bound = _max_parts_bound(grading, shifted - act(w, nu - grading.rho_c))
+            if bound is not None:
+                needed = max(needed, bound)
+    return needed
+
+
+def _filtration_walk(
+    grading: CompactGrading, kdata: KWeylData, lam: Weight, p_max: int
+) -> dict[Weight, int]:
+    """Signed BWB contributions of every multiset up to level p_max, by lowest weight.
+
+    Level s contributes one line-bundle twist per multiset of s noncompact
+    positive roots; each twist is resolved with :func:`bwb_cohomology` and
+    counted at its lowest K-weight with sign (-1)^degree.
+    """
+    walked = math.comb(grading.q + p_max, p_max)
+    if walked > MAX_ORACLE_MULTISETS:
+        raise TruncationTooLarge(
+            f"p_max={p_max} walks {walked} multisets; the limit is {MAX_ORACLE_MULTISETS}"
+        )
+    shifted = lam - grading.rho_n
+    buckets: dict[Weight, int] = {}
+    kappa_roots = [r.weight() for r in grading.noncompact_positive]
+    for _size, kappa in _multisets_by_size(kappa_roots, grading.rs.rank, p_max):
+        result = bwb_cohomology(grading, kdata, shifted - kappa)
+        if result is None:
+            continue
+        degree, lowest = result
+        buckets[lowest] = buckets.get(lowest, 0) + (-1 if degree % 2 else 1)
+    return buckets
 
 
 def filtration_oracle(
@@ -192,67 +408,32 @@ def filtration_oracle(
 ) -> int:
     """Re-derive the multiplicity by walking the normal-degree filtration.
 
-    Level s contributes one line-bundle twist per multiset of s noncompact
-    positive roots; each twist is resolved with :func:`bwb_cohomology` and
-    matched against nu with sign (-1)^degree.  Independent of the closed
-    formula: no partition function is consulted.
+    Independent of the closed formula: no partition function is consulted.
+    ``p_max`` truncates the walk; a level below the one nu needs raises
+    ``TruncationTooSmall``.
     """
     _check_multiplicity_parameters(grading, kdata, lam, nu)
-    shifted = lam - grading.rho_n
-
-    needed = 0
-    for w in kdata.elements:
-        bound = _max_parts_bound(grading, shifted - act(w, nu - grading.rho_c))
-        if bound is not None:
-            needed = max(needed, bound)
+    needed = _filtration_level(grading, kdata, lam, [nu])
     if p_max is None:
         p_max = needed
     elif p_max < needed:
         raise TruncationTooSmall(
             f"p_max={p_max} but contributions can occur up to level {needed}"
         )
-
-    total = 0
-    kappa_roots = [r.weight() for r in grading.noncompact_positive]
-    for _size, kappa in _multisets_by_size(kappa_roots, grading.rs.rank, p_max):
-        result = bwb_cohomology(grading, kdata, shifted - kappa)
-        if result is None:
-            continue
-        degree, lowest = result
-        if lowest == nu:
-            total += -1 if degree % 2 else 1
-    return total
+    return _filtration_walk(grading, kdata, lam, p_max).get(nu, 0)
 
 
-def ktype_table(
-    grading: CompactGrading,
-    kdata: KWeylData,
-    lam: Weight,
-    box: tuple[Sequence[Fraction | int], Sequence[Fraction | int]],
+def filtration_table(
+    grading: CompactGrading, kdata: KWeylData, lam: Weight, box: Box
 ) -> KTypeTable:
-    """Blattner multiplicities for every antidominant integral nu in a box."""
-    rs = grading.rs
-    lo = [Fraction(c) for c in box[0]]
-    hi = [Fraction(c) for c in box[1]]
-    if len(lo) != rs.rank or len(hi) != rs.rank:
-        raise ParameterIncompatible("box endpoints must have one entry per rank")
+    """The oracle's multiplicities for every nu that ``ktype_table`` evaluates.
 
-    def axis(i: int) -> range:
-        return range(math.ceil(lo[i]), math.floor(hi[i]) + 1)
-
-    entries: dict[Weight, int] = {}
-
-    def walk(i: int, prefix: list[int]) -> None:
-        if i == rs.rank:
-            nu = Weight(prefix)
-            if any(coroot_pairing(a, nu) > 0 for a in grading.compact_positive):
-                return
-            value = blattner_multiplicity(grading, kdata, lam, nu)
-            if value:
-                entries[nu] = value
-            return
-        for c in axis(i):
-            walk(i + 1, prefix + [c])
-
-    walk(0, [])
-    return KTypeTable(entries=entries)
+    One walk up to the largest level any nu of the box needs serves them all.
+    """
+    points = _box_points(grading, box)
+    for nu in points:
+        _check_multiplicity_parameters(grading, kdata, lam, nu)
+    buckets = _filtration_walk(
+        grading, kdata, lam, _filtration_level(grading, kdata, lam, points)
+    )
+    return KTypeTable(entries={nu: buckets[nu] for nu in points if buckets.get(nu)})

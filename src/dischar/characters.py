@@ -140,12 +140,13 @@ class HomologyTable:
     __hash__ = None
 
 
-def weyl_denominator(rs: RootSystem) -> FormalCharacter:
+def weyl_denominator(rs: RootSystem, group: WeylGroup | None = None) -> FormalCharacter:
     """The product of (1 - e^alpha) over the positive roots.
 
     Computed both as an expanded product and by the Weyl denominator
     formula, the sum over W of (-1)^l(w) e^{rho - w rho}; the two
-    expansions must agree exactly.
+    expansions must agree exactly.  ``group`` is the Weyl group of ``rs``
+    when the caller has already closed it; otherwise it is generated here.
     """
     product = FormalCharacter.one(rs.rank)
     for alpha in rs.positive_roots:
@@ -156,7 +157,7 @@ def weyl_denominator(rs: RootSystem) -> FormalCharacter:
     alternating = FormalCharacter({
         Weight(tuple(r - x for r, x in zip(rs.rho.coords, w.rho_image))):
             -1 if w.length % 2 else 1
-        for w in generate(rs).elements
+        for w in (group if group is not None else generate(rs)).elements
     })
     if alternating != product:
         raise InvariantViolation("denominator product and Weyl-group sum disagree")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .blattner import filtration_oracle, ktype_table
+from .blattner import filtration_table, ktype_table
 from .characters import discrete_numerator, weyl_denominator, weyl_numerator
 from .errors import (
     InvariantViolation,
@@ -248,7 +248,7 @@ def run(command: str, config: JobConfig, fmt: str = "json", jobs: int = 1,
 
     if command == "character":
         if which == "denominator":
-            char = weyl_denominator(rs)
+            char = weyl_denominator(rs, group)
             meta: dict = {}
         elif which == "weyl":
             char = weyl_numerator(rs, group, _require_lambda(config))
@@ -270,11 +270,14 @@ def run(command: str, config: JobConfig, fmt: str = "json", jobs: int = 1,
         if config.nu_box is None:
             raise ParameterIncompatible("blattner needs a nu_box")
         table = ktype_table(grading, kdata, lam, config.nu_box)
+        oracle = (
+            filtration_table(grading, kdata, lam, config.nu_box).entries if with_oracle else {}
+        )
         entries = []
         for nu, mult in table.sorted_entries():
             entry: dict = {"nu": _weight_cells(nu), "multiplicity": mult}
             if with_oracle:
-                entry["oracle"] = filtration_oracle(grading, kdata, lam, nu)
+                entry["oracle"] = oracle.get(nu, 0)
             entries.append(entry)
         if fmt == "tsv":
             header = ["nu", "multiplicity"] + (["oracle"] if with_oracle else [])

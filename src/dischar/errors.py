@@ -59,6 +59,18 @@ class TruncationTooSmall(ValidationError):
     """Filtration truncation bound proven insufficient for the requested weight."""
 
 
+class TruncationTooLarge(ValidationError):
+    """Filtration truncation would walk more multisets than the configured bound."""
+
+
+class BoxTooLarge(ValidationError):
+    """K-type box spans more points than the configured bound."""
+
+
+class PartitionTableTooLarge(ValidationError):
+    """Partition-function table would exceed the configured entry bound."""
+
+
 class InvariantViolation(DischarError):
     """Internal consistency check failed; signals a bug, not bad input."""
 

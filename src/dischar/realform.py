@@ -8,7 +8,7 @@ assignments can be screened with :func:`validate_grading`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -33,7 +33,6 @@ class CompactGrading:
     rho_c: Weight
     rho_n: Weight
     q: int
-    _partition_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def sign_of(self, root: Root) -> int:
         return self.sign_by_root[root]

@@ -35,3 +35,8 @@ def systems():
 @pytest.fixture(scope="session")
 def groups(systems):
     return {name: generate(rs) for name, rs in systems.items()}
+
+
+@pytest.fixture(scope="session")
+def extra_systems():
+    return {name: build_root_system(cartan) for name, cartan in EXTRA_CARTAN.items()}

@@ -2,21 +2,31 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dischar import (
+    BoxTooLarge,
     ParameterIncompatible,
+    PartitionTableTooLarge,
+    TruncationTooLarge,
     TruncationTooSmall,
     Weight,
+    blattner,
     blattner_multiplicity,
     build_grading,
+    build_root_system,
     bwb_cohomology,
     coroot_pairing,
     filtration_oracle,
+    filtration_table,
+    generate,
     ktype_table,
     partition,
     partition_p,
     weyl_k,
 )
+from dischar.blattner import _PartitionTable
 
 
 def setup(systems, groups, name, signs):
@@ -288,3 +298,137 @@ def test_line_bundle_twist_bookkeeping(systems, groups):
             lhs = lam + rs.rho - grading.rho_n.scale(2) - kappa
             rhs = (lam - grading.rho_n - kappa) + grading.rho_c
             assert lhs == rhs
+
+
+def test_partition_table_matches_enumeration_extra_types(extra_systems):
+    # every entry of one table, on boxes whose uneven extents exercise the
+    # axis layout, against the brute-force count
+    for name, rs in extra_systems.items():
+        for signs in itertools.product((1, -1), repeat=rs.rank):
+            grading = build_grading(rs, signs)
+            for extent in ((3, 1, 2, 2)[: rs.rank], (0, 2, 1, 3)[: rs.rank]):
+                table = _PartitionTable(grading, extent)
+                for m in itertools.product(*(range(e + 1) for e in extent)):
+                    assert table[m] == enumeration_oracle(grading, m), (name, signs, m)
+
+
+@pytest.mark.parametrize(
+    "name,lam,box",
+    [
+        ("D4", (-1, -1, -1, -1), ((-2, -2, -2, -7), (0, 0, 0, -6))),
+        ("F4", (-1, -1, -1, -1), ((0, 0, -1, -7), (0, 0, 0, -7))),
+    ],
+)
+def test_ktype_table_equals_filtration_table_rank4(extra_systems, name, lam, box):
+    rs = extra_systems[name]
+    grading = build_grading(rs, (1, 1, 1, -1))
+    kdata = weyl_k(rs, grading, generate(rs))
+    table = ktype_table(grading, kdata, Weight(lam), box)
+    assert table.entries
+    assert table == filtration_table(grading, kdata, Weight(lam), box)
+
+
+def test_grading_holds_no_memo(systems, groups):
+    rs, grading, kdata = setup(systems, groups, "B3", (1, 1, -1))
+    before = dict(vars(grading))
+    assert not hasattr(grading, "_partition_cache")
+    lam = -rs.rho - rs.rho
+    box = ((-4, -4, -4), (0, 0, 0))
+    first = ktype_table(grading, kdata, lam, box)
+    second = ktype_table(grading, kdata, lam, box)
+    assert first == second and first.entries
+    nu, value = first.sorted_entries()[0]
+    assert blattner_multiplicity(grading, kdata, lam, nu) == value
+    assert partition(grading, rs.rho.scale(4)) == partition(grading, rs.rho.scale(4))
+    assert vars(grading) == before
+
+
+def test_filtration_oracle_reads_its_table_entry(systems, groups):
+    rs, grading, kdata = setup(systems, groups, "A2", (1, -1))
+    lam = Weight((-2, -1))
+    box = ((-6, -6), (0, 0))
+    table = filtration_table(grading, kdata, lam, box)
+    assert table == ktype_table(grading, kdata, lam, box)
+    for coords in itertools.product(range(-6, 1), repeat=2):
+        nu = Weight(coords)
+        if any(coroot_pairing(a, nu) > 0 for a in grading.compact_positive):
+            continue
+        assert filtration_oracle(grading, kdata, lam, nu) == table.entries.get(nu, 0)
+
+
+def test_size_limits_admit_their_bound(monkeypatch, systems, groups):
+    rs, grading, kdata = setup(systems, groups, "A1", (-1,))
+    alpha = rs.positive_roots[0].weight()
+    monkeypatch.setattr(blattner, "MAX_TABLE_ENTRIES", 10)
+    assert partition(grading, alpha.scale(9)) == 1
+    with pytest.raises(PartitionTableTooLarge):
+        partition(grading, alpha.scale(10))
+
+    monkeypatch.setattr(blattner, "MAX_BOX_POINTS", 10)
+    lam = Weight((-2,))
+    assert len(ktype_table(grading, kdata, lam, ((-9,), (0,))).entries) == 4
+    with pytest.raises(BoxTooLarge):
+        ktype_table(grading, kdata, lam, ((-10,), (0,)))
+    with pytest.raises(BoxTooLarge):
+        filtration_table(grading, kdata, lam, ((-10,), (0,)))
+
+    # A1 has one noncompact root, so level p walks p + 1 multisets
+    monkeypatch.setattr(blattner, "MAX_ORACLE_MULTISETS", 4)
+    assert filtration_oracle(grading, kdata, lam, Weight((-9,)), p_max=3) == 1
+    with pytest.raises(TruncationTooLarge):
+        filtration_oracle(grading, kdata, lam, Weight((-9,)), p_max=4)
+
+
+def _cartan_of(kind, n):
+    rows = [[2 if i == j else -int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    if kind == "G":
+        return [[2, -1], [-3, 2]]
+    if kind == "B":
+        rows[n - 1][n - 2] = -2
+    if kind == "C":
+        rows[n - 2][n - 1] = -2
+    return rows
+
+
+def _block_diagonal(blocks):
+    size = sum(len(b) for b in blocks)
+    out = [[0] * size for _ in range(size)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            out[offset + i][offset: offset + len(row)] = row
+        offset += len(block)
+    return out
+
+
+FACTORS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
+
+
+@st.composite
+def graded_systems(draw):
+    """A rank <= 3 system (simple or a product), signs and a lambda shift."""
+    first = draw(st.sampled_from(FACTORS))
+    blocks = [_cartan_of(*first)]
+    if first[1] < 3 and draw(st.booleans()):
+        blocks.append(_cartan_of(*draw(st.sampled_from([f for f in FACTORS if f[1] <= 3 - first[1]]))))
+    cartan = _block_diagonal(blocks)
+    rank = len(cartan)
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
+    shift = draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank))
+    return cartan, tuple(signs), tuple(shift)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_systems())
+def test_ktype_table_equals_oracle_property(case):
+    cartan, signs, shift = case
+    rs = build_root_system(cartan)
+    grading = build_grading(rs, signs)
+    kdata = weyl_k(rs, grading, generate(rs))
+    lam = -rs.rho - Weight(shift)
+    # a box of side 2 ending at the lowest K-type lam - rho_n + rho_c
+    lowest = lam - grading.rho_n + grading.rho_c
+    box = (tuple(c - 1 for c in lowest.coords), lowest.coords)
+    table = ktype_table(grading, kdata, lam, box)
+    assert table.entries.get(lowest) == 1
+    assert table == filtration_table(grading, kdata, lam, box)

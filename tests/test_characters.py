@@ -78,6 +78,7 @@ def test_weyl_denominator_matches_subset_expansion(name, systems):
     # one term e^{rho - w rho} with coefficient (-1)^l(w) per Weyl element
     W = generate(rs)
     assert len(den) == W.order
+    assert weyl_denominator(rs, W) == den
     for w in W.elements:
         assert den.coefficient(rs.rho - act(w, rs.rho)) == (-1) ** w.length
 

@@ -191,3 +191,39 @@ def test_main_rejects_malformed_input(tmp_path, capsys, overrides, flags):
     data = json.loads(capsys.readouterr().out.strip())
     assert data["error"] == "ParameterIncompatible"
     assert data["message"]
+
+
+G2_MIXED = {"cartan": [[2, -1], [-3, 2]], "compact_simple": [True, False],
+            "lambda": ["-2", "-2"]}
+
+
+@pytest.mark.parametrize(
+    "data,flags,error",
+    [
+        (A2_MIXED, ["--box=-1000..0,-1000..0"], "BoxTooLarge"),
+        (A1_NC, ["--box=-20000001..-20000001"], "PartitionTableTooLarge"),
+        # the closed formula needs a small table here; the oracle would walk
+        # 57 M multisets up to level 190
+        (G2_MIXED, ["--box=-1..-1,-100..-100", "--verify"], "TruncationTooLarge"),
+    ],
+    ids=["box-points", "partition-table", "oracle-level"],
+)
+def test_main_refuses_oversized_work(tmp_path, capsys, data, flags, error):
+    path = write_config(tmp_path, data)
+    code = main(["blattner", "--config", path] + flags)
+    assert code == 1
+    out = json.loads(capsys.readouterr().out.strip())
+    assert out["error"] == error
+    assert out["message"]
+
+
+def test_denominator_reuses_the_closed_group(tmp_path, capsys, monkeypatch):
+    import dischar.characters
+
+    def refuse(rs):
+        raise AssertionError("the Weyl group was closed a second time")
+
+    monkeypatch.setattr(dischar.characters, "generate", refuse)
+    path = write_config(tmp_path, A2_MIXED)
+    assert main(["character", "--which", "denominator", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["terms"]
