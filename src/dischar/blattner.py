@@ -15,11 +15,11 @@ N_w = C^-1 (I - M_w) an integer matrix and c_w the root coordinates of
 w rho_c - rho_c; N_w and c_w are computed once per call.  An argument lies
 in the root lattice exactly when base(nu) does (for integral nu the other
 two terms are integral; a non-integral nu leaves both off the lattice), so
-that test runs once per nu.  Every argument that lies in the cone is collected first; then one flat
-integer table of P over 0 <= m <= max(arguments) is filled coin-change
-style (P[m] += P[m - beta] for each noncompact root beta in turn) and every
-term is read from it.  The table belongs to the call: the grading keeps no
-memo.
+that test runs once per nu.  A first pass over the arguments that lie in
+the cone finds their maximum; one flat integer table of P over
+0 <= m <= max(arguments) is filled coin-change style (P[m] += P[m - beta]
+for each noncompact root beta in turn), and a second pass reads every term
+from it.  The table belongs to the call: the grading keeps no memo.
 
 The ``filtration_oracle``/``filtration_table`` pair re-derives the same
 numbers on an independent code path, by walking the symmetric powers of the
@@ -28,7 +28,7 @@ Borel-Weil-Bott step for K; it never consults the partition function.  One
 walk, up to the largest level any nu of the box needs, buckets every result
 by its lowest K-weight and so serves the whole box.
 
-Sizes the caller controls are bounded before any work starts: the number
+Sizes the caller controls are bounded before the work they size: the number
 of box points (``MAX_BOX_POINTS``), the entries of the partition table
 (``MAX_TABLE_ENTRIES``) and the multisets the oracle walks at its level
 p_max (``MAX_ORACLE_MULTISETS``).  Each bound raises a ``ValidationError``.
@@ -263,8 +263,12 @@ def _box_points(grading: CompactGrading, box: Box) -> list[Weight]:
 
 def _alternating_terms(
     grading: CompactGrading, kdata: KWeylData
-) -> list[tuple[int, tuple[IntVec, ...], IntVec]]:
-    """(-1)^{l_K(w)}, N_w = C^-1 (I - M_w) (rows) and c_w for every w in W_K."""
+) -> tuple[list[int], list[IntVec], list[int]]:
+    """(-1)^{l_K(w)}, the rows of N_w = C^-1 (I - M_w) and c_w, over w in W_K.
+
+    The rows and the c_w of all w are stacked in W_K order, so one pass
+    computes every argument of a nu.
+    """
     rs = grading.rs
 
     def root_coords(mu: Weight) -> IntVec:
@@ -274,40 +278,46 @@ def _alternating_terms(
         return coords
 
     units = [Weight(tuple(int(i == j) for i in range(rs.rank))) for j in range(rs.rank)]
-    terms = []
+    signs, rows, offsets = [], [], []
     for w in kdata.elements:
-        columns = [root_coords(e - act(w, e)) for e in units]
-        n_w = tuple(zip(*columns)) if columns else ()
-        c_w = root_coords(act(w, grading.rho_c) - grading.rho_c)
-        terms.append((-1 if kdata.lengthK[w] % 2 else 1, n_w, c_w))
-    return terms
+        signs.append(-1 if kdata.lengthK[w] % 2 else 1)
+        rows.extend(zip(*[root_coords(e - act(w, e)) for e in units]))
+        offsets.extend(root_coords(act(w, grading.rho_c) - grading.rho_c))
+    return signs, rows, offsets
 
 
 def _closed_formula(
     grading: CompactGrading, kdata: KWeylData, lam: Weight, points: Sequence[Weight]
 ) -> list[int]:
-    """Blattner multiplicities of every nu in ``points``, from one partition table."""
+    """Blattner multiplicities of every nu in ``points``, from one partition table.
+
+    The arguments are generated twice, once for the table's extent and once
+    to read it, so memory stays that of the table for any number of points.
+    """
     for nu in points:
         _check_multiplicity_parameters(grading, kdata, lam, nu)
-    terms = _alternating_terms(grading, kdata)
+    signs, rows, offsets = _alternating_terms(grading, kdata)
+    rank = grading.rs.rank
     shift = lam - grading.rho_n + grading.rho_c
-    per_point: list[list[tuple[int, IntVec]]] = []
-    for nu in points:
-        found: list[tuple[int, IntVec]] = []
-        per_point.append(found)
+
+    def arguments(nu: Weight) -> Iterator[tuple[int, IntVec]]:
+        """(sign, root coordinates) of every in-cone argument for nu."""
         base = _as_root_lattice(grading, shift - nu)
         if base is None:
-            continue
-        for sign, n_w, c_w in terms:
-            target = tuple(
-                b + sum(map(mul, row, nu.coords)) + c for b, row, c in zip(base, n_w, c_w)
-            )
+            return
+        moved = [sum(map(mul, row, nu.coords)) for row in rows]
+        flat = list(map(add, map(add, moved, offsets), base * len(signs)))
+        for i, sign in enumerate(signs):
+            target = tuple(flat[i * rank:(i + 1) * rank])
             if min(target, default=0) >= 0:
-                found.append((sign, target))
-    targets = [t for found in per_point for _sign, t in found]
-    extent = tuple(map(max, zip(*targets))) if targets else (0,) * grading.rs.rank
+                yield sign, target
+
+    extent = (0,) * rank
+    for nu in points:
+        for _sign, target in arguments(nu):
+            extent = tuple(map(max, extent, target))
     table = _PartitionTable(grading, extent)
-    return [sum(sign * table[t] for sign, t in found) for found in per_point]
+    return [sum(sign * table[t] for sign, t in arguments(nu)) for nu in points]
 
 
 def blattner_multiplicity(
