@@ -55,6 +55,46 @@ GOLDEN = [
      "84b7abe982af125b7ed8fb10fb484ad829a4f6f2c059b7c678b0d319153647e3"),
     ("F4", "blattner --box=-2..0,-1..0,-1..0,-11..-9", 0,
      "52d63b70caae90739ad93799841d1a0929a24b22833ee8df48848c6bdd62e73b"),
+    # TSV of every table command, the JSON denominator and the verify text,
+    # recorded before the command table and the shared renderer
+    ("B3", "describe --format tsv", 0,
+     "3af847a753a8083561c2a4bd5ef807cd59b6edfcf4bba087041c48d7db221815"),
+    ("B3", "kostant --format tsv", 0,
+     "85ce6625834c131b443f6b76d7d4f1daae09a1115f9364e40d00320e0dc52f8e"),
+    ("B3", "schmid --format tsv", 0,
+     "cf14d84fd63a9feb2c53ef1d809352f87dff81eae7cea9843fec308a312136ba"),
+    ("B3", "character --which weyl --format tsv", 0,
+     "0c6202ee09eef1ecfeef17300dd2acfe5385752e6864896528ca620e714b8b3d"),
+    ("B3", "character --which discrete --format tsv", 0,
+     "8a219163cdd7f2603af541142e2e4166d3dabf41a029b27a82f89bd31ce0e274"),
+    ("B3", "character --which denominator --format tsv", 0,
+     "3f0ba33497e5e9361da26c3309d5990e7ba4c20f55751a40211423e9388ccdf3"),
+    ("B3", "character --which denominator", 0,
+     "721cc7872ac1ab8e9a4fe27344e7c1701625ae3c0272a3256201337286a21a4a"),
+    ("B3", "blattner --box=-6..0,-6..0,-6..0 --format tsv", 0,
+     "1a94dea04fe00e193301f51d974d35bf5b67bbe38cd58e94cec540250ac7d9ea"),
+    ("B3", "blattner --box=-3..0,-3..0,-3..0 --verify --lambda=-1,-1,-1 --format tsv", 0,
+     "8afc6b5df34978dd5197b1da17c72d224b128216378ae82bcc886f1ce544e2a6"),
+    ("B3", "verify", 0,
+     "7b5834b70572cd83b6096e3d4437f01211d90097e87d0b975952df6b2bdf8c9b"),
+    ("F4", "describe --format tsv", 0,
+     "00eda89409e3e8a34bb1b86b2ef3a7b7c607aab3c7d780c4c8e1b19bf1924ad3"),
+    ("F4", "kostant --format tsv", 0,
+     "c3cf4d54531833d0825cd7d50fa54dbcd61c6d8f0fff99b90f538c446a06e757"),
+    ("F4", "schmid --format tsv", 0,
+     "23030a2d5fc87b8e6a976c50461d883548fecc6d49870b5320d8bcc37f9dfc83"),
+    ("F4", "character --which weyl --format tsv", 0,
+     "42da733b7e14295143295238f2273a20b9ac3b58a7120a037f63f6ade90d97a7"),
+    ("F4", "character --which discrete --format tsv", 0,
+     "0578ac632b23d140af2d341a71ef50c0c8c392d513666da09e0fb6fe09d6ee97"),
+    ("F4", "character --which denominator --format tsv", 0,
+     "1668920acd49236c9234d86e65d52254e8cfce3c6546913fe89937cadd897651"),
+    ("F4", "character --which denominator", 0,
+     "548aa1d1e9ed1626c44ecff4c847708d8cd5621488ccfd70606b95ffd24bb23b"),
+    ("F4", "blattner --box=-2..0,-1..0,-1..0,-11..-9 --format tsv", 0,
+     "de95f5e18ba1c05d56d5bb05cc97da39e9d198e0f85cc6b46ac8b66ca99c41ec"),
+    ("F4", "blattner --box=0..0,0..0,-1..0,-7..-5 --verify --lambda=-1,-1,-1,-1 --format tsv", 0,
+     "f43922593852ce25329632dc57ec9ee2ac572e6c14d83b2b52e1bb48399a2f6f"),
 ]
 
 
