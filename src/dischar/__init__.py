@@ -47,15 +47,12 @@ from .errors import (
     ValidationError,
 )
 from .homology import (
-    ResolutionIndex,
-    TermGeometry,
     bgg_terms,
     collapse,
     kostant_table,
     kostant_via_bgg,
     schmid_table,
     schmid_via_trauber,
-    term_homology_degree,
     trauber_terms,
 )
 from .orbits import ClosedOrbit, Stratum, enumerate_closed_orbits, orbit_strata
@@ -73,71 +70,3 @@ from .rootdata import (
 from .weyl import WeylElement, WeylGroup, act, generate, length_fiber, sign
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "KTypeTable",
-    "blattner_multiplicity",
-    "bwb_cohomology",
-    "filtration_oracle",
-    "filtration_table",
-    "ktype_table",
-    "partition",
-    "partition_p",
-    "FormalCharacter",
-    "HomologyTable",
-    "discrete_numerator",
-    "euler_character",
-    "freudenthal_character",
-    "weyl_denominator",
-    "weyl_numerator",
-    "BoxTooLarge",
-    "CollapseAmbiguous",
-    "DimensionMismatch",
-    "DischarError",
-    "GroupTooLarge",
-    "IncompleteAssignment",
-    "InvariantViolation",
-    "NotAntidominant",
-    "NotCompatible",
-    "NotFiniteType",
-    "NotIntegral",
-    "NotStronglyAntidominant",
-    "ParameterIncompatible",
-    "PartitionTableTooLarge",
-    "TruncationTooLarge",
-    "TruncationTooSmall",
-    "ValidationError",
-    "ResolutionIndex",
-    "TermGeometry",
-    "bgg_terms",
-    "collapse",
-    "kostant_table",
-    "kostant_via_bgg",
-    "schmid_table",
-    "schmid_via_trauber",
-    "term_homology_degree",
-    "trauber_terms",
-    "ClosedOrbit",
-    "Stratum",
-    "enumerate_closed_orbits",
-    "orbit_strata",
-    "CompactGrading",
-    "KWeylData",
-    "build_grading",
-    "validate_grading",
-    "weyl_k",
-    "Root",
-    "RootSystem",
-    "Weight",
-    "WeightFlags",
-    "build_root_system",
-    "classify_weight",
-    "coroot_pairing",
-    "dominant_representative",
-    "act",
-    "generate",
-    "length_fiber",
-    "sign",
-    "WeylElement",
-    "WeylGroup",
-]

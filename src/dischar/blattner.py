@@ -226,15 +226,16 @@ def bwb_cohomology(
     raise InvariantViolation("no W_K chamber representative found for a regular weight")
 
 
-def _check_multiplicity_parameters(
-    grading: CompactGrading, kdata: KWeylData, lam: Weight, nu: Weight
-) -> None:
+def _check_lambda(grading: CompactGrading, lam: Weight) -> None:
     rs = grading.rs
     flags = classify_weight(rs, lam)
     if not flags.regular or not flags.antidominant:
         raise ParameterIncompatible("lam must be regular antidominant")
     if not (lam + rs.rho).is_integral():
         raise ParameterIncompatible("lam + rho must be integral")
+
+
+def _check_nu(grading: CompactGrading, nu: Weight) -> None:
     for alpha in grading.compact_positive:
         value = coroot_pairing(alpha, nu)
         if value.denominator != 1:
@@ -294,8 +295,9 @@ def _closed_formula(
     The arguments are generated twice, once for the table's extent and once
     to read it, so memory stays that of the table for any number of points.
     """
+    _check_lambda(grading, lam)
     for nu in points:
-        _check_multiplicity_parameters(grading, kdata, lam, nu)
+        _check_nu(grading, nu)
     signs, rows, offsets = _alternating_terms(grading, kdata)
     rank = grading.rs.rank
     shift = lam - grading.rho_n + grading.rho_c
@@ -372,15 +374,41 @@ def _max_parts_bound(grading: CompactGrading, mu: Weight) -> int | None:
 def _filtration_level(
     grading: CompactGrading, kdata: KWeylData, lam: Weight, points: Sequence[Weight]
 ) -> int:
-    """The highest filtration level that can contribute to any nu in ``points``."""
+    """The highest filtration level that can contribute to any nu in ``points``.
+
+    Each nu needs lam - rho_n - w(nu - rho_c) for every w in W_K; the part
+    (lam - rho_n) + w rho_c is computed once per w, which keeps the rational
+    rho_c out of the loop over nu.
+    """
     shifted = lam - grading.rho_n
     needed = 0
-    for nu in points:
-        for w in kdata.elements:
-            bound = _max_parts_bound(grading, shifted - act(w, nu - grading.rho_c))
+    for w in kdata.elements:
+        anchor = shifted + act(w, grading.rho_c)
+        for nu in points:
+            bound = _max_parts_bound(grading, anchor - act(w, nu))
             if bound is not None:
                 needed = max(needed, bound)
     return needed
+
+
+def _check_walk_size(grading: CompactGrading, p_max: int) -> None:
+    walked = math.comb(grading.q + p_max, p_max)
+    if walked > MAX_ORACLE_MULTISETS:
+        raise TruncationTooLarge(
+            f"p_max={p_max} walks {walked} multisets; the limit is {MAX_ORACLE_MULTISETS}"
+        )
+
+
+def check_oracle_walk(
+    grading: CompactGrading, kdata: KWeylData, lam: Weight, box: Box
+) -> None:
+    """Refuse a box whose oracle walk would pass ``MAX_ORACLE_MULTISETS``.
+
+    Raises ``TruncationTooLarge`` as the walk itself would, but before any
+    other work on the box.
+    """
+    points = _box_points(grading, box)
+    _check_walk_size(grading, _filtration_level(grading, kdata, lam, points))
 
 
 def _filtration_walk(
@@ -392,11 +420,7 @@ def _filtration_walk(
     positive roots; each twist is resolved with :func:`bwb_cohomology` and
     counted at its lowest K-weight with sign (-1)^degree.
     """
-    walked = math.comb(grading.q + p_max, p_max)
-    if walked > MAX_ORACLE_MULTISETS:
-        raise TruncationTooLarge(
-            f"p_max={p_max} walks {walked} multisets; the limit is {MAX_ORACLE_MULTISETS}"
-        )
+    _check_walk_size(grading, p_max)
     shifted = lam - grading.rho_n
     buckets: dict[Weight, int] = {}
     kappa_roots = [r.weight() for r in grading.noncompact_positive]
@@ -422,7 +446,8 @@ def filtration_oracle(
     ``p_max`` truncates the walk; a level below the one nu needs raises
     ``TruncationTooSmall``.
     """
-    _check_multiplicity_parameters(grading, kdata, lam, nu)
+    _check_lambda(grading, lam)
+    _check_nu(grading, nu)
     needed = _filtration_level(grading, kdata, lam, [nu])
     if p_max is None:
         p_max = needed
@@ -441,8 +466,9 @@ def filtration_table(
     One walk up to the largest level any nu of the box needs serves them all.
     """
     points = _box_points(grading, box)
+    _check_lambda(grading, lam)
     for nu in points:
-        _check_multiplicity_parameters(grading, kdata, lam, nu)
+        _check_nu(grading, nu)
     buckets = _filtration_walk(
         grading, kdata, lam, _filtration_level(grading, kdata, lam, points)
     )

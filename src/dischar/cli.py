@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .blattner import filtration_table, ktype_table
-from .characters import discrete_numerator, weyl_denominator, weyl_numerator
+from .characters import HomologyTable, discrete_numerator, weyl_denominator, weyl_numerator
 from .errors import (
     InvariantViolation,
     NotFiniteType,
@@ -25,13 +25,10 @@ from .errors import (
 )
 from .homology import kostant_table, schmid_table
 from .orbits import enumerate_closed_orbits
-from .realform import build_grading, weyl_k
+from .realform import CompactGrading, KWeylData, build_grading, weyl_k
 from .rootdata import Weight, build_root_system
 from .verify import run_verify
 from .weyl import act, generate
-
-COMMANDS = ("describe", "orbits", "kostant", "schmid", "character", "blattner", "verify")
-
 
 @dataclass(frozen=True)
 class JobConfig:
@@ -138,161 +135,120 @@ def _require_lambda(config: JobConfig) -> Weight:
     return config.lam
 
 
-def _weight_cells(w: Weight) -> list[str]:
-    return w.serialize()
+# (JSON payload, TSV header (empty for none), TSV rows)
+Rendered = tuple[object, list[str], list[list[str]]]
 
 
-def _format_table_rows(rows: list[list[str]], fmt: str, header: list[str]) -> str:
-    if fmt == "tsv":
-        lines = ["\t".join(header)] + ["\t".join(r) for r in rows]
-        return "\n".join(lines) + "\n"
-    payload = [dict(zip(header, row)) for row in rows]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _describe(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
+              which: str, with_oracle: bool) -> Rendered:
+    rs = grading.rs
+    data = {
+        "rank": rs.rank,
+        "positive_roots": len(rs.positive_roots),
+        "weyl_order": kdata.weyl.order,
+        "wk_order": kdata.order,
+        "q": grading.q,
+        "closed_orbits": len(enumerate_closed_orbits(rs, grading, kdata.weyl, kdata)),
+        "rho": rs.rho.serialize(),
+        "rho_c": grading.rho_c.serialize(),
+        "rho_n": grading.rho_n.serialize(),
+        "compact_simple": list(config.compact_simple),
+    }
+    rows = [[k, json.dumps(v) if isinstance(v, list) else str(v)] for k, v in sorted(data.items())]
+    return data, [], rows
 
 
-def _character_payload(char) -> list[dict]:
-    return [
-        {"weight": _weight_cells(w), "coeff": c} for w, c in char.sorted_terms()
-    ]
-
-
-def run(command: str, config: JobConfig, fmt: str = "json", jobs: int = 1,
-        which: str = "weyl", with_oracle: bool = False) -> tuple[int, str]:
-    """Execute one command; returns (exit code, rendered output)."""
-    if command not in COMMANDS:
-        raise ParameterIncompatible(f"unknown command {command!r}")
-
-    rs = build_root_system([list(r) for r in config.cartan])
-    grading = build_grading(rs, tuple(1 if c else -1 for c in config.compact_simple))
-    group = generate(rs)
-    kdata = weyl_k(rs, grading, group)
-
-    if command == "describe":
-        orbits = enumerate_closed_orbits(rs, grading, group, kdata)
-        data = {
-            "rank": rs.rank,
-            "positive_roots": len(rs.positive_roots),
-            "weyl_order": group.order,
-            "wk_order": kdata.order,
-            "q": grading.q,
-            "closed_orbits": len(orbits),
-            "rho": _weight_cells(rs.rho),
-            "rho_c": _weight_cells(grading.rho_c),
-            "rho_n": _weight_cells(grading.rho_n),
-            "compact_simple": list(config.compact_simple),
-        }
-        if fmt == "tsv":
-            lines = [f"{k}\t{json.dumps(v) if isinstance(v, list) else v}" for k, v in sorted(data.items())]
-            return 0, "\n".join(lines) + "\n"
-        return 0, json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-    if command == "orbits":
-        orbits = enumerate_closed_orbits(rs, grading, group, kdata)
-        payload = []
-        for orbit in orbits:
-            payload.append(
-                {
-                    "u": orbit.u.word_str(),
-                    "u_rho": _weight_cells(act(orbit.u, rs.rho)),
-                    "simple_signs": [
-                        "+" if orbit.positive_system[a] == 1 else "-"
-                        for a in rs.simple_roots
-                    ],
-                    "strata": [
-                        {"w": s.w.word_str(), "cell": s.cell.word_str(), "dim": s.dim}
-                        for s in orbit.strata
-                    ],
-                }
-            )
-        if fmt == "tsv":
-            rows = []
-            for i, orbit in enumerate(payload):
-                for s in orbit["strata"]:
-                    rows.append([str(i), orbit["u"], "".join(orbit["simple_signs"]),
-                                 s["w"], s["cell"], str(s["dim"])])
-            return 0, _format_table_rows(rows, "tsv", ["orbit", "u", "signs", "w", "cell", "dim"])
-        return 0, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    if command == "kostant":
-        lam = _require_lambda(config)
-        table = kostant_table(rs, group, lam)
-        rows = [
-            [str(p), json.dumps([_weight_cells(w) for w in ws])]
-            for p, ws in sorted(table.rows.items())
+def _orbits(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
+            which: str, with_oracle: bool) -> Rendered:
+    rs = grading.rs
+    payload, rows = [], []
+    for i, orbit in enumerate(enumerate_closed_orbits(rs, grading, kdata.weyl, kdata)):
+        u = orbit.u.word_str()
+        signs = ["+" if orbit.positive_system[a] == 1 else "-" for a in rs.simple_roots]
+        strata = [
+            {"w": s.w.word_str(), "cell": s.cell.word_str(), "dim": s.dim} for s in orbit.strata
         ]
-        if fmt == "tsv":
-            return 0, _format_table_rows(rows, "tsv", ["degree", "weights"])
-        data = {str(p): [_weight_cells(w) for w in ws] for p, ws in sorted(table.rows.items())}
-        return 0, json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-    if command == "schmid":
-        lam = _require_lambda(config)
-        orbits = enumerate_closed_orbits(rs, grading, group, kdata)
-        index = config.orbit_index if config.orbit_index is not None else 0
-        if not 0 <= index < len(orbits):
-            raise ParameterIncompatible(
-                f"orbit index {index} out of range; {len(orbits)} closed orbits"
-            )
-        table = schmid_table(grading, kdata, orbits[index], lam)
-        rows = [
-            [str(p), json.dumps([_weight_cells(w) for w in ws])]
-            for p, ws in sorted(table.rows.items())
-        ]
-        if fmt == "tsv":
-            return 0, _format_table_rows(rows, "tsv", ["degree", "weights"])
-        data = {
-            "orbit": orbits[index].u.word_str(),
-            "rows": {str(p): [_weight_cells(w) for w in ws] for p, ws in sorted(table.rows.items())},
-        }
-        return 0, json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-    if command == "character":
-        if which == "denominator":
-            char = weyl_denominator(rs, group)
-            meta: dict = {}
-        elif which == "weyl":
-            char = weyl_numerator(rs, group, _require_lambda(config))
-            meta = {}
-        elif which == "discrete":
-            char = discrete_numerator(grading, kdata, _require_lambda(config))
-            meta = {"sign": -1 if grading.q % 2 else 1}
-        else:
-            raise ParameterIncompatible(f"unknown character kind {which!r}")
-        payload = _character_payload(char)
-        if fmt == "tsv":
-            rows = [[",".join(t["weight"]), str(t["coeff"])] for t in payload]
-            return 0, _format_table_rows(rows, "tsv", ["weight", "coeff"])
-        out = {"terms": payload, **meta}
-        return 0, json.dumps(out, indent=2, sort_keys=True) + "\n"
-
-    if command == "blattner":
-        lam = _require_lambda(config)
-        if config.nu_box is None:
-            raise ParameterIncompatible("blattner needs a nu_box")
-        table = ktype_table(grading, kdata, lam, config.nu_box)
-        oracle = (
-            filtration_table(grading, kdata, lam, config.nu_box).entries if with_oracle else {}
+        payload.append(
+            {"u": u, "u_rho": act(orbit.u, rs.rho).serialize(), "simple_signs": signs,
+             "strata": strata}
         )
-        entries = []
-        for nu, mult in table.sorted_entries():
-            entry: dict = {"nu": _weight_cells(nu), "multiplicity": mult}
-            if with_oracle:
-                entry["oracle"] = oracle.get(nu, 0)
-            entries.append(entry)
-        if fmt == "tsv":
-            header = ["nu", "multiplicity"] + (["oracle"] if with_oracle else [])
-            rows = [
-                [",".join(e["nu"]), str(e["multiplicity"])]
-                + ([str(e["oracle"])] if with_oracle else [])
-                for e in entries
-            ]
-            return 0, _format_table_rows(rows, "tsv", header)
-        return 0, json.dumps(entries, indent=2, sort_keys=True) + "\n"
+        rows += [[str(i), u, "".join(signs), s["w"], s["cell"], str(s["dim"])] for s in strata]
+    return payload, ["orbit", "u", "signs", "w", "cell", "dim"], rows
 
-    # verify
-    results = run_verify(
-        [list(r) for r in config.cartan], list(config.compact_simple), jobs=jobs
-    )
+
+def _degree_rows(table: HomologyTable) -> tuple[dict, list[list[str]]]:
+    data = {str(p): [w.serialize() for w in ws] for p, ws in sorted(table.rows.items())}
+    return data, [[p, json.dumps(ws)] for p, ws in data.items()]
+
+
+def _kostant(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
+             which: str, with_oracle: bool) -> Rendered:
+    data, rows = _degree_rows(kostant_table(grading.rs, kdata.weyl, _require_lambda(config)))
+    return data, ["degree", "weights"], rows
+
+
+def _schmid(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
+            which: str, with_oracle: bool) -> Rendered:
+    lam = _require_lambda(config)
+    orbits = enumerate_closed_orbits(grading.rs, grading, kdata.weyl, kdata)
+    index = config.orbit_index if config.orbit_index is not None else 0
+    if not 0 <= index < len(orbits):
+        raise ParameterIncompatible(
+            f"orbit index {index} out of range; {len(orbits)} closed orbits"
+        )
+    data, rows = _degree_rows(schmid_table(grading, kdata, orbits[index], lam))
+    return {"orbit": orbits[index].u.word_str(), "rows": data}, ["degree", "weights"], rows
+
+
+def _character(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
+               which: str, with_oracle: bool) -> Rendered:
+    meta: dict = {}
+    if which == "denominator":
+        char = weyl_denominator(grading.rs, kdata.weyl)
+    elif which == "weyl":
+        char = weyl_numerator(grading.rs, kdata.weyl, _require_lambda(config))
+    elif which == "discrete":
+        char = discrete_numerator(grading, kdata, _require_lambda(config))
+        meta = {"sign": -1 if grading.q % 2 else 1}
+    else:
+        raise ParameterIncompatible(f"unknown character kind {which!r}")
+    terms = [{"weight": w.serialize(), "coeff": c} for w, c in char.sorted_terms()]
+    rows = [[",".join(t["weight"]), str(t["coeff"])] for t in terms]
+    return {"terms": terms, **meta}, ["weight", "coeff"], rows
+
+
+def _blattner(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
+              which: str, with_oracle: bool) -> Rendered:
+    lam = _require_lambda(config)
+    if config.nu_box is None:
+        raise ParameterIncompatible("blattner needs a nu_box")
+    table = ktype_table(grading, kdata, lam, config.nu_box)
+    oracle = filtration_table(grading, kdata, lam, config.nu_box).entries if with_oracle else {}
+    payload, rows = [], []
+    for nu, mult in table.sorted_entries():
+        entry: dict = {"nu": nu.serialize(), "multiplicity": mult}
+        row = [",".join(entry["nu"]), str(mult)]
+        if with_oracle:
+            entry["oracle"] = oracle.get(nu, 0)
+            row.append(str(entry["oracle"]))
+        payload.append(entry)
+        rows.append(row)
+    return payload, ["nu", "multiplicity"] + (["oracle"] if with_oracle else []), rows
+
+
+TABLES = {
+    "describe": _describe,
+    "orbits": _orbits,
+    "kostant": _kostant,
+    "schmid": _schmid,
+    "character": _character,
+    "blattner": _blattner,
+}
+COMMANDS = (*TABLES, "verify")
+
+
+def _verify(config: JobConfig) -> tuple[int, str]:
+    results = run_verify([list(r) for r in config.cartan], list(config.compact_simple))
     lines = []
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -300,8 +256,25 @@ def run(command: str, config: JobConfig, fmt: str = "json", jobs: int = 1,
         lines.append(f"{status} {result.name}{suffix}")
     failed = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - failed}/{len(results)} properties hold")
-    output = "\n".join(lines) + "\n"
-    return (0 if failed == 0 else 2), output
+    return (0 if failed == 0 else 2), "\n".join(lines) + "\n"
+
+
+def run(command: str, config: JobConfig, fmt: str = "json",
+        which: str = "weyl", with_oracle: bool = False) -> tuple[int, str]:
+    """Execute one command; returns (exit code, rendered output)."""
+    if command == "verify":
+        return _verify(config)
+    if command not in TABLES:
+        raise ParameterIncompatible(f"unknown command {command!r}")
+
+    rs = build_root_system([list(r) for r in config.cartan])
+    grading = build_grading(rs, tuple(1 if c else -1 for c in config.compact_simple))
+    kdata = weyl_k(rs, grading, generate(rs))
+    payload, header, rows = TABLES[command](grading, kdata, config, which, with_oracle)
+    if fmt == "tsv":
+        lines = ([header] if header else []) + rows
+        return 0, "".join("\t".join(line) + "\n" for line in lines)
+    return 0, json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_lambda(text: str, rank: int) -> Weight:
@@ -334,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="weyl", help="character command: which expansion")
     parser.add_argument("--verify", action="store_true",
                         help="blattner command: append the oracle column")
-    parser.add_argument("--jobs", type=int, default=1, help="verify command: worker count")
     return parser
 
 
@@ -343,7 +315,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bytes that are not UTF-8, malformed JSON or an integer
+        # past the digit limit; RecursionError: arrays nested too deep
         print(json.dumps({"error": "ConfigUnreadable", "message": str(exc)}))
         return 1
 
@@ -360,7 +334,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.command,
             config,
             fmt=args.format,
-            jobs=args.jobs,
             which=args.which,
             with_oracle=args.verify,
         )

@@ -13,8 +13,7 @@ same rule then drives the Trauber pipeline unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .characters import HomologyTable
 from .errors import (
@@ -27,30 +26,7 @@ from .errors import (
 from .orbits import ClosedOrbit
 from .realform import CompactGrading, KWeylData
 from .rootdata import RootSystem, Weight, classify_weight
-from .weyl import WeylElement, WeylGroup, act
-
-BGG = "bgg"
-TRAUBER = "trauber"
-
-WeightRule = Callable[[Weight], Weight]
-
-
-@dataclass(frozen=True)
-class TermGeometry:
-    """Dimensions shared by the resolution formulas."""
-
-    dim_x: int
-    dim_q: int
-    q: int
-
-
-@dataclass(frozen=True)
-class ResolutionIndex:
-    """Resolution terms: position -> (label element, weight parameter)."""
-
-    kind: str
-    terms: Mapping[int, tuple[tuple[WeylElement, Weight], ...]]
-
+from .weyl import WeylGroup, act
 
 def _check_kostant_parameter(rs: RootSystem, lam: Weight) -> None:
     flags = classify_weight(rs, lam)
@@ -99,21 +75,16 @@ def schmid_table(
     return HomologyTable.from_entries(entries)
 
 
-def bgg_terms(rs: RootSystem, group: WeylGroup, lam: Weight) -> ResolutionIndex:
-    """Dual-Verma resolution terms: position p carries W(dim X - p)."""
+def bgg_terms(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[tuple[int, int, Weight]]:
+    """Dual-Verma resolution terms as (position, degree, weight), one per w in W.
+
+    W(dim X - p) sits at position p; each term is concentrated in degree
+    dim X with weight w(lam - rho) + rho.
+    """
     _check_kostant_parameter(rs, lam)
     dim_x = len(rs.positive_roots)
     shifted = lam - rs.rho
-    terms: dict[int, list[tuple[WeylElement, Weight]]] = {p: [] for p in range(dim_x + 1)}
-    for w in group.elements:
-        terms[dim_x - w.length].append((w, act(w, shifted)))
-    return ResolutionIndex(
-        kind=BGG,
-        terms={
-            p: tuple(sorted(labels, key=lambda item: item[0].reduced_word))
-            for p, labels in terms.items()
-        },
-    )
+    return [(dim_x - w.length, dim_x, act(w, shifted) + rs.rho) for w in group.elements]
 
 
 def trauber_terms(
@@ -121,54 +92,22 @@ def trauber_terms(
     kdata: KWeylData,
     orbit: ClosedOrbit,
     lam: Weight,
-) -> ResolutionIndex:
-    """Standard-module resolution terms: position p carries W_K(dim Q - p)."""
+) -> list[tuple[int, int, Weight]]:
+    """Standard-module resolution terms as (position, degree, weight), one per w in W_K.
+
+    W_K(dim Q - p) sits at position p; the term of w lies in degree
+    dim X - l(wu) + l_K(w) with weight wu(lam) + rho.
+    """
     rs = grading.rs
     _check_schmid_parameter(rs, lam)
+    dim_x = len(rs.positive_roots)
     dim_q = len(grading.compact_positive)
-    terms: dict[int, list[tuple[WeylElement, Weight]]] = {p: [] for p in range(dim_q + 1)}
+    terms = []
     for w in kdata.elements:
         wu = kdata.weyl.multiply(w, orbit.u)
-        terms[dim_q - kdata.lengthK[w]].append((w, act(wu, lam)))
-    return ResolutionIndex(
-        kind=TRAUBER,
-        terms={
-            p: tuple(sorted(labels, key=lambda item: item[0].reduced_word))
-            for p, labels in terms.items()
-        },
-    )
-
-
-def term_homology_degree(
-    kind: str,
-    w: WeylElement,
-    u: WeylElement | None,
-    geom: TermGeometry,
-    kdata: KWeylData | None = None,
-) -> tuple[int, WeightRule]:
-    """Homology degree and weight rule for one resolution term.
-
-    A BGG term concentrates in degree dim X with weight w(lam - rho) + rho;
-    a Trauber term in degree dim X - l(wu) + l_K(w) with weight wu(lam) + rho.
-    """
-    rank = len(w.matrix)
-    rho = Weight((1,) * rank)
-    if kind == BGG:
-        def rule(lam: Weight, _w: WeylElement = w) -> Weight:
-            return act(_w, lam - rho) + rho
-
-        return geom.dim_x, rule
-    if kind == TRAUBER:
-        if u is None or kdata is None:
-            raise ValueError("Trauber terms need the orbit element and W_K data")
-        wu = kdata.weyl.multiply(w, u)
-        degree = geom.dim_x - wu.length + kdata.lengthK[w]
-
-        def rule(lam: Weight, _wu: WeylElement = wu) -> Weight:
-            return act(_wu, lam) + rho
-
-        return degree, rule
-    raise ValueError(f"unknown resolution kind {kind!r}")
+        length_k = kdata.lengthK[w]
+        terms.append((dim_q - length_k, dim_x - wu.length + length_k, act(wu, lam) + rs.rho))
+    return terms
 
 
 def collapse(
@@ -197,17 +136,7 @@ def collapse(
 
 def kostant_via_bgg(rs: RootSystem, group: WeylGroup, lam: Weight) -> HomologyTable:
     """Recover the length-graded table through the BGG resolution pipeline."""
-    resolution = bgg_terms(rs, group, lam)
-    geom = TermGeometry(dim_x=len(rs.positive_roots), dim_q=0, q=0)
-    positions = list(resolution.terms)
-    components = []
-    for position, labels in resolution.terms.items():
-        for w, _param in labels:
-            degree, rule = term_homology_degree(BGG, w, None, geom)
-            component: dict[int, tuple[int, Weight] | None] = {p: None for p in positions}
-            component[position] = (degree, rule(lam))
-            components.append(component)
-    return collapse(components)
+    return collapse({p: (d, weight)} for p, d, weight in bgg_terms(rs, group, lam))
 
 
 def schmid_via_trauber(
@@ -217,18 +146,5 @@ def schmid_via_trauber(
     lam: Weight,
 ) -> HomologyTable:
     """Recover the discrete-series table through the Trauber pipeline."""
-    resolution = trauber_terms(grading, kdata, orbit, lam)
-    geom = TermGeometry(
-        dim_x=len(grading.rs.positive_roots),
-        dim_q=len(grading.compact_positive),
-        q=grading.q,
-    )
-    positions = list(resolution.terms)
-    components = []
-    for position, labels in resolution.terms.items():
-        for w, _param in labels:
-            degree, rule = term_homology_degree(TRAUBER, w, orbit.u, geom, kdata=kdata)
-            component: dict[int, tuple[int, Weight] | None] = {p: None for p in positions}
-            component[position] = (degree, rule(lam))
-            components.append(component)
-    return collapse(components)
+    terms = trauber_terms(grading, kdata, orbit, lam)
+    return collapse({p: (d, weight)} for p, d, weight in terms)

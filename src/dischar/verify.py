@@ -1,19 +1,18 @@
 """Self-check suite for one (Cartan matrix, grading) configuration.
 
-Each section re-derives a family of identities from scratch and reports a
-single pass/fail line.  Sections are independent, so the runner may execute
-them concurrently; results are always emitted in the fixed section order,
-which keeps the output byte-identical across parallelism settings.
+Each section re-derives a family of identities and reports a single
+pass/fail line; the sections run one after another in a fixed order.  The
+root system, Weyl group, grading, W_K and closed orbits are built once and
+shared by every section.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .blattner import filtration_table, ktype_table, partition, partition_p
+from .blattner import check_oracle_walk, filtration_table, ktype_table, partition, partition_p
 from .characters import (
     discrete_numerator,
     euler_character,
@@ -22,8 +21,8 @@ from .characters import (
     weyl_numerator,
 )
 from .homology import kostant_table, kostant_via_bgg, schmid_table, schmid_via_trauber
-from .orbits import enumerate_closed_orbits
-from .realform import build_grading, validate_grading, weyl_k
+from .orbits import ClosedOrbit, enumerate_closed_orbits
+from .realform import CompactGrading, KWeylData, build_grading, validate_grading, weyl_k
 from .rootdata import RootSystem, Weight, build_root_system, coroot_pairing
 from .weyl import WeylGroup, act, generate, length_fiber, sign
 
@@ -39,7 +38,9 @@ class CheckResult:
 class VerifyContext:
     rs: RootSystem
     group: WeylGroup
-    signs: tuple[int, ...]
+    grading: CompactGrading
+    kdata: KWeylData
+    orbits: list[ClosedOrbit]
 
 
 def _check_root_system(ctx: VerifyContext) -> CheckResult:
@@ -95,14 +96,13 @@ def _check_weyl_group(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_grading(ctx: VerifyContext) -> CheckResult:
-    grading = build_grading(ctx.rs, ctx.signs)
+    grading, kdata = ctx.grading, ctx.kdata
     if not validate_grading(ctx.rs, dict(grading.sign_by_root)):
         return CheckResult("grading", False, "derived grading is not multiplicative")
     if grading.rho_c + grading.rho_n != ctx.rs.rho:
         return CheckResult("grading", False, "rho_c + rho_n differs from rho")
     if grading.q != len(grading.noncompact_positive):
         return CheckResult("grading", False, "q mismatch")
-    kdata = weyl_k(ctx.rs, grading, ctx.group)
     if ctx.group.order % kdata.order != 0:
         return CheckResult("grading", False, "|W| not divisible by |W_K|")
     for alpha in kdata.simpleK:
@@ -115,9 +115,7 @@ def _check_grading(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_orbits(ctx: VerifyContext) -> CheckResult:
-    grading = build_grading(ctx.rs, ctx.signs)
-    kdata = weyl_k(ctx.rs, grading, ctx.group)
-    orbits = enumerate_closed_orbits(ctx.rs, grading, ctx.group, kdata)
+    grading, kdata, orbits = ctx.grading, ctx.kdata, ctx.orbits
     if len(orbits) * kdata.order != ctx.group.order:
         return CheckResult("orbits", False, "orbit count differs from |W|/|W_K|")
     cells = [s.cell for orbit in orbits for s in orbit.strata]
@@ -169,9 +167,7 @@ def _schmid_sweep(rs: RootSystem) -> list[Weight]:
 
 
 def _check_schmid(ctx: VerifyContext) -> CheckResult:
-    grading = build_grading(ctx.rs, ctx.signs)
-    kdata = weyl_k(ctx.rs, grading, ctx.group)
-    orbits = enumerate_closed_orbits(ctx.rs, grading, ctx.group, kdata)
+    grading, kdata, orbits = ctx.grading, ctx.kdata, ctx.orbits
     for lam in _schmid_sweep(ctx.rs):
         for orbit in orbits:
             table = schmid_table(grading, kdata, orbit, lam)
@@ -186,8 +182,7 @@ def _check_schmid(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_partitions(ctx: VerifyContext) -> CheckResult:
-    grading = build_grading(ctx.rs, ctx.signs)
-    rs = ctx.rs
+    grading, rs = ctx.grading, ctx.rs
     noncompact = [r.root_coords for r in grading.noncompact_positive]
 
     def enumerate_count(target: tuple[int, ...], parts: int | None) -> int:
@@ -238,12 +233,14 @@ def _check_partitions(ctx: VerifyContext) -> CheckResult:
     return CheckResult("partitions", True)
 
 
+def _blattner_case(rs: RootSystem) -> tuple[Weight, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The blattner section's lam and nu box."""
+    return -rs.rho - rs.rho, ((-5,) * rs.rank, (0,) * rs.rank)
+
+
 def _check_blattner(ctx: VerifyContext) -> CheckResult:
-    grading = build_grading(ctx.rs, ctx.signs)
-    kdata = weyl_k(ctx.rs, grading, ctx.group)
-    rs = ctx.rs
-    lam = -rs.rho - rs.rho
-    box = ((-5,) * rs.rank, (0,) * rs.rank)
+    grading, kdata = ctx.grading, ctx.kdata
+    lam, box = _blattner_case(ctx.rs)
     closed = ktype_table(grading, kdata, lam, box).entries
     oracle = filtration_table(grading, kdata, lam, box).entries
     for nu in sorted(closed.keys() | oracle.keys()):
@@ -271,16 +268,17 @@ SECTIONS: tuple[tuple[str, Callable[[VerifyContext], CheckResult]], ...] = (
 def run_verify(
     cartan: Sequence[Sequence[int]],
     compact_simple: Sequence[bool],
-    jobs: int = 1,
 ) -> list[CheckResult]:
-    """Run every section for one configuration; order of results is fixed."""
-    rs = build_root_system(cartan)
-    group = generate(rs)
-    signs = tuple(1 if c else -1 for c in compact_simple)
-    ctx = VerifyContext(rs=rs, group=group, signs=signs)
+    """Run every section for one configuration; order of results is fixed.
 
-    if jobs <= 1:
-        return [check(ctx) for _name, check in SECTIONS]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(check, ctx) for _name, check in SECTIONS]
-        return [f.result() for f in futures]
+    The blattner section's oracle walk is sized first, so a configuration
+    it would refuse (``TruncationTooLarge``) fails before any section runs.
+    """
+    rs = build_root_system(cartan)
+    grading = build_grading(rs, tuple(1 if c else -1 for c in compact_simple))
+    group = generate(rs)
+    kdata = weyl_k(rs, grading, group)
+    check_oracle_walk(grading, kdata, *_blattner_case(rs))
+    orbits = enumerate_closed_orbits(rs, grading, group, kdata)
+    ctx = VerifyContext(rs=rs, group=group, grading=grading, kdata=kdata, orbits=orbits)
+    return [check(ctx) for _name, check in SECTIONS]

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dischar.cli import main, parse_config, run
 from dischar.errors import ParameterIncompatible
@@ -150,9 +152,9 @@ def test_main_lambda_and_box_flags(tmp_path, capsys):
 def test_cli_subprocess_verify_byte_identical(tmp_path):
     path = write_config(tmp_path, A2_MIXED)
     outputs = []
-    for jobs in ("1", "4"):
+    for _ in range(2):
         proc = subprocess.run(
-            [sys.executable, "-m", "dischar", "verify", "--config", path, "--jobs", jobs],
+            [sys.executable, "-m", "dischar", "verify", "--config", path],
             capture_output=True,
             check=False,
         )
@@ -227,3 +229,152 @@ def test_denominator_reuses_the_closed_group(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, A2_MIXED)
     assert main(["character", "--which", "denominator", "--config", path]) == 0
     assert json.loads(capsys.readouterr().out)["terms"]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"cartan": [[2]], "compact_simple": [false], "lambda": ["-\xff2"]}',
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"cartan": [[' + b"1" * 5000 + b"]]}",
+    ],
+    ids=["not-utf8", "nested-200000-deep", "integer-past-digit-limit"],
+)
+def test_main_reports_unreadable_config(tmp_path, capsys, raw):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    assert main(["describe", "--config", str(path)]) == 1
+    data = json.loads(capsys.readouterr().out.strip())
+    assert data["error"] == "ConfigUnreadable"
+    assert data["message"]
+
+
+def test_blattner_checks_lambda_on_an_empty_box(tmp_path, capsys):
+    path = write_config(tmp_path, A1_NC)
+    outputs = []
+    for box in ("--box=1..0", "--box=-9..0"):
+        assert main(["blattner", "--config", path, "--lambda=0", box]) == 1
+        outputs.append(json.loads(capsys.readouterr().out.strip()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == {
+        "error": "ParameterIncompatible", "message": "lam must be regular antidominant"
+    }
+
+
+def _parser_vocabulary():
+    """(option string, choices or None, takes a value) for every optional flag."""
+    from dischar.cli import build_parser
+
+    return [
+        (action.option_strings[-1], action.choices, action.nargs != 0)
+        for action in build_parser()._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    ]
+
+
+CARTANS = [
+    [[2]],
+    [[2, 0], [0, 2]],
+    [[2, -1], [-1, 2]],
+    [[2, -2], [-1, 2]],
+    [[2, -1], [-3, 2]],
+    [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+]
+EXACT = st.one_of(
+    st.integers(-4, 1).map(str), st.sampled_from(["-1/2", "-5/2", "1/0", "x", "", "-2.5"])
+)
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=True),
+    st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+FLAG_TEXT = st.text(alphabet="-0123.,/x", max_size=8)
+
+
+def _mostly(good, bad):
+    """``good`` three times in four, so most runs get past the input checks."""
+    return st.integers(0, 3).flatmap(lambda k: good if k else bad)
+
+
+def _vector(rank):
+    return _mostly(
+        st.lists(EXACT, min_size=rank, max_size=rank),
+        st.one_of(st.lists(st.one_of(EXACT, st.integers(-4, 2), JUNK), max_size=4), JUNK),
+    )
+
+
+def _interval():
+    return st.integers(-3, 0).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo - 1, 0)))
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """A JSON config of rank <= 3 and a command line from the parser's flags."""
+    cartan = draw(_mostly(st.sampled_from(CARTANS), st.one_of(JUNK, st.lists(JUNK, max_size=3))))
+    rank = len(cartan) if isinstance(cartan, list) else 1
+    config = {"cartan": cartan}
+    intervals = st.lists(_interval(), min_size=rank, max_size=rank)
+    fields = {
+        "compact_simple": _mostly(
+            st.lists(st.booleans(), min_size=rank, max_size=rank),
+            st.one_of(st.lists(st.booleans(), max_size=4), JUNK),
+        ),
+        "lambda": _vector(rank),
+        "nu_box": _mostly(
+            intervals.map(lambda box: [[str(lo) for lo, _ in box], [str(hi) for _, hi in box]]),
+            st.one_of(st.lists(_vector(rank), max_size=3), JUNK),
+        ),
+        "orbit_index": _mostly(st.integers(-1, 3), JUNK),
+    }
+    for key, strategy in fields.items():
+        if draw(st.booleans()):
+            config[key] = draw(strategy)
+    if not draw(st.integers(0, 19)):
+        config = draw(JUNK)
+    from dischar.cli import COMMANDS
+
+    values = {
+        "--lambda": _mostly(st.lists(EXACT, min_size=rank, max_size=rank).map(",".join), FLAG_TEXT),
+        "--box": _mostly(
+            intervals.map(lambda box: ",".join(f"{lo}..{hi}" for lo, hi in box)), FLAG_TEXT
+        ),
+        "--orbit": _mostly(st.integers(-1, 3).map(str), FLAG_TEXT),
+    }
+    argv = [draw(st.sampled_from(COMMANDS))]
+    for option, choices, takes_value in _parser_vocabulary():
+        if not draw(st.booleans()):
+            continue
+        if not takes_value:
+            argv.append(option)
+        elif choices is not None:
+            argv.append(f"{option}={draw(st.sampled_from(list(choices)))}")
+        else:
+            argv.append(f"{option}={draw(values.get(option, FLAG_TEXT))}")
+    return config, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_runs())
+def test_main_fuzzed_configs_and_flags(run_case):
+    """Exit 0, 1 with one JSON error object, or 2; never a traceback."""
+    import contextlib
+    import io
+    import tempfile
+
+    config, argv = run_case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(config, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--config", path])
+            except SystemExit as exc:  # argparse's usage error
+                assert exc.code == 2
+                code = 2
+    assert code in (0, 1, 2)
+    if code == 1:
+        data = json.loads(out.getvalue())
+        assert isinstance(data, dict)
+        assert set(data) == {"error", "message"}

@@ -8,7 +8,6 @@ from dischar import (
     NotAntidominant,
     NotCompatible,
     NotStronglyAntidominant,
-    TermGeometry,
     Weight,
     bgg_terms,
     build_grading,
@@ -21,11 +20,9 @@ from dischar import (
     kostant_via_bgg,
     schmid_table,
     schmid_via_trauber,
-    term_homology_degree,
     trauber_terms,
     weyl_k,
 )
-from dischar.homology import BGG, TRAUBER
 
 
 def mixed_setup(systems, groups, name, signs):
@@ -91,70 +88,71 @@ def test_schmid_rejects_bad_parameters(systems, groups):
 
 def test_bgg_terms_a1(systems, groups):
     rs, W = systems["A1"], groups["A1"]
-    resolution = bgg_terms(rs, W, Weight((-1,)))
-    assert [w.word_str() for w, _ in resolution.terms[0]] == ["s1"]
-    assert [w.word_str() for w, _ in resolution.terms[1]] == ["e"]
+    terms = bgg_terms(rs, W, Weight((-1,)))
+    positions = {w.word_str(): p for w, (p, _d, _mu) in zip(W.elements, terms)}
+    assert positions == {"s1": 0, "e": 1}
 
 
 def test_bgg_terms_a2_sizes(systems, groups):
     rs, W = systems["A2"], groups["A2"]
-    resolution = bgg_terms(rs, W, Weight((-1, -1)))
-    assert [len(resolution.terms[p]) for p in range(4)] == [1, 2, 2, 1]
-    for p, labels in resolution.terms.items():
-        for w, _param in labels:
-            assert w.length == len(rs.positive_roots) - p
+    terms = bgg_terms(rs, W, Weight((-1, -1)))
+    positions = [p for p, _d, _mu in terms]
+    assert [positions.count(p) for p in range(4)] == [1, 2, 2, 1]
+    for w, (p, _d, _mu) in zip(W.elements, terms):
+        assert w.length == len(rs.positive_roots) - p
 
 
 def test_bgg_terms_rank_zero():
     from dischar import generate
 
     rs = build_root_system([])
-    resolution = bgg_terms(rs, generate(rs), Weight(()))
-    assert list(resolution.terms) == [0]
+    terms = bgg_terms(rs, generate(rs), Weight(()))
+    assert [p for p, _d, _mu in terms] == [0]
 
 
 def test_trauber_terms(systems, groups):
     rs, W, grading, kdata, orbits = mixed_setup(systems, groups, "A1", (-1,))
-    resolution = trauber_terms(grading, kdata, orbits[0], Weight((-2,)))
-    assert list(resolution.terms) == [0]
-    assert [w.word_str() for w, _ in resolution.terms[0]] == ["e"]
+    terms = trauber_terms(grading, kdata, orbits[0], Weight((-2,)))
+    labels = [(w.word_str(), p) for w, (p, _d, _mu) in zip(kdata.elements, terms)]
+    assert labels == [("e", 0)]
 
     rs2, W2, grading2, kdata2, orbits2 = mixed_setup(systems, groups, "A2", (1, -1))
-    resolution2 = trauber_terms(grading2, kdata2, orbits2[0], Weight((-2, -1)))
-    assert [len(resolution2.terms[p]) for p in range(2)] == [1, 1]
+    terms2 = trauber_terms(grading2, kdata2, orbits2[0], Weight((-2, -1)))
+    positions2 = [p for p, _d, _mu in terms2]
+    assert [positions2.count(p) for p in range(2)] == [1, 1]
     dim_q = len(grading2.compact_positive)
-    for p, labels in resolution2.terms.items():
-        for w, _param in labels:
-            assert kdata2.lengthK[w] == dim_q - p
+    for w, (p, _d, _mu) in zip(kdata2.elements, terms2):
+        assert kdata2.lengthK[w] == dim_q - p
 
     # all-compact degeneration has the BGG shape
     rs3, W3, grading3, kdata3, orbits3 = mixed_setup(systems, groups, "A2", (1, 1))
-    resolution3 = trauber_terms(grading3, kdata3, orbits3[0], Weight((-2, -2)))
-    assert [len(resolution3.terms[p]) for p in range(4)] == [1, 2, 2, 1]
+    terms3 = trauber_terms(grading3, kdata3, orbits3[0], Weight((-2, -2)))
+    positions3 = [p for p, _d, _mu in terms3]
+    assert [positions3.count(p) for p in range(4)] == [1, 2, 2, 1]
 
 
-def test_term_homology_degree_bgg_is_dim_x(systems, groups):
+def test_bgg_term_degree_is_dim_x(systems, groups):
     rs, W = systems["A2"], groups["A2"]
-    geom = TermGeometry(dim_x=len(rs.positive_roots), dim_q=0, q=0)
-    for w in W.elements:
-        degree, rule = term_homology_degree(BGG, w, None, geom)
+    lam = Weight((-1, -1))
+    terms = bgg_terms(rs, W, lam)
+    from dischar import act
+
+    for w, (_p, degree, weight) in zip(W.elements, terms):
         assert degree == 3
-        lam = Weight((-1, -1))
-        from dischar import act
-
-        assert rule(lam) == act(w, lam - rs.rho) + rs.rho
+        assert weight == act(w, lam - rs.rho) + rs.rho
 
 
-def test_term_homology_degree_trauber(systems, groups):
+def test_trauber_term_degree(systems, groups):
     rs, W, grading, kdata, orbits = mixed_setup(systems, groups, "A1", (-1,))
-    geom = TermGeometry(dim_x=1, dim_q=0, q=1)
-    degree, _rule = term_homology_degree(TRAUBER, W.identity, orbits[0].u, geom, kdata=kdata)
+    [(_p, degree, _mu)] = trauber_terms(grading, kdata, orbits[0], Weight((-2,)))
     assert degree == 1
 
     rs2, W2, grading2, kdata2, orbits2 = mixed_setup(systems, groups, "A2", (1, -1))
-    geom2 = TermGeometry(dim_x=3, dim_q=1, q=2)
     s1 = W2.simple[0]
-    degree2, _ = term_homology_degree(TRAUBER, s1, orbits2[0].u, geom2, kdata=kdata2)
+    terms2 = trauber_terms(grading2, kdata2, orbits2[0], Weight((-2, -1)))
+    degree2 = dict(zip(kdata2.elements, terms2))[s1][1]
+    # dim X - l(s1 u) + l_K(s1) with u = e
+    assert orbits2[0].u == W2.identity
     assert degree2 == 3 - 1 + 1
 
 

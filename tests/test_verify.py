@@ -15,7 +15,16 @@ def test_all_sections_pass_on_reference_configs():
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
-def test_results_identical_across_job_counts():
-    serial = run_verify([[2, -1], [-1, 2]], [True, False], jobs=1)
-    threaded = run_verify([[2, -1], [-1, 2]], [True, False], jobs=5)
-    assert serial == threaded
+
+def test_oversized_oracle_walk_is_refused_before_any_section(monkeypatch):
+    import pytest
+
+    from dischar import TruncationTooLarge, verify
+
+    def not_reached(ctx):
+        raise AssertionError("a section ran before the oracle walk was sized")
+
+    monkeypatch.setattr(verify, "SECTIONS", tuple((name, not_reached) for name, _ in SECTIONS))
+    f4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+    with pytest.raises(TruncationTooLarge):
+        run_verify(f4, [True, True, True, False])
