@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dischar.cli import main, parse_config, run
+from dischar.cli import COMMANDS, build_parser, main, parse_config, run
 from dischar.errors import ParameterIncompatible
 
 
@@ -263,8 +266,6 @@ def test_blattner_checks_lambda_on_an_empty_box(tmp_path, capsys):
 
 def _parser_vocabulary():
     """(option string, choices or None, takes a value) for every optional flag."""
-    from dischar.cli import build_parser
-
     return [
         (action.option_strings[-1], action.choices, action.nargs != 0)
         for action in build_parser()._actions
@@ -331,8 +332,6 @@ def fuzzed_runs(draw):
             config[key] = draw(strategy)
     if not draw(st.integers(0, 19)):
         config = draw(JUNK)
-    from dischar.cli import COMMANDS
-
     values = {
         "--lambda": _mostly(st.lists(EXACT, min_size=rank, max_size=rank).map(",".join), FLAG_TEXT),
         "--box": _mostly(
@@ -357,10 +356,6 @@ def fuzzed_runs(draw):
 @given(fuzzed_runs())
 def test_main_fuzzed_configs_and_flags(run_case):
     """Exit 0, 1 with one JSON error object, or 2; never a traceback."""
-    import contextlib
-    import io
-    import tempfile
-
     config, argv = run_case
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/config.json"
