@@ -376,15 +376,19 @@ def _filtration_level(
 ) -> int:
     """The highest filtration level that can contribute to any nu in ``points``.
 
-    Each nu needs lam - rho_n - w(nu - rho_c) for every w in W_K; the part
-    (lam - rho_n) + w rho_c is computed once per w, which keeps the rational
-    rho_c out of the loop over nu.
+    Each nu needs mu = lam - rho_n - w(nu - rho_c) for every w in W_K.  These
+    differ from lam - rho_n + rho_c - nu by nu - w nu and w rho_c - rho_c,
+    which lie in the root lattice (nu pairs integrally with the compact
+    coroots), so one lattice test per nu serves every w.  The part
+    (lam - rho_n) + w rho_c is computed once per w.
     """
     shifted = lam - grading.rho_n
+    anchors = [(w, shifted + act(w, grading.rho_c)) for w in kdata.elements]
     needed = 0
-    for w in kdata.elements:
-        anchor = shifted + act(w, grading.rho_c)
-        for nu in points:
+    for nu in points:
+        if _as_root_lattice(grading, shifted + grading.rho_c - nu) is None:
+            continue
+        for w, anchor in anchors:
             bound = _max_parts_bound(grading, anchor - act(w, nu))
             if bound is not None:
                 needed = max(needed, bound)
