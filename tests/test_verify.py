@@ -1,3 +1,6 @@
+import pytest
+
+from dischar import TruncationTooLarge, verify
 from dischar.verify import SECTIONS, run_verify
 
 
@@ -15,12 +18,7 @@ def test_all_sections_pass_on_reference_configs():
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
-
 def test_oversized_oracle_walk_is_refused_before_any_section(monkeypatch):
-    import pytest
-
-    from dischar import TruncationTooLarge, verify
-
     def not_reached(ctx):
         raise AssertionError("a section ran before the oracle walk was sized")
 
