@@ -6,67 +6,96 @@ nilradical-homology tables with their resolution pipelines, expands Weyl
 and elliptic character numerators, and evaluates Blattner K-type
 multiplicities against an independent filtration oracle.  All arithmetic
 is exact.
+
+The public names below are imported from their submodule on first access
+(PEP 562), so ``import dischar`` loads no layer a caller does not use.
 """
 
-from .blattner import (
-    KTypeTable,
-    blattner_multiplicity,
-    bwb_cohomology,
-    filtration_oracle,
-    filtration_table,
-    ktype_table,
-    partition,
-    partition_p,
-)
-from .characters import (
-    FormalCharacter,
-    HomologyTable,
-    discrete_numerator,
-    euler_character,
-    freudenthal_character,
-    weyl_denominator,
-    weyl_numerator,
-)
-from .errors import (
-    BoxTooLarge,
-    CollapseAmbiguous,
-    DimensionMismatch,
-    DischarError,
-    GroupTooLarge,
-    IncompleteAssignment,
-    InvariantViolation,
-    NotAntidominant,
-    NotCompatible,
-    NotFiniteType,
-    NotIntegral,
-    NotStronglyAntidominant,
-    ParameterIncompatible,
-    PartitionTableTooLarge,
-    TruncationTooLarge,
-    TruncationTooSmall,
-    ValidationError,
-)
-from .homology import (
-    bgg_terms,
-    collapse,
-    kostant_table,
-    kostant_via_bgg,
-    schmid_table,
-    schmid_via_trauber,
-    trauber_terms,
-)
-from .orbits import ClosedOrbit, Stratum, enumerate_closed_orbits, orbit_strata
-from .realform import CompactGrading, KWeylData, build_grading, validate_grading, weyl_k
-from .rootdata import (
-    Root,
-    RootSystem,
-    Weight,
-    WeightFlags,
-    build_root_system,
-    classify_weight,
-    coroot_pairing,
-    dominant_representative,
-)
-from .weyl import WeylElement, WeylGroup, act, generate, length_fiber, sign
+import importlib
+
+_EXPORTS = {
+    "blattner": (
+        "KTypeTable",
+        "blattner_multiplicity",
+        "bwb_cohomology",
+        "filtration_oracle",
+        "filtration_table",
+        "ktype_table",
+        "partition",
+        "partition_p",
+    ),
+    "characters": (
+        "FormalCharacter",
+        "discrete_numerator",
+        "euler_character",
+        "freudenthal_character",
+        "weyl_denominator",
+        "weyl_numerator",
+    ),
+    "errors": (
+        "BoxTooLarge",
+        "CollapseAmbiguous",
+        "DimensionMismatch",
+        "DischarError",
+        "GroupTooLarge",
+        "IncompleteAssignment",
+        "InvariantViolation",
+        "NotAntidominant",
+        "NotCompatible",
+        "NotFiniteType",
+        "NotIntegral",
+        "NotStronglyAntidominant",
+        "ParameterIncompatible",
+        "PartitionTableTooLarge",
+        "TruncationTooLarge",
+        "TruncationTooSmall",
+        "ValidationError",
+    ),
+    "homology": (
+        "HomologyTable",
+        "bgg_terms",
+        "collapse",
+        "kostant_table",
+        "kostant_via_bgg",
+        "schmid_table",
+        "schmid_via_trauber",
+        "trauber_terms",
+    ),
+    "orbits": ("ClosedOrbit", "Stratum", "enumerate_closed_orbits", "orbit_strata"),
+    "realform": ("CompactGrading", "KWeylData", "build_grading", "validate_grading", "weyl_k"),
+    "rootdata": (
+        "Root",
+        "RootSystem",
+        "Weight",
+        "WeightFlags",
+        "build_root_system",
+        "classify_weight",
+        "coroot_pairing",
+        "dominant_representative",
+    ),
+    "weyl": (
+        "WeylElement",
+        "WeylGroup",
+        "act",
+        "generate",
+        "length_fiber",
+        "sign",
+        "weyl_order",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -54,7 +54,7 @@ from .errors import (
 )
 from .realform import CompactGrading, KWeylData
 from .rootdata import Weight, classify_weight, coroot_pairing
-from .weyl import _apply, act
+from .weyl import act
 
 IntVec = tuple[int, ...]
 Box = tuple[Sequence[Fraction | int], Sequence[Fraction | int]]
@@ -213,17 +213,37 @@ def bwb_cohomology(
     Returns None when eta is singular for a compact root.  Otherwise the
     unique w in W_K with w^{-1} eta strictly antidominant for R_c+ gives the
     cohomological degree l_K(w) and the lowest K-weight w^{-1} eta + rho_c.
+
+    w^{-1} eta is reached by walking the chambers: while eta pairs positively
+    with a simple compact coroot, reflect it by that root.  Each step makes
+    one more compact positive root pair negatively, so the walk takes
+    l_K(w) steps and ends in the closed antidominant chamber, where eta is
+    singular exactly when it pairs to zero with a simple compact coroot.
     """
     if eta.rank != grading.rs.rank:
         raise DimensionMismatch(f"rank {eta.rank} weight in rank {grading.rs.rank} system")
-    coroots = [alpha.coroot_coords for alpha in grading.compact_positive]
-    if any(sum(map(mul, c, eta.coords)) == 0 for c in coroots):
+    simple = [(alpha.coroot_coords, alpha.fw_coords) for alpha in kdata.simpleK]
+    # the walk runs on the integer vector scale * eta, which pairs with the
+    # same signs and reflects the same way
+    scale = math.lcm(*(c.denominator for c in eta.coords))
+    coords = [c.numerator * (scale // c.denominator) for c in eta.coords]
+    steps = i = 0
+    while i < len(simple):
+        coroot, root = simple[i]
+        value = sum(map(mul, coroot, coords))
+        if value > 0:
+            coords = [c - value * r for c, r in zip(coords, root)]
+            steps += 1
+            if steps > len(grading.compact_positive):
+                raise InvariantViolation("chamber walk is longer than |R_c+| steps")
+            i = 0
+        else:
+            i += 1
+    if any(sum(map(mul, coroot, coords)) == 0 for coroot, _root in simple):
         return None
-    for w in kdata.elements:
-        candidate = _apply(kdata.weyl.inverse(w).matrix, eta.coords)
-        if all(sum(map(mul, c, candidate)) < 0 for c in coroots):
-            return kdata.lengthK[w], Weight(candidate) + grading.rho_c
-    raise InvariantViolation("no W_K chamber representative found for a regular weight")
+    if scale > 1:
+        coords = [Fraction(c, scale) for c in coords]
+    return steps, Weight(coords) + grading.rho_c
 
 
 def _check_lambda(grading: CompactGrading, lam: Weight) -> None:
@@ -405,14 +425,16 @@ def _check_walk_size(grading: CompactGrading, p_max: int) -> None:
 
 def check_oracle_walk(
     grading: CompactGrading, kdata: KWeylData, lam: Weight, box: Box
-) -> None:
-    """Refuse a box whose oracle walk would pass ``MAX_ORACLE_MULTISETS``.
+) -> int:
+    """The level the box's oracle walk needs, refused past ``MAX_ORACLE_MULTISETS``.
 
     Raises ``TruncationTooLarge`` as the walk itself would, but before any
-    other work on the box.
+    other work on the box; the level returned can be handed to
+    :func:`filtration_table` for the same box.
     """
-    points = _box_points(grading, box)
-    _check_walk_size(grading, _filtration_level(grading, kdata, lam, points))
+    level = _filtration_level(grading, kdata, lam, _box_points(grading, box))
+    _check_walk_size(grading, level)
+    return level
 
 
 def _filtration_walk(
@@ -463,17 +485,23 @@ def filtration_oracle(
 
 
 def filtration_table(
-    grading: CompactGrading, kdata: KWeylData, lam: Weight, box: Box
+    grading: CompactGrading,
+    kdata: KWeylData,
+    lam: Weight,
+    box: Box,
+    p_max: int | None = None,
 ) -> KTypeTable:
     """The oracle's multiplicities for every nu that ``ktype_table`` evaluates.
 
     One walk up to the largest level any nu of the box needs serves them all.
+    That level is computed from the box unless ``p_max`` passes the one
+    :func:`check_oracle_walk` returned for the same lam and box.
     """
     points = _box_points(grading, box)
     _check_lambda(grading, lam)
     for nu in points:
         _check_nu(grading, nu)
-    buckets = _filtration_walk(
-        grading, kdata, lam, _filtration_level(grading, kdata, lam, points)
-    )
+    if p_max is None:
+        p_max = _filtration_level(grading, kdata, lam, points)
+    buckets = _filtration_walk(grading, kdata, lam, p_max)
     return KTypeTable(entries={nu: buckets[nu] for nu in points if buckets.get(nu)})

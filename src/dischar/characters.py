@@ -10,9 +10,8 @@ a discrete series, and Euler characteristics of homology tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import (
     InvariantViolation,
@@ -29,6 +28,9 @@ from .rootdata import (
     dominant_representative,
 )
 from .weyl import WeylGroup, act, generate
+
+if TYPE_CHECKING:
+    from .homology import HomologyTable
 
 
 class FormalCharacter:
@@ -114,30 +116,6 @@ class FormalCharacter:
         return f"FormalCharacter({inner or '0'})"
 
     __hash__ = None  # mutable mapping inside
-
-
-@dataclass(frozen=True)
-class HomologyTable:
-    """Degrees mapped to weight multisets; zero rows are never stored."""
-
-    rows: Mapping[int, tuple[Weight, ...]]
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[tuple[int, Weight]]) -> "HomologyTable":
-        rows: dict[int, list[Weight]] = {}
-        for degree, weight in entries:
-            if degree < 0:
-                raise InvariantViolation(f"negative homology degree {degree}")
-            rows.setdefault(degree, []).append(weight)
-        return cls(rows={p: tuple(sorted(ws, key=lambda w: w.coords)) for p, ws in sorted(rows.items())})
-
-    def total_multiplicity(self) -> int:
-        return sum(len(ws) for ws in self.rows.values())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HomologyTable) and dict(self.rows) == dict(other.rows)
-
-    __hash__ = None
 
 
 def weyl_denominator(rs: RootSystem, group: WeylGroup | None = None) -> FormalCharacter:

@@ -4,6 +4,10 @@ Commands: describe, orbits, kostant, schmid, character, blattner, verify.
 Structured output is JSON by default, TSV behind ``--format tsv``; rationals
 are always serialized as strings.  Exit codes: 0 success, 1 rejected input,
 2 internal invariant violation (including verify failures).
+
+Only the set-up every table command shares is imported with this module;
+each command imports the layers it runs (homology, characters, blattner,
+verify) inside its own function, so a cold run compiles no other layer.
 """
 
 from __future__ import annotations
@@ -13,22 +17,26 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .blattner import filtration_table, ktype_table
-from .characters import HomologyTable, discrete_numerator, weyl_denominator, weyl_numerator
 from .errors import (
     InvariantViolation,
     NotFiniteType,
     ParameterIncompatible,
     ValidationError,
 )
-from .homology import kostant_table, schmid_table
 from .orbits import enumerate_closed_orbits
 from .realform import CompactGrading, KWeylData, build_grading, weyl_k
 from .rootdata import Weight, build_root_system
-from .verify import run_verify
 from .weyl import act, generate
+
+if TYPE_CHECKING:
+    from .homology import HomologyTable
+
+# Longest text accepted for one lambda or nu_box entry; longer text, and any
+# exponent notation, is refused before a Fraction is built from it.
+MAX_NUMBER_CHARS = 100
+
 
 @dataclass(frozen=True)
 class JobConfig:
@@ -58,8 +66,15 @@ class JobConfig:
 
 
 def _fraction(value: object, what: str) -> Fraction:
+    text = str(value)
+    if len(text) > MAX_NUMBER_CHARS:
+        raise ParameterIncompatible(
+            f"{what} entry has {len(text)} characters; the limit is {MAX_NUMBER_CHARS}"
+        )
+    if "e" in text or "E" in text:
+        raise ParameterIncompatible(f"{what} entry {text!r} uses exponent notation")
     try:
-        return Fraction(str(value))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParameterIncompatible(f"{what} entry {value!r} is not an exact number") from None
 
@@ -183,12 +198,16 @@ def _degree_rows(table: HomologyTable) -> tuple[dict, list[list[str]]]:
 
 def _kostant(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
              which: str, with_oracle: bool) -> Rendered:
+    from .homology import kostant_table
+
     data, rows = _degree_rows(kostant_table(grading.rs, kdata.weyl, _require_lambda(config)))
     return data, ["degree", "weights"], rows
 
 
 def _schmid(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
             which: str, with_oracle: bool) -> Rendered:
+    from .homology import schmid_table
+
     lam = _require_lambda(config)
     orbits = enumerate_closed_orbits(grading.rs, grading, kdata.weyl, kdata)
     index = config.orbit_index if config.orbit_index is not None else 0
@@ -202,6 +221,8 @@ def _schmid(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
 
 def _character(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
                which: str, with_oracle: bool) -> Rendered:
+    from .characters import discrete_numerator, weyl_denominator, weyl_numerator
+
     meta: dict = {}
     if which == "denominator":
         char = weyl_denominator(grading.rs, kdata.weyl)
@@ -219,6 +240,8 @@ def _character(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
 
 def _blattner(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
               which: str, with_oracle: bool) -> Rendered:
+    from .blattner import filtration_table, ktype_table
+
     lam = _require_lambda(config)
     if config.nu_box is None:
         raise ParameterIncompatible("blattner needs a nu_box")
@@ -248,6 +271,8 @@ COMMANDS = (*TABLES, "verify")
 
 
 def _verify(config: JobConfig) -> tuple[int, str]:
+    from .verify import run_verify
+
     results = run_verify([list(r) for r in config.cartan], list(config.compact_simple))
     lines = []
     for result in results:

@@ -1,6 +1,7 @@
 """Nilradical-homology tables and resolution-term bookkeeping.
 
-Two direct table builders (the length-graded table for a finite-dimensional
+``HomologyTable`` holds a table as weight rows by degree.  Two direct table
+builders (the length-graded table for a finite-dimensional
 module, and its discrete-series analogue over W_K with degree
 q - l(wu) + 2 l_K(w)), plus the resolution indexers and the degree-collapse
 rule that recovers each table from its resolution one term at a time.
@@ -13,11 +14,12 @@ same rule then drives the Trauber pipeline unchanged.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .characters import HomologyTable
 from .errors import (
     CollapseAmbiguous,
+    InvariantViolation,
     NotAntidominant,
     NotCompatible,
     NotIntegral,
@@ -27,6 +29,31 @@ from .orbits import ClosedOrbit
 from .realform import CompactGrading, KWeylData
 from .rootdata import RootSystem, Weight, classify_weight
 from .weyl import WeylGroup, act
+
+
+@dataclass(frozen=True)
+class HomologyTable:
+    """Degrees mapped to weight multisets; zero rows are never stored."""
+
+    rows: Mapping[int, tuple[Weight, ...]]
+
+    @classmethod
+    def from_entries(cls, entries: Iterable[tuple[int, Weight]]) -> "HomologyTable":
+        rows: dict[int, list[Weight]] = {}
+        for degree, weight in entries:
+            if degree < 0:
+                raise InvariantViolation(f"negative homology degree {degree}")
+            rows.setdefault(degree, []).append(weight)
+        return cls(rows={p: tuple(sorted(ws, key=lambda w: w.coords)) for p, ws in sorted(rows.items())})
+
+    def total_multiplicity(self) -> int:
+        return sum(len(ws) for ws in self.rows.values())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HomologyTable) and dict(self.rows) == dict(other.rows)
+
+    __hash__ = None
+
 
 def _check_kostant_parameter(rs: RootSystem, lam: Weight) -> None:
     flags = classify_weight(rs, lam)

@@ -41,6 +41,8 @@ class VerifyContext:
     grading: CompactGrading
     kdata: KWeylData
     orbits: list[ClosedOrbit]
+    # the blattner section's oracle level, computed when the walk was sized
+    blattner_level: int
 
 
 def _check_root_system(ctx: VerifyContext) -> CheckResult:
@@ -242,7 +244,7 @@ def _check_blattner(ctx: VerifyContext) -> CheckResult:
     grading, kdata = ctx.grading, ctx.kdata
     lam, box = _blattner_case(ctx.rs)
     closed = ktype_table(grading, kdata, lam, box).entries
-    oracle = filtration_table(grading, kdata, lam, box).entries
+    oracle = filtration_table(grading, kdata, lam, box, ctx.blattner_level).entries
     for nu in sorted(closed.keys() | oracle.keys()):
         value = closed.get(nu, 0)
         if value < 0:
@@ -272,13 +274,16 @@ def run_verify(
     """Run every section for one configuration; order of results is fixed.
 
     The blattner section's oracle walk is sized first, so a configuration
-    it would refuse (``TruncationTooLarge``) fails before any section runs.
+    it would refuse (``TruncationTooLarge``) fails before any section runs;
+    the section then walks to the level found there.
     """
     rs = build_root_system(cartan)
     grading = build_grading(rs, tuple(1 if c else -1 for c in compact_simple))
     group = generate(rs)
     kdata = weyl_k(rs, grading, group)
-    check_oracle_walk(grading, kdata, *_blattner_case(rs))
+    level = check_oracle_walk(grading, kdata, *_blattner_case(rs))
     orbits = enumerate_closed_orbits(rs, grading, group, kdata)
-    ctx = VerifyContext(rs=rs, group=group, grading=grading, kdata=kdata, orbits=orbits)
+    ctx = VerifyContext(
+        rs=rs, group=group, grading=grading, kdata=kdata, orbits=orbits, blattner_level=level
+    )
     return [check(ctx) for _name, check in SECTIONS]

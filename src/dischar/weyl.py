@@ -136,14 +136,35 @@ def _reflect(rs: RootSystem, i: int, vec: IntVec) -> IntVec:
     return tuple(x - value * row[i] for x, row in zip(vec, rs.cartan))
 
 
+def weyl_order(rs: RootSystem) -> int:
+    """|W| = prod (m_i + 1) over the exponents m_i, read off the root heights.
+
+    The exponents form the partition dual to the height distribution of the
+    positive roots: as many exponents equal k as #{height k} - #{height k+1}
+    (Kostant 1959; Humphreys, *Reflection Groups and Coxeter Groups*, 3.20).
+    """
+    counts = [0] * (max((alpha.height for alpha in rs.positive_roots), default=0) + 2)
+    for alpha in rs.positive_roots:
+        counts[alpha.height] += 1
+    order = 1
+    for k in range(1, len(counts) - 1):
+        order *= (k + 1) ** (counts[k] - counts[k + 1])
+    return order
+
+
 def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
     """Breadth-first closure of the simple reflections.
 
-    Each element records the first shortest word reaching it, so stored
-    words are reduced.  The element list is sorted by (length, word).
+    The order is predicted by :func:`weyl_order` and checked against
+    ``max_order`` before any element is built; the closure must reach it
+    exactly.  Each element records the first shortest word reaching it, so
+    stored words are reduced.  The element list is sorted by (length, word).
     A candidate w*s_i is recognised by w s_i(rho) = w(rho) - w(alpha_i)
     before its matrix is built; that matrix differs from w's in column i.
     """
+    order = weyl_order(rs)
+    if order > max_order:
+        raise GroupTooLarge(f"Weyl group has {order} elements; the limit is {max_order}")
     n = rs.rank
     alphas = [tuple(row[i] for row in rs.cartan) for i in range(n)]
     identity = WeylElement(_identity(n), ())
@@ -167,10 +188,12 @@ def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
                 found[element.rho_image] = element
                 inverse_rho[element.rho_image] = _reflect(rs, i, inverse_rho[w.rho_image])
                 new_frontier.append(element)
-                if len(found) > max_order:
-                    raise GroupTooLarge(f"Weyl group exceeds {max_order} elements")
+                if len(found) > order:
+                    raise InvariantViolation(f"closure passes the predicted order {order}")
         new_frontier.sort(key=lambda w: w.reduced_word)
         frontier = new_frontier
+    if len(found) != order:
+        raise InvariantViolation(f"closure has {len(found)} elements, predicted {order}")
 
     elements = sorted(found.values(), key=lambda w: (w.length, w.reduced_word))
     coroots = tuple(alpha.coroot_coords for alpha in rs.positive_roots)
@@ -188,7 +211,7 @@ def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
     return WeylGroup(
         rank=n,
         elements=tuple(elements),
-        order=len(elements),
+        order=order,
         simple=tuple(found[_reflect(rs, i, identity.rho_image)] for i in range(n)),
         _by_rho=found,
         _inverses=inverses,

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from dischar import (
     TruncationTooLarge,
     TruncationTooSmall,
     Weight,
+    act,
     blattner,
     blattner_multiplicity,
     build_grading,
@@ -27,6 +29,7 @@ from dischar import (
     weyl_k,
 )
 from dischar.blattner import _PartitionTable
+from tests.conftest import CARTAN, EXTRA_CARTAN
 
 
 def setup(systems, groups, name, signs):
@@ -167,6 +170,42 @@ def test_bwb_unique_chamber_element(systems, groups):
             )
         ]
         assert len(hits) == 1
+
+
+def bwb_by_scan(grading, kdata, eta):
+    """The BWB step by trying every w in W_K in turn: the chamber walk's oracle."""
+    compact = grading.compact_positive
+    if any(coroot_pairing(a, eta) == 0 for a in compact):
+        return None
+    for w in kdata.elements:
+        candidate = act(kdata.weyl.inverse(w), eta)
+        if all(coroot_pairing(a, candidate) < 0 for a in compact):
+            return kdata.lengthK[w], candidate + grading.rho_c
+    raise AssertionError("no W_K chamber representative for a regular weight")
+
+
+@pytest.mark.parametrize("name", [*CARTAN, *EXTRA_CARTAN])
+def test_bwb_chamber_walk_matches_scan(name):
+    # every grading; eta in rho_c + the weight lattice, as the oracle walk
+    # produces it, regular and (via eta + s_beta eta) singular for a compact beta
+    rs = build_root_system({**CARTAN, **EXTRA_CARTAN}[name])
+    group = generate(rs)
+    rng = random.Random(name)
+    for signs in itertools.product((1, -1), repeat=rs.rank):
+        grading = build_grading(rs, signs)
+        kdata = weyl_k(rs, grading, group)
+        regular = 0
+        while regular < 8:
+            eta = Weight([rng.randint(-9, 9) for _ in range(rs.rank)]) + grading.rho_c
+            expected = bwb_by_scan(grading, kdata, eta)
+            assert bwb_cohomology(grading, kdata, eta) == expected, (signs, eta)
+            regular += expected is not None
+        for beta in rng.sample(grading.compact_positive, min(3, len(grading.compact_positive))):
+            eta = Weight([rng.randint(-9, 9) for _ in range(rs.rank)])
+            singular = eta + eta - beta.weight().scale(coroot_pairing(beta, eta))
+            assert coroot_pairing(beta, singular) == 0
+            assert bwb_cohomology(grading, kdata, singular) is None
+            assert bwb_by_scan(grading, kdata, singular) is None
 
 
 def test_sl2_ktype_table(systems, groups):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +199,31 @@ def test_main_rejects_malformed_input(tmp_path, capsys, overrides, flags):
     assert data["message"]
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "text", ["-1e5000", "1e999999999", "-" + "7" * 5000],
+    ids=["exponent", "huge-exponent", "5000-digit-literal"],
+)
+def test_main_bounds_numeric_text(tmp_path, capsys, source, text):
+    overrides = {"lambda": [text]} if source == "config" else {}
+    flags = [f"--lambda={text}"] if source == "flag" else []
+    path = write_config(tmp_path, dict(A1_NC, **overrides))
+    assert main(["kostant", "--config", path] + flags) == 1
+    data = json.loads(capsys.readouterr().out.strip())
+    assert data["error"] == "ParameterIncompatible"
+    assert data["message"]
+
+
+def test_main_refuses_e7_before_closing_its_group(tmp_path, capsys):
+    from tests.test_weyl import E7
+
+    path = write_config(tmp_path, {"cartan": E7, "compact_simple": [True] * 6 + [False]})
+    start = time.perf_counter()
+    assert main(["describe", "--config", path]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out.strip())["error"] == "GroupTooLarge"
+
+
 G2_MIXED = {"cartan": [[2, -1], [-3, 2]], "compact_simple": [True, False],
             "lambda": ["-2", "-2"]}
 
@@ -289,7 +315,7 @@ JUNK = st.one_of(
     st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
 )
-FLAG_TEXT = st.text(alphabet="-0123.,/x", max_size=8)
+FLAG_TEXT = st.text(alphabet="-0123.,/xeE", max_size=8)
 
 
 def _mostly(good, bad):

@@ -26,3 +26,19 @@ def test_oversized_oracle_walk_is_refused_before_any_section(monkeypatch):
     f4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
     with pytest.raises(TruncationTooLarge):
         run_verify(f4, [True, True, True, False])
+
+
+def test_blattner_oracle_level_is_computed_once(monkeypatch):
+    from dischar import blattner
+
+    calls = []
+    level = blattner._filtration_level
+
+    def counted(*args):
+        calls.append(args[3])
+        return level(*args)
+
+    monkeypatch.setattr(blattner, "_filtration_level", counted)
+    results = run_verify([[2, -1], [-1, 2]], [True, False])
+    assert all(r.passed for r in results)
+    assert len(calls) == 1

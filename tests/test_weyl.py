@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+import dischar.weyl
 from dischar import (
     DimensionMismatch,
     GroupTooLarge,
+    InvariantViolation,
     Weight,
     act,
     build_root_system,
     generate,
     length_fiber,
     sign,
+    weyl_order,
 )
 from dischar.weyl import _det
 from tests.conftest import CARTAN, EXTRA_CARTAN
@@ -27,6 +30,44 @@ def test_group_orders(name, order, groups):
 def test_group_too_large(systems):
     with pytest.raises(GroupTooLarge):
         generate(systems["B3"], max_order=10)
+
+
+ORDERS = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12, "A3": 24, "B3": 48, "C3": 48,
+          "D4": 192, "F4": 1152, "A1xA2": 12, "B3perm": 48}
+E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+      [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+E7 = [[2, 0, -1, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0],
+      [0, -1, -1, 2, -1, 0, 0], [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, -1],
+      [0, 0, 0, 0, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_weyl_order_predicts_the_closure(name):
+    rs = build_root_system({**CARTAN, **EXTRA_CARTAN}[name])
+    group = generate(rs)
+    assert weyl_order(rs) == group.order == len(group.elements) == ORDERS[name]
+
+
+def test_weyl_order_of_e6_e7_and_rank_zero():
+    assert weyl_order(build_root_system(E6)) == 51_840
+    assert weyl_order(build_root_system(E7)) == 2_903_040
+    assert weyl_order(build_root_system([])) == 1
+
+
+def test_too_large_group_is_refused_before_any_element(monkeypatch):
+    def not_built(*args):
+        raise AssertionError("an element was built before the order was checked")
+
+    monkeypatch.setattr(dischar.weyl, "WeylElement", not_built)
+    with pytest.raises(GroupTooLarge, match="2903040"):
+        generate(build_root_system(E7))
+
+
+@pytest.mark.parametrize("wrong", [47, 49], ids=["closure-passes-it", "closure-falls-short"])
+def test_closure_must_reach_the_predicted_order(monkeypatch, systems, wrong):
+    monkeypatch.setattr(dischar.weyl, "weyl_order", lambda rs: wrong)
+    with pytest.raises(InvariantViolation):
+        generate(systems["B3"])
 
 
 def test_act_examples(systems, groups):
