@@ -143,9 +143,10 @@ def weyl_order(rs: RootSystem) -> int:
     positive roots: as many exponents equal k as #{height k} - #{height k+1}
     (Kostant 1959; Humphreys, *Reflection Groups and Coxeter Groups*, 3.20).
     """
-    counts = [0] * (max((alpha.height for alpha in rs.positive_roots), default=0) + 2)
-    for alpha in rs.positive_roots:
-        counts[alpha.height] += 1
+    heights = [alpha.height for alpha in rs.positive_roots]
+    counts = [0] * (max(heights, default=0) + 2)
+    for height in heights:
+        counts[height] += 1
     order = 1
     for k in range(1, len(counts) - 1):
         order *= (k + 1) ** (counts[k] - counts[k + 1])

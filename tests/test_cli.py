@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dischar.cli import COMMANDS, build_parser, main, parse_config, run
 from dischar.errors import ParameterIncompatible
+from tests.conftest import E7
 
 
 A1_NC = {"cartan": [[2]], "compact_simple": [False], "lambda": ["-2"],
@@ -215,8 +216,6 @@ def test_main_bounds_numeric_text(tmp_path, capsys, source, text):
 
 
 def test_main_refuses_e7_before_closing_its_group(tmp_path, capsys):
-    from tests.test_weyl import E7
-
     path = write_config(tmp_path, {"cartan": E7, "compact_simple": [True] * 6 + [False]})
     start = time.perf_counter()
     assert main(["describe", "--config", path]) == 1

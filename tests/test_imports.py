@@ -84,6 +84,12 @@ def test_every_export_resolves(name):
     assert name in dir(dischar)
 
 
+def test_star_import_gives_every_export():
+    namespace = {}
+    exec("from dischar import *", namespace)
+    assert set(EXPORTS) <= namespace.keys()
+
+
 def test_submodules_and_unknown_names():
     namespace = {}
     exec("from dischar import verify", namespace)

@@ -16,7 +16,7 @@ from dischar import (
     weyl_order,
 )
 from dischar.weyl import _det
-from tests.conftest import CARTAN, EXTRA_CARTAN
+from tests.conftest import CARTAN, E7, EXTRA_CARTAN
 
 
 @pytest.mark.parametrize(
@@ -36,9 +36,6 @@ ORDERS = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12, "A3": 24, "B3": 48, "
           "D4": 192, "F4": 1152, "A1xA2": 12, "B3perm": 48}
 E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
       [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
-E7 = [[2, 0, -1, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0],
-      [0, -1, -1, 2, -1, 0, 0], [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, -1],
-      [0, 0, 0, 0, 0, -1, 2]]
 
 
 @pytest.mark.parametrize("name", ORDERS)
