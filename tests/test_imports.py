@@ -8,7 +8,7 @@ import pytest
 
 import dischar
 
-# every name ``dischar`` exported when it imported all of its layers eagerly
+# the public names callers import from the package (weyl_order is checked below)
 EXPORTS = (
     "BoxTooLarge", "ClosedOrbit", "CollapseAmbiguous", "CompactGrading",
     "DimensionMismatch", "DischarError", "FormalCharacter", "GroupTooLarge",
