@@ -358,14 +358,12 @@ def ktype_table(
     return KTypeTable(entries={nu: v for nu, v in zip(points, values) if v})
 
 
-def _multisets_by_size(
-    roots: Sequence[Weight], rank: int, max_size: int
-) -> Iterator[tuple[int, Weight]]:
-    """Yield (size, sum) once for every multiset of at most max_size roots."""
+def _multiset_sums(roots: Sequence[Weight], rank: int, max_size: int) -> Iterator[Weight]:
+    """Yield the sum of every multiset of at most max_size roots, once each."""
 
-    def rec(idx: int, used: int, total: Weight) -> Iterator[tuple[int, Weight]]:
+    def rec(idx: int, used: int, total: Weight) -> Iterator[Weight]:
         if idx == len(roots):
-            yield used, total
+            yield total
             return
         current = total
         k = 0
@@ -450,7 +448,7 @@ def _filtration_walk(
     shifted = lam - grading.rho_n
     buckets: dict[Weight, int] = {}
     kappa_roots = [r.weight() for r in grading.noncompact_positive]
-    for _size, kappa in _multisets_by_size(kappa_roots, grading.rs.rank, p_max):
+    for kappa in _multiset_sums(kappa_roots, grading.rs.rank, p_max):
         result = bwb_cohomology(grading, kdata, shifted - kappa)
         if result is None:
             continue

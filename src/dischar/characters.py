@@ -2,29 +2,28 @@
 
 A formal character is a finitely supported integer combination of lattice
 exponentials e^mu, stored as a sparse map keyed by exact fundamental-weight
-coordinates.  The module provides the Weyl denominator (computed two ways
-and compared), the alternating Weyl numerator, a Freudenthal-recursion
-character that serves as an independent oracle, the elliptic numerator of
-a discrete series, and Euler characteristics of homology tables.
+coordinates.  One constructor merges coefficients, and every operation and
+numerator builds its result there in one pass.  The module provides the Weyl
+denominator (computed two ways and compared), the alternating Weyl
+numerator, a Freudenthal-recursion character that serves as an independent
+oracle, the elliptic numerator of a discrete series, and Euler
+characteristics of homology tables.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from itertools import chain
+from typing import TYPE_CHECKING
 
-from .errors import (
-    InvariantViolation,
-    NotAntidominant,
-    NotCompatible,
-    NotIntegral,
-    NotStronglyAntidominant,
-)
+from .errors import InvariantViolation
 from .realform import CompactGrading, KWeylData
 from .rootdata import (
     RootSystem,
     Weight,
-    classify_weight,
+    check_kostant_parameter,
+    check_schmid_parameter,
     dominant_representative,
 )
 from .weyl import WeylGroup, act, generate
@@ -38,10 +37,18 @@ class FormalCharacter:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Weight, int] | None = None) -> None:
-        self.terms: dict[Weight, int] = {
-            w: c for w, c in (terms or {}).items() if c != 0
-        }
+    def __init__(
+        self, terms: Mapping[Weight, int] | Iterable[tuple[Weight, int]] | None = None
+    ) -> None:
+        """Sum ``terms``, a mapping or (weight, coeff) pairs, dropping zero sums."""
+        out: dict[Weight, int] = {}
+        for w, c in terms.items() if isinstance(terms, Mapping) else terms or ():
+            value = out.get(w, 0) + c
+            if value:
+                out[w] = value
+            else:
+                out.pop(w, None)
+        self.terms = out
 
     @classmethod
     def zero(cls) -> "FormalCharacter":
@@ -56,39 +63,22 @@ class FormalCharacter:
         return cls({Weight.zero(rank): 1})
 
     def __add__(self, other: "FormalCharacter") -> "FormalCharacter":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            value = out.get(w, 0) + c
-            if value:
-                out[w] = value
-            else:
-                out.pop(w, None)
-        result = FormalCharacter.zero()
-        result.terms = out
-        return result
+        return FormalCharacter(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "FormalCharacter":
-        return FormalCharacter({w: -c for w, c in self.terms.items()})
+        return FormalCharacter((w, -c) for w, c in self.terms.items())
 
     def __sub__(self, other: "FormalCharacter") -> "FormalCharacter":
-        return self + (-other)
+        return FormalCharacter(
+            chain(self.terms.items(), ((w, -c) for w, c in other.terms.items()))
+        )
 
     def __mul__(self, other: "FormalCharacter | int") -> "FormalCharacter":
         if isinstance(other, int):
-            return FormalCharacter({w: c * other for w, c in self.terms.items()})
+            return FormalCharacter((w, c * other) for w, c in self.terms.items())
         small, large = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        out: dict[Weight, int] = {}
-        for w1, c1 in small.terms.items():
-            for w2, c2 in large.terms.items():
-                key = w1 + w2
-                value = out.get(key, 0) + c1 * c2
-                if value:
-                    out[key] = value
-                else:
-                    del out[key]
-        result = FormalCharacter.zero()
-        result.terms = out
-        return result
+        return FormalCharacter((w1 + w2, c1 * c2) for w1, c1 in small.terms.items()
+                               for w2, c2 in large.terms.items())
 
     __rmul__ = __mul__
 
@@ -127,16 +117,15 @@ def weyl_denominator(rs: RootSystem, group: WeylGroup | None = None) -> FormalCh
     when the caller has already closed it; otherwise it is generated here.
     """
     product = FormalCharacter.one(rs.rank)
-    for alpha in rs.positive_roots:
-        factor = FormalCharacter({Weight.zero(rs.rank): 1, alpha.weight(): -1})
-        product = product * factor
+    for alpha in rs.positive_roots:  # times (1 - e^alpha): subtract the shift by alpha
+        alpha_w, terms = alpha.weight(), product.terms.items()
+        product = FormalCharacter(chain(terms, ((mu + alpha_w, -c) for mu, c in terms)))
 
-    # rho is regular, so the exponents rho - w rho are pairwise distinct
-    alternating = FormalCharacter({
-        Weight(tuple(r - x for r, x in zip(rs.rho.coords, w.rho_image))):
-            -1 if w.length % 2 else 1
+    alternating = FormalCharacter(
+        (Weight(tuple(r - x for r, x in zip(rs.rho.coords, w.rho_image))),
+         -1 if w.length % 2 else 1)
         for w in (group if group is not None else generate(rs)).elements
-    })
+    )
     if alternating != product:
         raise InvariantViolation("denominator product and Weyl-group sum disagree")
     return product
@@ -144,22 +133,11 @@ def weyl_denominator(rs: RootSystem, group: WeylGroup | None = None) -> FormalCh
 
 def weyl_numerator(rs: RootSystem, group: WeylGroup, lam: Weight) -> FormalCharacter:
     """Alternating sum of e^{w(lam - rho) + rho} over the full Weyl group."""
-    flags = classify_weight(rs, lam)
-    if not flags.integral:
-        raise NotIntegral("numerator parameter must be integral")
-    if not flags.antidominant:
-        raise NotAntidominant("numerator parameter must be antidominant")
+    check_kostant_parameter(rs, lam, "numerator parameter")
     shifted = lam - rs.rho
-    result: dict[Weight, int] = {}
-    for w in group.elements:
-        term = act(w, shifted) + rs.rho
-        coeff = -1 if w.length % 2 else 1
-        value = result.get(term, 0) + coeff
-        if value:
-            result[term] = value
-        else:
-            del result[term]
-    return FormalCharacter(result)
+    return FormalCharacter(
+        (act(w, shifted) + rs.rho, -1 if w.length % 2 else 1) for w in group.elements
+    )
 
 
 def _symmetrizer(rs: RootSystem) -> tuple[Fraction, ...]:
@@ -219,11 +197,7 @@ def freudenthal_character(rs: RootSystem, lam_lowest: Weight) -> FormalCharacter
     Weyl numerator or the partition functions, so it can act as an
     independent oracle against both.
     """
-    flags = classify_weight(rs, lam_lowest)
-    if not flags.integral:
-        raise NotIntegral("lowest weight must be integral")
-    if not flags.antidominant:
-        raise NotAntidominant("lowest weight must be antidominant")
+    check_kostant_parameter(rs, lam_lowest, "lowest weight")
 
     high = dominant_representative(rs, lam_lowest)
     support = _weight_support(rs, high)
@@ -257,9 +231,7 @@ def freudenthal_character(rs: RootSystem, lam_lowest: Weight) -> FormalCharacter
             raise InvariantViolation("Freudenthal multiplicity is not an integer")
         mult[mu] = value
 
-    return FormalCharacter(
-        {mu: int(mult[dominant_representative(rs, mu)]) for mu in support}
-    )
+    return FormalCharacter((mu, int(mult[dominant_representative(rs, mu)])) for mu in support)
 
 
 def discrete_numerator(
@@ -267,29 +239,18 @@ def discrete_numerator(
 ) -> FormalCharacter:
     """Elliptic numerator (-1)^q sum over W_K of (-1)^{l_K(w)} e^{w lam + rho}."""
     rs = grading.rs
-    flags = classify_weight(rs, lam)
-    if not flags.strongly_antidominant:
-        raise NotStronglyAntidominant("parameter must be strongly antidominant")
-    if not (lam + rs.rho).is_integral():
-        raise NotCompatible("lam + rho must be integral")
+    check_schmid_parameter(rs, lam)
     overall = -1 if grading.q % 2 else 1
-    result: dict[Weight, int] = {}
-    for w in kdata.elements:
-        term = act(w, lam) + rs.rho
-        coeff = overall * (-1 if kdata.lengthK[w] % 2 else 1)
-        value = result.get(term, 0) + coeff
-        if value:
-            result[term] = value
-        else:
-            del result[term]
-    return FormalCharacter(result)
+    return FormalCharacter(
+        (act(w, lam) + rs.rho, -overall if kdata.lengthK[w] % 2 else overall)
+        for w in kdata.elements
+    )
 
 
 def euler_character(table: HomologyTable) -> FormalCharacter:
     """Alternating sum over degrees of the table's weight rows."""
-    result = FormalCharacter.zero()
-    for degree, weights in table.rows.items():
-        coeff = -1 if degree % 2 else 1
-        for mu in weights:
-            result = result + FormalCharacter.exponential(mu, coeff)
-    return result
+    return FormalCharacter(
+        (mu, -1 if degree % 2 else 1)
+        for degree, weights in table.rows.items()
+        for mu in weights
+    )

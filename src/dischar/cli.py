@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
+    GroupTooLarge,
     InvariantViolation,
     NotFiniteType,
     ParameterIncompatible,
@@ -36,6 +37,9 @@ if TYPE_CHECKING:
 # Longest text accepted for one lambda or nu_box entry; longer text, and any
 # exponent notation, is refused before a Fraction is built from it.
 MAX_NUMBER_CHARS = 100
+# |W| = prod(m_i + 1) over rank exponents m_i >= 1 is at least 2^rank, so no rank
+# above 16 passes generate's 100 000 bound; build_root_system alone is O(rank^5).
+MAX_RANK = 16
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,8 @@ def parse_config(data: dict) -> JobConfig:
         raise NotFiniteType("cartan must be a list of rows")
     cartan = tuple(tuple(entry for entry in row) for row in cartan_raw)
     rank = len(cartan)
+    if rank > MAX_RANK:
+        raise GroupTooLarge(f"rank {rank} gives |W| >= 2^{rank}; the limit is rank {MAX_RANK}")
 
     compact_raw = data.get("compact_simple", [True] * rank)
     if (

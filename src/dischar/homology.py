@@ -17,17 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import (
-    CollapseAmbiguous,
-    InvariantViolation,
-    NotAntidominant,
-    NotCompatible,
-    NotIntegral,
-    NotStronglyAntidominant,
-)
+from .errors import CollapseAmbiguous, InvariantViolation
 from .orbits import ClosedOrbit
 from .realform import CompactGrading, KWeylData
-from .rootdata import RootSystem, Weight, classify_weight
+from .rootdata import RootSystem, Weight, check_kostant_parameter, check_schmid_parameter
 from .weyl import WeylGroup, act
 
 
@@ -55,26 +48,10 @@ class HomologyTable:
     __hash__ = None
 
 
-def _check_kostant_parameter(rs: RootSystem, lam: Weight) -> None:
-    flags = classify_weight(rs, lam)
-    if not flags.integral:
-        raise NotIntegral("parameter must be integral")
-    if not flags.antidominant:
-        raise NotAntidominant("parameter must be antidominant")
-
-
-def _check_schmid_parameter(rs: RootSystem, lam: Weight) -> None:
-    flags = classify_weight(rs, lam)
-    if not flags.strongly_antidominant:
-        raise NotStronglyAntidominant("parameter must be strongly antidominant")
-    if not (lam + rs.rho).is_integral():
-        raise NotCompatible("lam + rho must be integral")
-
-
 def kostant_table(rs: RootSystem, group: WeylGroup, lam: Weight) -> HomologyTable:
     """Homology of the finite-dimensional module with lowest weight ``lam``:
     degree l(w) carries w(lam - rho) + rho."""
-    _check_kostant_parameter(rs, lam)
+    check_kostant_parameter(rs, lam, "parameter")
     shifted = lam - rs.rho
     return HomologyTable.from_entries(
         (w.length, act(w, shifted) + rs.rho) for w in group.elements
@@ -93,7 +70,7 @@ def schmid_table(
     degree q - l(wu) + 2 l_K(w).
     """
     rs = grading.rs
-    _check_schmid_parameter(rs, lam)
+    check_schmid_parameter(rs, lam)
     entries = []
     for w in kdata.elements:
         wu = kdata.weyl.multiply(w, orbit.u)
@@ -108,7 +85,7 @@ def bgg_terms(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[tuple[int, 
     W(dim X - p) sits at position p; each term is concentrated in degree
     dim X with weight w(lam - rho) + rho.
     """
-    _check_kostant_parameter(rs, lam)
+    check_kostant_parameter(rs, lam, "parameter")
     dim_x = len(rs.positive_roots)
     shifted = lam - rs.rho
     return [(dim_x - w.length, dim_x, act(w, shifted) + rs.rho) for w in group.elements]
@@ -126,7 +103,7 @@ def trauber_terms(
     dim X - l(wu) + l_K(w) with weight wu(lam) + rho.
     """
     rs = grading.rs
-    _check_schmid_parameter(rs, lam)
+    check_schmid_parameter(rs, lam)
     dim_x = len(rs.positive_roots)
     dim_q = len(grading.compact_positive)
     terms = []

@@ -25,7 +25,15 @@ from fractions import Fraction
 from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, InvariantViolation, NotFiniteType
+from .errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    NotAntidominant,
+    NotCompatible,
+    NotFiniteType,
+    NotIntegral,
+    NotStronglyAntidominant,
+)
 
 IntVec = tuple[int, ...]
 Coords = tuple[int | Fraction, ...]
@@ -326,6 +334,23 @@ def classify_weight(rs: RootSystem, lam: Weight) -> WeightFlags:
         strongly_antidominant=strongly,
         integral=lam.is_integral(),
     )
+
+
+def check_kostant_parameter(rs: RootSystem, lam: Weight, noun: str) -> None:
+    """Require ``lam`` integral and antidominant; ``noun`` names it in the error."""
+    flags = classify_weight(rs, lam)
+    if not flags.integral:
+        raise NotIntegral(f"{noun} must be integral")
+    if not flags.antidominant:
+        raise NotAntidominant(f"{noun} must be antidominant")
+
+
+def check_schmid_parameter(rs: RootSystem, lam: Weight) -> None:
+    """Require ``lam`` strongly antidominant with lam + rho integral."""
+    if not classify_weight(rs, lam).strongly_antidominant:
+        raise NotStronglyAntidominant("parameter must be strongly antidominant")
+    if not (lam + rs.rho).is_integral():
+        raise NotCompatible("lam + rho must be integral")
 
 
 def dominant_representative(rs: RootSystem, lam: Weight) -> Weight:

@@ -1,6 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dischar import (
     FormalCharacter,
@@ -32,6 +35,30 @@ def test_ring_basics():
     assert product.terms == {Weight((2,)): -4, Weight((1,)): 2}
     assert 3 * y == FormalCharacter({Weight((1,)): -6})
     assert FormalCharacter.one(1) * x == x
+    assert x * 0 == FormalCharacter.zero()
+    assert -x == x * -1 == FormalCharacter.zero() - x
+    # (weight, coeff) pairs: repeated weights add up, cancelling pairs drop out
+    a, b = Weight((1,)), Weight((0,))
+    pairs = [(a, 2), (b, 1), (a, -2), (b, 3), (Weight((5,)), 0), (a, 1), (a, -1)]
+    assert FormalCharacter(pairs).terms == {b: 4}
+    assert FormalCharacter(iter(pairs)) == FormalCharacter({b: 4})
+    assert FormalCharacter([(a, 1), (a, -1)]) == FormalCharacter.zero()
+
+
+WEIGHTS = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(Weight)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(WEIGHTS, st.integers(-3, 3)), max_size=30), st.integers(0, 30))
+def test_formal_character_sums_like_a_counter(pairs, cut):
+    reference = Counter()
+    for mu, c in pairs:
+        reference[mu] += c
+    char = FormalCharacter(pairs)
+    assert char.terms == {mu: c for mu, c in reference.items() if c}
+    head, tail = FormalCharacter(pairs[:cut]), FormalCharacter(pairs[cut:])
+    assert head + tail == char
+    assert char - tail == head
 
 
 def test_no_zero_coefficients_stored():
@@ -103,15 +130,23 @@ def test_weyl_numerator_a2_six_distinct_terms(systems, groups):
 
 def test_weyl_numerator_rejects_bad_parameters(systems, groups):
     rs, W = systems["A2"], groups["A2"]
-    with pytest.raises(NotAntidominant):
+    with pytest.raises(NotAntidominant, match="^numerator parameter must be antidominant$"):
         weyl_numerator(rs, W, rs.rho)
-    with pytest.raises(NotIntegral):
+    with pytest.raises(NotIntegral, match="^numerator parameter must be integral$"):
         weyl_numerator(rs, W, Weight((Fraction(-1, 2), 0)))
 
 
 def test_freudenthal_sl2(systems):
     char = freudenthal_character(systems["A1"], Weight((-1,)))
     assert char.terms == {Weight((-1,)): 1, Weight((1,)): 1}
+
+
+def test_freudenthal_rejects_bad_parameters(systems):
+    rs = systems["A2"]
+    with pytest.raises(NotAntidominant, match="^lowest weight must be antidominant$"):
+        freudenthal_character(rs, rs.rho)
+    with pytest.raises(NotIntegral, match="^lowest weight must be integral$"):
+        freudenthal_character(rs, Weight((Fraction(-1, 2), 0)))
 
 
 def test_freudenthal_trivial(systems):
@@ -203,9 +238,9 @@ def test_discrete_numerator_rejects_bad_parameters(systems, groups):
     rs, W = systems["A1"], groups["A1"]
     grading = build_grading(rs, (-1,))
     kdata = weyl_k(rs, grading, W)
-    with pytest.raises(NotStronglyAntidominant):
+    with pytest.raises(NotStronglyAntidominant, match="^parameter must be strongly antidominant$"):
         discrete_numerator(grading, kdata, Weight((0,)))
-    with pytest.raises(NotCompatible):
+    with pytest.raises(NotCompatible, match=r"^lam \+ rho must be integral$"):
         discrete_numerator(grading, kdata, Weight((Fraction(-3, 2),)))
 
 
@@ -213,6 +248,13 @@ def test_euler_character():
     assert euler_character(HomologyTable(rows={})) == FormalCharacter.zero()
     single = HomologyTable.from_entries([(0, Weight((5,)))])
     assert euler_character(single) == FormalCharacter.exponential(Weight((5,)))
+    # one weight in two degrees: same parity adds up, opposite parity cancels
+    mu, nu = Weight((5,)), Weight((-1,))
+    assert euler_character(HomologyTable(rows={0: (mu,), 2: (mu,)})).terms == {mu: 2}
+    assert euler_character(HomologyTable(rows={1: (mu,), 3: (mu,)})).terms == {mu: -2}
+    assert euler_character(HomologyTable(rows={1: (mu,), 2: (mu,)})) == FormalCharacter.zero()
+    mixed = HomologyTable(rows={0: (mu, nu), 1: (mu,), 2: (nu, nu)})
+    assert euler_character(mixed).terms == {nu: 3}
 
 
 def test_euler_of_kostant_equals_numerator(systems, groups):

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import subprocess
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dischar.cli import COMMANDS, build_parser, main, parse_config, run
-from dischar.errors import ParameterIncompatible
+from dischar import generate
+from dischar.cli import COMMANDS, MAX_RANK, build_parser, main, parse_config, run
+from dischar.errors import GroupTooLarge, ParameterIncompatible
 from tests.conftest import E7
 
 
@@ -215,12 +217,33 @@ def test_main_bounds_numeric_text(tmp_path, capsys, source, text):
     assert data["message"]
 
 
-def test_main_refuses_e7_before_closing_its_group(tmp_path, capsys):
-    path = write_config(tmp_path, {"cartan": E7, "compact_simple": [True] * 6 + [False]})
+def _diagonal(n):
+    return [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _type_a(n):
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "cartan", [E7, _diagonal(40), _type_a(200)], ids=["E7", "A1x40", "A200"]
+)
+def test_main_refuses_oversized_groups_within_a_second(tmp_path, capsys, cartan):
+    compact = [True] * (len(cartan) - 1) + [False]
+    path = write_config(tmp_path, {"cartan": cartan, "compact_simple": compact})
     start = time.perf_counter()
     assert main(["describe", "--config", path]) == 1
     assert time.perf_counter() - start < 1.0
     assert json.loads(capsys.readouterr().out.strip())["error"] == "GroupTooLarge"
+
+
+def test_rank_bound_matches_the_weyl_order_bound():
+    # |W| >= 2^rank, so MAX_RANK is the largest rank generate's default can admit
+    max_order = inspect.signature(generate).parameters["max_order"].default
+    assert 2 ** MAX_RANK <= max_order < 2 ** (MAX_RANK + 1)
+    assert len(parse_config({"cartan": _diagonal(MAX_RANK)}).cartan) == MAX_RANK
+    with pytest.raises(GroupTooLarge, match=f"^rank {MAX_RANK + 1} gives"):
+        parse_config({"cartan": _diagonal(MAX_RANK + 1)})
 
 
 G2_MIXED = {"cartan": [[2, -1], [-3, 2]], "compact_simple": [True, False],

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from dischar import (
     HomologyTable,
     NotAntidominant,
     NotCompatible,
+    NotIntegral,
     NotStronglyAntidominant,
     Weight,
     bgg_terms,
@@ -52,8 +54,16 @@ def test_kostant_rank_zero():
 
 
 def test_kostant_rejects_dominant(systems, groups):
-    with pytest.raises(NotAntidominant):
+    with pytest.raises(NotAntidominant, match="^parameter must be antidominant$"):
         kostant_table(systems["A2"], groups["A2"], systems["A2"].rho)
+
+
+def test_kostant_rejects_non_integral(systems, groups):
+    lam = Weight((Fraction(-1, 2), -1))
+    with pytest.raises(NotIntegral, match="^parameter must be integral$"):
+        kostant_table(systems["A2"], groups["A2"], lam)
+    with pytest.raises(NotIntegral, match="^parameter must be integral$"):
+        bgg_terms(systems["A2"], groups["A2"], lam)
 
 
 def test_schmid_a1_orbit_e(systems, groups):
@@ -78,11 +88,9 @@ def test_schmid_compact_degeneration(systems, groups):
 
 def test_schmid_rejects_bad_parameters(systems, groups):
     rs, W, grading, kdata, orbits = mixed_setup(systems, groups, "A1", (-1,))
-    with pytest.raises(NotStronglyAntidominant):
+    with pytest.raises(NotStronglyAntidominant, match="^parameter must be strongly antidominant$"):
         schmid_table(grading, kdata, orbits[0], Weight((0,)))
-    with pytest.raises(NotCompatible):
-        from fractions import Fraction
-
+    with pytest.raises(NotCompatible, match=r"^lam \+ rho must be integral$"):
         schmid_table(grading, kdata, orbits[0], Weight((Fraction(-5, 2),)))
 
 
