@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
@@ -57,7 +57,7 @@ from .rootdata import Weight, classify_weight, coroot_pairing
 from .weyl import act
 
 IntVec = tuple[int, ...]
-Box = tuple[Sequence[Fraction | int], Sequence[Fraction | int]]
+Box = tuple[Sequence[Rational], Sequence[Rational]]
 
 # nu points one box may span (before the R_c+ antidominance filter)
 MAX_BOX_POINTS = 100_000
@@ -75,7 +75,7 @@ class KTypeTable:
     entries: Mapping[Weight, int]
 
     def sorted_entries(self) -> list[tuple[Weight, int]]:
-        return sorted(self.entries.items(), key=lambda item: item[0].coords)
+        return sorted(self.entries.items(), key=lambda item: item[0].twice)
 
 
 def _as_root_lattice(grading: CompactGrading, mu: Weight) -> IntVec | None:
@@ -91,13 +91,13 @@ def _noncompact_root_coords(grading: CompactGrading) -> tuple[IntVec, ...]:
 
 
 class _PartitionTable:
-    """P(m) for every 0 <= m <= extent, as one flat list.
+    """Multisets of ``roots`` summing to m, for every 0 <= m <= extent, as one flat list.
 
     The axes are laid out by increasing extent, so the longest axis runs
     fastest and the DP sweeps fewer, longer runs.
     """
 
-    def __init__(self, grading: CompactGrading, extent: IntVec) -> None:
+    def __init__(self, roots: Sequence[IntVec], extent: IntVec) -> None:
         dims = [e + 1 for e in extent]
         volume = math.prod(dims)
         if volume > MAX_TABLE_ENTRIES:
@@ -115,7 +115,7 @@ class _PartitionTable:
         self.strides: IntVec = tuple(strides)
         table = [0] * volume
         table[0] = 1
-        for beta in _noncompact_root_coords(grading):
+        for beta in roots:
             if any(b > e for b, e in zip(beta, extent)):
                 continue
             self._add_root(table, dims, order, beta)
@@ -153,44 +153,19 @@ class _PartitionTable:
         return self.values[sum(map(mul, m, self.strides))]
 
 
-def _count_partitions(grading: CompactGrading, target: IntVec, parts: int) -> int:
-    """Multisets of exactly ``parts`` noncompact positive roots summing to target.
-
-    One fixed root order is peeled recursively, so no multiset is counted
-    twice; the memo lives for this call only.
-    """
-    roots = _noncompact_root_coords(grading)
-    memo: dict[tuple[int, IntVec, int], int] = {}
-
-    def count(idx: int, remaining: IntVec, budget: int) -> int:
-        if idx == len(roots):
-            return 1 if budget == 0 and all(c == 0 for c in remaining) else 0
-        key = (idx, remaining, budget)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        beta = roots[idx]
-        total = 0
-        k = 0
-        current = remaining
-        while k <= budget and all(c >= 0 for c in current):
-            total += count(idx + 1, current, budget - k)
-            k += 1
-            current = tuple(c - b for c, b in zip(current, beta))
-        memo[key] = total
-        return total
-
-    return count(0, target, parts)
-
-
 def partition_p(grading: CompactGrading, mu: Weight, p: int) -> int:
-    """Number of ways to write mu as a sum of exactly p noncompact positive roots."""
+    """Number of ways to write mu as a sum of exactly p noncompact positive roots.
+
+    The entry (mu, p) of the partition table of the roots (beta, 1), whose
+    last coordinate counts the parts.
+    """
     if p < 0:
         return 0
     target = _as_root_lattice(grading, mu)
     if target is None or any(c < 0 for c in target):
         return 0
-    return _count_partitions(grading, target, p)
+    counted = [beta + (1,) for beta in _noncompact_root_coords(grading)]
+    return _PartitionTable(counted, target + (p,))[target + (p,)]
 
 
 def partition(grading: CompactGrading, mu: Weight) -> int:
@@ -202,7 +177,7 @@ def partition(grading: CompactGrading, mu: Weight) -> int:
     target = _as_root_lattice(grading, mu)
     if target is None or any(c < 0 for c in target):
         return 0
-    return _PartitionTable(grading, target)[target]
+    return _PartitionTable(_noncompact_root_coords(grading), target)[target]
 
 
 def bwb_cohomology(
@@ -223,10 +198,9 @@ def bwb_cohomology(
     if eta.rank != grading.rs.rank:
         raise DimensionMismatch(f"rank {eta.rank} weight in rank {grading.rs.rank} system")
     simple = [(alpha.coroot_coords, alpha.fw_coords) for alpha in kdata.simpleK]
-    # the walk runs on the integer vector scale * eta, which pairs with the
-    # same signs and reflects the same way
-    scale = math.lcm(*(c.denominator for c in eta.coords))
-    coords = [c.numerator * (scale // c.denominator) for c in eta.coords]
+    # the walk runs on 2 eta, which pairs with the same signs and reflects
+    # the same way
+    coords = list(eta.twice)
     steps = i = 0
     while i < len(simple):
         coroot, root = simple[i]
@@ -241,9 +215,7 @@ def bwb_cohomology(
             i += 1
     if any(sum(map(mul, coroot, coords)) == 0 for coroot, _root in simple):
         return None
-    if scale > 1:
-        coords = [Fraction(c, scale) for c in coords]
-    return steps, Weight(coords) + grading.rho_c
+    return steps, Weight.from_twice(tuple(map(add, coords, grading.rho_c.twice)))
 
 
 def _check_lambda(grading: CompactGrading, lam: Weight) -> None:
@@ -267,8 +239,7 @@ def _check_nu(grading: CompactGrading, nu: Weight) -> None:
 def _box_points(grading: CompactGrading, box: Box) -> list[Weight]:
     """The integral nu of a box that are antidominant for R_c+, in box order."""
     rs = grading.rs
-    lo = [Fraction(c) for c in box[0]]
-    hi = [Fraction(c) for c in box[1]]
+    lo, hi = box
     if len(lo) != rs.rank or len(hi) != rs.rank:
         raise ParameterIncompatible("box endpoints must have one entry per rank")
     axes = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
@@ -327,7 +298,8 @@ def _closed_formula(
         base = _as_root_lattice(grading, shift - nu)
         if base is None:
             return
-        moved = [sum(map(mul, row, nu.coords)) for row in rows]
+        coords = nu.coords
+        moved = [sum(map(mul, row, coords)) for row in rows]
         flat = list(map(add, map(add, moved, offsets), base * len(signs)))
         for i, sign in enumerate(signs):
             target = tuple(flat[i * rank:(i + 1) * rank])
@@ -338,7 +310,7 @@ def _closed_formula(
     for nu in points:
         for _sign, target in arguments(nu):
             extent = tuple(map(max, extent, target))
-    table = _PartitionTable(grading, extent)
+    table = _PartitionTable(_noncompact_root_coords(grading), extent)
     return [sum(sign * table[t] for sign, t in arguments(nu)) for nu in points]
 
 

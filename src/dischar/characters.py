@@ -13,8 +13,8 @@ characteristics of homology tables.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation
@@ -26,7 +26,7 @@ from .rootdata import (
     check_schmid_parameter,
     dominant_representative,
 )
-from .weyl import WeylGroup, act, generate
+from .weyl import Matrix, WeylGroup, _apply, act, generate
 
 if TYPE_CHECKING:
     from .homology import HomologyTable
@@ -96,7 +96,7 @@ class FormalCharacter:
 
     def sorted_terms(self) -> list[tuple[Weight, int]]:
         """Terms in lexicographic coordinate order (deterministic output)."""
-        return sorted(self.terms.items(), key=lambda item: item[0].coords)
+        return sorted(self.terms.items(), key=lambda item: item[0].twice)
 
     def dimension(self) -> int:
         return sum(self.terms.values())
@@ -122,8 +122,7 @@ def weyl_denominator(rs: RootSystem, group: WeylGroup | None = None) -> FormalCh
         product = FormalCharacter(chain(terms, ((mu + alpha_w, -c) for mu, c in terms)))
 
     alternating = FormalCharacter(
-        (Weight(tuple(r - x for r, x in zip(rs.rho.coords, w.rho_image))),
-         -1 if w.length % 2 else 1)
+        (rs.rho - Weight(w.rho_image), -1 if w.length % 2 else 1)
         for w in (group if group is not None else generate(rs)).elements
     )
     if alternating != product:
@@ -140,31 +139,28 @@ def weyl_numerator(rs: RootSystem, group: WeylGroup, lam: Weight) -> FormalChara
     )
 
 
-def _symmetrizer(rs: RootSystem) -> tuple[Fraction, ...]:
-    # d with d_i C_ij = d_j C_ji; exists for every finite-type matrix
-    d: list[Fraction | None] = [None] * rs.rank
+def _gram(rs: RootSystem) -> Matrix:
+    """G = D adj(C), so that (2a)^T G (2b) = 4 det(C) (a, b) for weights a, b.
+
+    (omega_i, alpha_j) = delta_ij d_j with the symmetrizer d_i C_ij = d_j C_ji;
+    squared root lengths differ by 1, 2 or 3, so d starting at 6 stays integral.
+    """
+    d = [0] * rs.rank
     for start in range(rs.rank):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
+        d[start] = 6
         queue = [start]
         while queue:
             i = queue.pop()
             for j in range(rs.rank):
-                if i == j or rs.cartan[i][j] == 0 or d[j] is not None:
+                if i == j or rs.cartan[i][j] == 0 or d[j]:
                     continue
-                d[j] = d[i] * rs.cartan[i][j] / rs.cartan[j][i]
+                d[j] = d[i] * rs.cartan[i][j] // rs.cartan[j][i]
                 queue.append(j)
-    assert all(x is not None and x > 0 for x in d)
-    return tuple(d)  # type: ignore[arg-type]
-
-
-def _inner(rs: RootSystem, d: tuple[Fraction, ...], a: Weight, b: Weight) -> Fraction:
-    # (a, b) via b in the simple-root basis: (omega_i, alpha_j) = delta_ij d_j
-    b_root = rs.to_root_coords(b)
-    return sum(
-        (b_root[j] * d[j] * a.coords[j] for j in range(rs.rank)), start=Fraction(0)
-    )
+    assert all(d[i] * rs.cartan[i][j] == d[j] * rs.cartan[j][i]
+               for i in range(rs.rank) for j in range(rs.rank))
+    return tuple(tuple(d_i * x for x in row) for d_i, row in zip(d, rs._cartan_adj))
 
 
 def _weight_support(rs: RootSystem, high: Weight) -> set[Weight]:
@@ -201,37 +197,40 @@ def freudenthal_character(rs: RootSystem, lam_lowest: Weight) -> FormalCharacter
 
     high = dominant_representative(rs, lam_lowest)
     support = _weight_support(rs, high)
-    d = _symmetrizer(rs)
-    rho = rs.rho
+    gram = _gram(rs)
+
+    def norm(mu: Weight) -> int:  # 4 det(C) (mu + rho, mu + rho)
+        shifted = (mu + rs.rho).twice
+        return sum(map(mul, shifted, _apply(gram, shifted)))
 
     dominants = sorted(
-        (mu for mu in support if all(c >= 0 for c in mu.coords)),
+        (mu for mu in support if all(t >= 0 for t in mu.twice)),
         key=lambda mu: sum(rs.to_root_coords(high - mu)),
     )
-    norm_high = _inner(rs, d, high + rho, high + rho)
-    mult: dict[Weight, Fraction] = {}
+    roots = [(alpha.weight(), _apply(gram, alpha.weight().twice)) for alpha in rs.positive_roots]
+    norm_high = norm(high)
+    mult: dict[Weight, int] = {}
     for mu in dominants:
         if mu == high:
-            mult[mu] = Fraction(1)
+            mult[mu] = 1
             continue
-        acc = Fraction(0)
-        for alpha in rs.positive_roots:
-            alpha_w = alpha.weight()
+        acc = 0
+        for alpha_w, gram_alpha in roots:
             step = mu + alpha_w
             while step in support:
                 m = mult.get(dominant_representative(rs, step))
                 if m:
-                    acc += m * _inner(rs, d, step, alpha_w)
+                    acc += m * sum(map(mul, step.twice, gram_alpha))
                 step = step + alpha_w
-        denom = norm_high - _inner(rs, d, mu + rho, mu + rho)
+        denom = norm_high - norm(mu)
         if denom <= 0:
             raise InvariantViolation("Freudenthal denominator is not positive")
-        value = 2 * acc / denom
-        if value.denominator != 1:
+        value, remainder = divmod(2 * acc, denom)
+        if remainder:
             raise InvariantViolation("Freudenthal multiplicity is not an integer")
         mult[mu] = value
 
-    return FormalCharacter((mu, int(mult[dominant_representative(rs, mu)])) for mu in support)
+    return FormalCharacter((mu, mult[dominant_representative(rs, mu)]) for mu in support)
 
 
 def discrete_numerator(

@@ -40,7 +40,7 @@ class NotAntidominant(ValidationError):
 
 
 class NotIntegral(ValidationError):
-    """Weight has a non-integer fundamental-weight coordinate."""
+    """Weight coordinate outside Z where an integral weight is needed, or outside (1/2)Z."""
 
 
 class NotStronglyAntidominant(ValidationError):

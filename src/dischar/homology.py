@@ -37,7 +37,7 @@ class HomologyTable:
             if degree < 0:
                 raise InvariantViolation(f"negative homology degree {degree}")
             rows.setdefault(degree, []).append(weight)
-        return cls(rows={p: tuple(sorted(ws, key=lambda w: w.coords)) for p, ws in sorted(rows.items())})
+        return cls(rows={p: tuple(sorted(ws, key=lambda w: w.twice)) for p, ws in sorted(rows.items())})
 
     def total_multiplicity(self) -> int:
         return sum(len(ws) for ws in self.rows.values())

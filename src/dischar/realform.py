@@ -9,7 +9,6 @@ assignments can be screened with :func:`validate_grading`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, IncompleteAssignment, InvariantViolation
@@ -75,9 +74,8 @@ def build_grading(rs: RootSystem, simple_signs: Sequence[int]) -> CompactGrading
 
     compact = tuple(r for r in rs.positive_roots if sign_by_root[r] == 1)
     noncompact = tuple(r for r in rs.positive_roots if sign_by_root[r] == -1)
-    rho_c = Weight(
-        Fraction(sum(r.fw_coords[i] for r in compact), 2) for i in range(rs.rank)
-    )
+    # 2 rho_c is the sum of the compact positive roots
+    rho_c = Weight.from_twice(tuple(sum(r.fw_coords[i] for r in compact) for i in range(rs.rank)))
     return CompactGrading(
         rs=rs,
         simple_signs=signs,

@@ -4,9 +4,9 @@ Every root is tracked in three integer coordinate systems at once: the
 simple-root basis, the fundamental-weight basis and the simple-coroot
 basis.  Reflections and coroot pairings then never leave integer
 arithmetic; there is no floating point anywhere.  In fundamental-weight
-coordinates rho is (1,...,1), so every weight the Weyl-group layers touch
-is an integer vector: a weight coordinate is an ``int`` whenever it is
-integral and a ``Fraction`` only when it is not.
+coordinates rho is (1,...,1), and rho_c and rho_n are half sums of roots,
+so every weight lies in (1/2)Z^rank: a ``Weight`` stores 2 lambda as a tuple
+of ``int``, and ``Fraction`` appears only where coordinates are parsed or read.
 
 Conventions, fixed once:
 
@@ -39,79 +39,90 @@ IntVec = tuple[int, ...]
 Coords = tuple[int | Fraction, ...]
 
 
-def _exact(c: Fraction | int | str) -> int | Fraction:
-    """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+def _half(t: int) -> int | Fraction:
+    """t / 2 as an ``int`` when t is even, else as a ``Fraction``."""
+    return Fraction(t, 2) if t & 1 else t >> 1
+
+
+def _doubled(c: Fraction | str) -> int:
+    twice = 2 * Fraction(c)
+    if twice.denominator != 1:
+        raise NotIntegral(f"weight coordinate {c} is not a multiple of 1/2")
+    return twice.numerator
 
 
 class Weight:
-    """Exact vector in fundamental-weight coordinates.
+    """Exact vector in fundamental-weight coordinates, stored as ``twice`` = 2 lambda.
 
-    Integral coordinates are stored as ``int``, the others as ``Fraction``;
-    since ``hash(Fraction(n)) == hash(n)`` and both print alike, equality,
-    hashing, order and serialization do not depend on the input's types.
+    ``twice`` is a tuple of ``int``, so equality, hashing and order are those
+    of integer tuples, and it sorts like the coordinates.  ``coords`` reads
+    them back: ``int`` where integral, ``Fraction`` where not.
     """
 
-    __slots__ = ("coords", "_hash")
+    __slots__ = ("twice", "_hash")
 
     def __init__(self, coords: Iterable[Fraction | int | str]) -> None:
-        exact = tuple(coords)
-        for c in exact:
-            if type(c) is not int:
-                exact = tuple(map(_exact, exact))
-                break
-        self.coords: Coords = exact
-        self._hash = hash(exact)
+        self.twice: IntVec = tuple(2 * c if type(c) is int else _doubled(c) for c in coords)
+        self._hash = hash(self.twice)
+
+    @classmethod
+    def from_twice(cls, twice: IntVec) -> "Weight":
+        """The weight with 2 lambda = ``twice``, a tuple of ``int`` taken as is."""
+        weight = object.__new__(cls)
+        weight.twice = twice
+        weight._hash = hash(twice)
+        return weight
 
     @classmethod
     def zero(cls, rank: int) -> "Weight":
-        return cls((0,) * rank)
+        return cls.from_twice((0,) * rank)
+
+    @property
+    def coords(self) -> Coords:
+        return tuple(map(_half, self.twice))
 
     @property
     def rank(self) -> int:
-        return len(self.coords)
+        return len(self.twice)
 
     def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.coords)
+        return not any(t & 1 for t in self.twice)
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check_rank(other)
-        return Weight(tuple(map(add, self.coords, other.coords)))
+        return Weight.from_twice(tuple(map(add, self.twice, other.twice)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check_rank(other)
-        return Weight(tuple(map(sub, self.coords, other.coords)))
+        return Weight.from_twice(tuple(map(sub, self.twice, other.twice)))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(map(neg, self.coords)))
+        return Weight.from_twice(tuple(map(neg, self.twice)))
 
     def scale(self, factor: Fraction | int) -> "Weight":
-        return Weight(a * factor for a in self.coords)
+        return Weight([a * factor for a in self.coords])
 
     def _check_rank(self, other: "Weight") -> None:
-        if len(self.coords) != len(other.coords):
+        if len(self.twice) != len(other.twice):
             raise DimensionMismatch(
-                f"weight ranks differ: {len(self.coords)} vs {len(other.coords)}"
+                f"weight ranks differ: {len(self.twice)} vs {len(other.twice)}"
             )
 
     def serialize(self) -> list[str]:
-        """Coordinates as exact strings, "p/q" or "n"."""
-        return [str(c) for c in self.coords]
+        """Coordinates as exact strings, "p/2" or "n"."""
+        return [f"{t}/2" if t & 1 else str(t >> 1) for t in self.twice]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Weight) and self.coords == other.coords
+        return isinstance(other, Weight) and self.twice == other.twice
 
     def __hash__(self) -> int:
         return self._hash
 
     def __lt__(self, other: "Weight") -> bool:
-        return self.coords < other.coords
+        return self.twice < other.twice
 
     def __repr__(self) -> str:
-        return "Weight(%s)" % (", ".join(str(c) for c in self.coords))
+        return "Weight(%s)" % ", ".join(self.serialize())
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,7 @@ class Root:
         return sum(self.root_coords)
 
     def weight(self) -> Weight:
-        return Weight(self.fw_coords)
+        return Weight.from_twice(tuple(2 * c for c in self.fw_coords))
 
     def __repr__(self) -> str:
         return "Root(%s)" % "+".join(
@@ -167,14 +178,12 @@ class RootSystem:
         """Express a weight in the simple-root basis (rational in general)."""
         if lam.rank != self.rank:
             raise DimensionMismatch(f"rank {lam.rank} weight in rank {self.rank} system")
-        det = self._cartan_det
+        # C^-1 lambda = adj(C) (2 lambda) / (2 det C)
+        denom = 2 * self._cartan_det
         out = []
         for row in self._cartan_adj:
-            value = sum(map(mul, row, lam.coords))
-            if type(value) is int and value % det == 0:
-                out.append(value // det)
-            else:
-                out.append(_exact(Fraction(value, det)))
+            value = sum(map(mul, row, lam.twice))
+            out.append(Fraction(value, denom) if value % denom else value // denom)
         return tuple(out)
 
 
@@ -312,7 +321,7 @@ def coroot_pairing(alpha: Root, lam: Weight) -> int | Fraction:
         raise DimensionMismatch(
             f"root of rank {len(alpha.coroot_coords)} paired with rank {lam.rank} weight"
         )
-    return sum(c * x for c, x in zip(alpha.coroot_coords, lam.coords))
+    return _half(sum(map(mul, alpha.coroot_coords, lam.twice)))
 
 
 def classify_weight(rs: RootSystem, lam: Weight) -> WeightFlags:
@@ -359,11 +368,11 @@ def dominant_representative(rs: RootSystem, lam: Weight) -> Weight:
     Repeatedly reflects at a negative coordinate; each step moves up in the
     dominance order, so this terminates.
     """
-    coords = list(lam.coords)
+    coords = list(lam.twice)
     while True:
         i = next((j for j, c in enumerate(coords) if c < 0), None)
         if i is None:
-            return Weight(coords)
+            return Weight.from_twice(tuple(coords))
         # s_i: subtract <alpha_i-check, lam> alpha_i, with alpha_i = column i of C
         value = coords[i]
         for k in range(rs.rank):

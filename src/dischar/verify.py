@@ -227,10 +227,10 @@ def _check_partitions(ctx: VerifyContext) -> CheckResult:
         )
         if partition(grading, mu) != enumerate_count(coords, None):
             return CheckResult("partitions", False, f"P mismatch at {coords}")
-        graded = sum(
-            partition_p(grading, mu, p) for p in range(sum(coords) + 1)
-        )
-        if partition(grading, mu) != graded:
+        graded = [partition_p(grading, mu, p) for p in range(sum(coords) + 1)]
+        if graded != [enumerate_count(coords, p) for p in range(len(graded))]:
+            return CheckResult("partitions", False, f"P_p mismatch at {coords}")
+        if partition(grading, mu) != sum(graded):
             return CheckResult("partitions", False, f"graded sum mismatch at {coords}")
     return CheckResult("partitions", True)
 

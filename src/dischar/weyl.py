@@ -115,7 +115,7 @@ def act(w: WeylElement, lam: Weight) -> Weight:
     """Apply a Weyl element to a weight (exact matrix-vector product)."""
     if lam.rank != len(w.matrix):
         raise DimensionMismatch(f"rank {len(w.matrix)} element applied to rank {lam.rank} weight")
-    return Weight(_apply(w.matrix, lam.coords))
+    return Weight.from_twice(_apply(w.matrix, lam.twice))
 
 
 def _length_from_rho_image(coroots: Matrix, rho_image: IntVec) -> int:

@@ -346,7 +346,8 @@ def test_partition_table_matches_enumeration_extra_types(extra_systems):
         for signs in itertools.product((1, -1), repeat=rs.rank):
             grading = build_grading(rs, signs)
             for extent in ((3, 1, 2, 2)[: rs.rank], (0, 2, 1, 3)[: rs.rank]):
-                table = _PartitionTable(grading, extent)
+                roots = [r.root_coords for r in grading.noncompact_positive]
+                table = _PartitionTable(roots, extent)
                 for m in itertools.product(*(range(e + 1) for e in extent)):
                     assert table[m] == enumeration_oracle(grading, m), (name, signs, m)
 
@@ -416,6 +417,17 @@ def test_size_limits_admit_their_bound(monkeypatch, systems, groups):
     assert filtration_oracle(grading, kdata, lam, Weight((-9,)), p_max=3) == 1
     with pytest.raises(TruncationTooLarge):
         filtration_oracle(grading, kdata, lam, Weight((-9,)), p_max=4)
+
+
+def test_partition_p_table_is_bounded(monkeypatch, systems, groups):
+    rs, grading, kdata = setup(systems, groups, "A1", (-1,))
+    alpha = rs.positive_roots[0].weight()
+    # the table over (mu, p) = (4 alpha, p) has 5 * (p + 1) entries
+    monkeypatch.setattr(blattner, "MAX_TABLE_ENTRIES", 25)
+    assert partition_p(grading, alpha.scale(4), 4) == 1
+    assert partition_p(grading, alpha.scale(4), 3) == 0
+    with pytest.raises(PartitionTableTooLarge, match=r"0\.\.\[4, 5\] has 30 entries"):
+        partition_p(grading, alpha.scale(4), 5)
 
 
 def _cartan_of(kind, n):

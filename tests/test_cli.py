@@ -217,6 +217,19 @@ def test_main_bounds_numeric_text(tmp_path, capsys, source, text):
     assert data["message"]
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["kostant", "schmid", "describe"])
+def test_main_refuses_lambda_outside_half_integers(tmp_path, capsys, command, source):
+    # refused when the configuration is parsed, like a lambda of the wrong rank
+    overrides = {"lambda": ["-1/3", "-1"]} if source == "config" else {}
+    flags = ["--lambda=-1/3,-1"] if source == "flag" else []
+    path = write_config(tmp_path, dict(A2_MIXED, **overrides))
+    assert main([command, "--config", path] + flags) == 1
+    assert json.loads(capsys.readouterr().out.strip()) == {
+        "error": "NotIntegral", "message": "weight coordinate -1/3 is not a multiple of 1/2"
+    }
+
+
 def _diagonal(n):
     return [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -1,11 +1,18 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dischar
 from dischar import (
     DimensionMismatch,
     NotFiniteType,
+    NotIntegral,
     Weight,
+    act,
     build_root_system,
     classify_weight,
     coroot_pairing,
@@ -213,3 +220,79 @@ def test_to_root_coords_inverts_cartan(name):
         n = rs.to_root_coords(lam)
         assert all(type(c) is int or c.denominator != 1 for c in n)
         assert tuple(sum(cartan[i][j] * n[j] for j in range(rank)) for i in range(rank)) == lam.coords
+
+
+@pytest.mark.parametrize(
+    "coords,named", [(["1/3"], "1/3"), ([0, Fraction(-5, 6)], "-5/6"), (["1/2", "7/4"], "7/4")]
+)
+def test_weight_refuses_coordinates_outside_half_integers(coords, named):
+    with pytest.raises(NotIntegral, match=f"^weight coordinate {named} is not a multiple of 1/2$"):
+        Weight(coords)
+
+
+def test_weight_stores_only_the_doubled_vector():
+    lam = Weight([3, "-1/2", Fraction(4, 2)])
+    assert lam.twice == (6, -1, 4) and all(type(t) is int for t in lam.twice)
+    assert not hasattr(lam, "__dict__") and Weight.__slots__ == ("twice", "_hash")
+    assert Weight.from_twice((6, -1, 4)) == lam
+    assert repr(lam) == "Weight(3, -1/2, 2)"
+
+
+@st.composite
+def half_integral_cases(draw):
+    """A conftest system, two half-integral vectors as Fraction tuples, a Weyl element index."""
+    name = draw(st.sampled_from(sorted(CARTAN)))
+    rank = len(CARTAN[name])
+    halves = st.lists(st.integers(-30, 30), min_size=rank, max_size=rank)
+    a = tuple(Fraction(t, 2) for t in draw(halves))
+    b = tuple(Fraction(t, 2) for t in draw(halves))
+    return name, a, b, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(half_integral_cases())
+def test_weight_agrees_with_a_fraction_reference(systems, groups, case):
+    name, a, b, index = case
+    rs, group = systems[name], groups[name]
+    wa, wb = Weight(a), Weight([str(x) for x in b])
+
+    def exact(vec):
+        # the reference's coordinates with the types coords must return
+        return tuple(int(x) if x.denominator == 1 else x for x in vec)
+
+    for vec, weight in ((a, wa), (b, wb)):
+        assert Weight.from_twice(tuple(int(2 * x) for x in vec)) == weight
+        assert weight.coords == vec
+        assert [type(c) for c in weight.coords] == [type(c) for c in exact(vec)]
+    assert (wa + wb).coords == tuple(x + y for x, y in zip(a, b))
+    assert (wa - wb).coords == tuple(x - y for x, y in zip(a, b))
+    assert (-wa).coords == tuple(-x for x in a)
+    assert wa.serialize() == [str(x) for x in a]
+    assert (wa == wb) == (a == b)
+    assert hash(Weight(exact(a))) == hash(wa) and Weight(exact(a)) == wa
+    assert (wa < wb) == (a < b) and (wb < wa) == (b < a)
+    w = group.elements[index % group.order]
+    assert act(w, wa).coords == tuple(sum(m * x for m, x in zip(row, a)) for row in w.matrix)
+    for alpha in rs.positive_roots:
+        value = coroot_pairing(alpha, wa)
+        assert value == sum(c * x for c, x in zip(alpha.coroot_coords, a))
+        assert type(value) is (int if value.denominator == 1 else Fraction)
+    n = rs.to_root_coords(wa)
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in n)
+    assert tuple(sum(rs.cartan[i][j] * n[j] for j in range(rs.rank)) for i in range(rs.rank)) == a
+
+
+def test_only_rootdata_and_cli_import_fractions():
+    # coordinates are Fractions only where a weight is parsed or read back
+    importers = set()
+    for path in sorted(Path(dischar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "fractions" in modules:
+                importers.add(path.name)
+    assert importers == {"rootdata.py", "cli.py"}

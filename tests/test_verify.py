@@ -42,3 +42,16 @@ def test_blattner_oracle_level_is_computed_once(monkeypatch):
     results = run_verify([[2, -1], [-1, 2]], [True, False])
     assert all(r.passed for r in results)
     assert len(calls) == 1
+
+
+def test_partitions_section_compares_every_level(monkeypatch):
+    # reversing the levels keeps the graded sum, so only the per-level
+    # comparison with the brute-force count can catch it
+    exact = verify.partition_p
+
+    def reversed_levels(grading, mu, p):
+        return exact(grading, mu, sum(grading.rs.to_root_coords(mu)) - p)
+
+    monkeypatch.setattr(verify, "partition_p", reversed_levels)
+    failed = [r for r in run_verify([[2, -1], [-1, 2]], [True, False]) if not r.passed]
+    assert [(r.name, r.detail) for r in failed] == [("partitions", "P_p mismatch at (0, 1)")]
