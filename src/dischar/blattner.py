@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from numbers import Rational
 from operator import add, mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BoxTooLarge,
@@ -68,8 +67,7 @@ MAX_TABLE_ENTRIES = 5_000_000
 MAX_ORACLE_MULTISETS = 2_000_000
 
 
-@dataclass(frozen=True)
-class KTypeTable:
+class KTypeTable(NamedTuple):
     """Multiplicities keyed by the lowest K-weight; zero entries omitted."""
 
     entries: Mapping[Weight, int]
@@ -283,12 +281,11 @@ def _closed_formula(
 ) -> list[int]:
     """Blattner multiplicities of every nu in ``points``, from one partition table.
 
-    The arguments are generated twice, once for the table's extent and once
-    to read it, so memory stays that of the table for any number of points.
+    The caller checks lam and the points (box points are antidominant for
+    R_c+ by construction).  The arguments are generated twice, once for the
+    table's extent and once to read it, so memory stays that of the table for
+    any number of points.
     """
-    _check_lambda(grading, lam)
-    for nu in points:
-        _check_nu(grading, nu)
     signs, rows, offsets = _alternating_terms(grading, kdata)
     rank = grading.rs.rank
     shift = lam - grading.rho_n + grading.rho_c
@@ -318,6 +315,8 @@ def blattner_multiplicity(
     grading: CompactGrading, kdata: KWeylData, lam: Weight, nu: Weight
 ) -> int:
     """Multiplicity of the K-type with lowest weight nu, by the closed formula."""
+    _check_lambda(grading, lam)
+    _check_nu(grading, nu)
     return _closed_formula(grading, kdata, lam, [nu])[0]
 
 
@@ -326,6 +325,7 @@ def ktype_table(
 ) -> KTypeTable:
     """Blattner multiplicities for every antidominant integral nu in a box."""
     points = _box_points(grading, box)
+    _check_lambda(grading, lam)
     values = _closed_formula(grading, kdata, lam, points)
     return KTypeTable(entries={nu: v for nu, v in zip(points, values) if v})
 
@@ -469,8 +469,6 @@ def filtration_table(
     """
     points = _box_points(grading, box)
     _check_lambda(grading, lam)
-    for nu in points:
-        _check_nu(grading, nu)
     if p_max is None:
         p_max = _filtration_level(grading, kdata, lam, points)
     buckets = _filtration_walk(grading, kdata, lam, p_max)

@@ -160,7 +160,7 @@ def _gram(rs: RootSystem) -> Matrix:
                 queue.append(j)
     assert all(d[i] * rs.cartan[i][j] == d[j] * rs.cartan[j][i]
                for i in range(rs.rank) for j in range(rs.rank))
-    return tuple(tuple(d_i * x for x in row) for d_i, row in zip(d, rs._cartan_adj))
+    return tuple(tuple(d_i * x for x in row) for d_i, row in zip(d, rs.cartan_adj))
 
 
 def _weight_support(rs: RootSystem, high: Weight) -> set[Weight]:

@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
     GroupTooLarge,
@@ -42,8 +41,7 @@ MAX_NUMBER_CHARS = 100
 MAX_RANK = 16
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(NamedTuple):
     """One run's inputs; round-trips through its canonical JSON form."""
 
     cartan: tuple[tuple[int, ...], ...]
@@ -356,11 +354,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = parse_config(raw)
         rank = len(config.cartan)
         if args.lam is not None:
-            config = replace(config, lam=_parse_lambda(args.lam, rank))
+            config = config._replace(lam=_parse_lambda(args.lam, rank))
         if args.box is not None:
-            config = replace(config, nu_box=_parse_box(args.box, rank))
+            config = config._replace(nu_box=_parse_box(args.box, rank))
         if args.orbit is not None:
-            config = replace(config, orbit_index=args.orbit)
+            config = config._replace(orbit_index=args.orbit)
         code, output = run(
             args.command,
             config,

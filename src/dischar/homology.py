@@ -14,18 +14,16 @@ same rule then drives the Trauber pipeline unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CollapseAmbiguous, InvariantViolation
 from .orbits import ClosedOrbit
 from .realform import CompactGrading, KWeylData
 from .rootdata import RootSystem, Weight, check_kostant_parameter, check_schmid_parameter
-from .weyl import WeylGroup, act
+from .weyl import WeylElement, WeylGroup, act
 
 
-@dataclass(frozen=True)
-class HomologyTable:
+class HomologyTable(NamedTuple):
     """Degrees mapped to weight multisets; zero rows are never stored."""
 
     rows: Mapping[int, tuple[Weight, ...]]
@@ -58,6 +56,12 @@ def kostant_table(rs: RootSystem, group: WeylGroup, lam: Weight) -> HomologyTabl
     )
 
 
+def _cells(kdata: KWeylData, orbit: ClosedOrbit) -> list[tuple[WeylElement, int]]:
+    """(w*u, l_K(w)) for every w in W_K, in W_K order."""
+    multiply, u, lengths = kdata.weyl.multiply, orbit.u, kdata.lengthK
+    return [(multiply(w, u), lengths[w]) for w in kdata.elements]
+
+
 def schmid_table(
     grading: CompactGrading,
     kdata: KWeylData,
@@ -71,12 +75,10 @@ def schmid_table(
     """
     rs = grading.rs
     check_schmid_parameter(rs, lam)
-    entries = []
-    for w in kdata.elements:
-        wu = kdata.weyl.multiply(w, orbit.u)
-        degree = grading.q - wu.length + 2 * kdata.lengthK[w]
-        entries.append((degree, act(wu, lam) + rs.rho))
-    return HomologyTable.from_entries(entries)
+    q, rho = grading.q, rs.rho
+    return HomologyTable.from_entries(
+        (q - wu.length + 2 * length_k, act(wu, lam) + rho) for wu, length_k in _cells(kdata, orbit)
+    )
 
 
 def bgg_terms(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[tuple[int, int, Weight]]:
@@ -106,12 +108,11 @@ def trauber_terms(
     check_schmid_parameter(rs, lam)
     dim_x = len(rs.positive_roots)
     dim_q = len(grading.compact_positive)
-    terms = []
-    for w in kdata.elements:
-        wu = kdata.weyl.multiply(w, orbit.u)
-        length_k = kdata.lengthK[w]
-        terms.append((dim_q - length_k, dim_x - wu.length + length_k, act(wu, lam) + rs.rho))
-    return terms
+    rho = rs.rho
+    return [
+        (dim_q - length_k, dim_x - wu.length + length_k, act(wu, lam) + rho)
+        for wu, length_k in _cells(kdata, orbit)
+    ]
 
 
 def collapse(

@@ -8,23 +8,20 @@ strata with cells w*u of dimension l_K(w).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .realform import CompactGrading, KWeylData, weyl_k
 from .rootdata import Root, RootSystem
 from .weyl import WeylElement, WeylGroup
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     w: WeylElement
     cell: WeylElement
     dim: int
 
 
-@dataclass(frozen=True)
-class ClosedOrbit:
+class ClosedOrbit(NamedTuple):
     """One closed K-orbit: its positive system, chamber element and strata."""
 
     positive_system: Mapping[Root, int]

@@ -8,16 +8,14 @@ assignments can be screened with :func:`validate_grading`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, IncompleteAssignment, InvariantViolation
 from .rootdata import Root, RootSystem, Weight
 from .weyl import WeylElement, WeylGroup, _apply, reflection_matrix
 
 
-@dataclass
-class CompactGrading:
+class CompactGrading(NamedTuple):
     """Sign grading of the roots with the derived compact/noncompact data.
 
     ``q`` is the number of noncompact positive roots, i.e. half the total
@@ -37,8 +35,7 @@ class CompactGrading:
         return self.sign_by_root[root]
 
 
-@dataclass(frozen=True)
-class KWeylData:
+class KWeylData(NamedTuple):
     """The Weyl group of the compact roots inside the ambient group.
 
     ``lengthK`` counts compact positive roots made negative; ``simpleK``

@@ -20,10 +20,9 @@ Conventions, fixed once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, neg, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -125,8 +124,7 @@ class Weight:
         return "Weight(%s)" % ", ".join(self.serialize())
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A root in simple-root, fundamental-weight and simple-coroot coordinates."""
 
     root_coords: IntVec
@@ -146,8 +144,7 @@ class Root:
         )
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """A finite root system: Cartan matrix, ordered positive roots, rho.
 
     ``positive_roots`` is ordered by (height, simple-root coordinates),
@@ -159,36 +156,42 @@ class RootSystem:
     positive_roots: tuple[Root, ...]
     rho: Weight
     # det(C) and the integer adjugate det(C) * C^-1, for to_root_coords
-    _cartan_det: int = field(repr=False)
-    _cartan_adj: tuple[IntVec, ...] = field(repr=False)
-    _by_root_coords: Mapping[IntVec, Root] = field(repr=False)
+    cartan_det: int
+    cartan_adj: tuple[IntVec, ...]
+    by_root_coords: Mapping[IntVec, Root]
+
+    def __repr__(self) -> str:
+        # the lookup data stays out of the repr
+        return (
+            f"RootSystem(rank={self.rank!r}, cartan={self.cartan!r}, "
+            f"positive_roots={self.positive_roots!r}, rho={self.rho!r})"
+        )
 
     @property
     def simple_roots(self) -> tuple[Root, ...]:
         """The simple roots in Cartan-matrix index order."""
         return tuple(
-            self._by_root_coords[tuple(int(j == i) for j in range(self.rank))]
+            self.by_root_coords[tuple(int(j == i) for j in range(self.rank))]
             for i in range(self.rank)
         )
 
     def root_with_coords(self, root_coords: Sequence[int]) -> Root | None:
-        return self._by_root_coords.get(tuple(root_coords))
+        return self.by_root_coords.get(tuple(root_coords))
 
     def to_root_coords(self, lam: Weight) -> Coords:
         """Express a weight in the simple-root basis (rational in general)."""
         if lam.rank != self.rank:
             raise DimensionMismatch(f"rank {lam.rank} weight in rank {self.rank} system")
         # C^-1 lambda = adj(C) (2 lambda) / (2 det C)
-        denom = 2 * self._cartan_det
+        denom = 2 * self.cartan_det
         out = []
-        for row in self._cartan_adj:
+        for row in self.cartan_adj:
             value = sum(map(mul, row, lam.twice))
             out.append(Fraction(value, denom) if value % denom else value // denom)
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class WeightFlags:
+class WeightFlags(NamedTuple):
     """Chamber position of a weight relative to the positive system."""
 
     regular: bool
@@ -309,9 +312,9 @@ def build_root_system(cartan: Sequence[Sequence[int]], max_roots: int = 10_000) 
         cartan=rows,
         positive_roots=tuple(roots),
         rho=Weight((1,) * rank),
-        _cartan_det=det,
-        _cartan_adj=_adjugate(rows),
-        _by_root_coords={r.root_coords: r for r in roots},
+        cartan_det=det,
+        cartan_adj=_adjugate(rows),
+        by_root_coords={r.root_coords: r for r in roots},
     )
 
 

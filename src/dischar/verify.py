@@ -9,8 +9,7 @@ shared by every section.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .blattner import check_oracle_walk, filtration_table, ktype_table, partition, partition_p
 from .characters import (
@@ -27,15 +26,13 @@ from .rootdata import RootSystem, Weight, build_root_system, coroot_pairing
 from .weyl import WeylGroup, act, generate, length_fiber, sign
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyContext:
+class VerifyContext(NamedTuple):
     rs: RootSystem
     group: WeylGroup
     grading: CompactGrading

@@ -9,9 +9,8 @@ BFS found (breadth-first order guarantees it is reduced).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterator, Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DimensionMismatch, GroupTooLarge, InvariantViolation
 from .rootdata import Root, RootSystem, Weight, _det
@@ -69,16 +68,22 @@ def reflection_matrix(rs: RootSystem, alpha: Root) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
-class WeylGroup:
+class WeylGroup(NamedTuple):
     """The full Weyl group, closed under composition, canonically ordered."""
 
     rank: int
     elements: tuple[WeylElement, ...]
     order: int
     simple: tuple[WeylElement, ...]
-    _by_rho: Mapping[IntVec, WeylElement] = field(repr=False)
-    _inverses: Mapping[WeylElement, WeylElement] = field(repr=False)
+    by_rho: Mapping[IntVec, WeylElement]
+    inverses: Mapping[WeylElement, WeylElement]
+
+    def __repr__(self) -> str:
+        # the lookup maps stay out of the repr
+        return (
+            f"WeylGroup(rank={self.rank!r}, elements={self.elements!r}, "
+            f"order={self.order!r}, simple={self.simple!r})"
+        )
 
     @property
     def identity(self) -> WeylElement:
@@ -89,7 +94,7 @@ class WeylGroup:
         return self.elements[-1]
 
     def lookup(self, matrix: Matrix) -> WeylElement:
-        element = self._by_rho.get(tuple(sum(row) for row in matrix))
+        element = self.by_rho.get(tuple(sum(row) for row in matrix))
         if element is None or element.matrix != matrix:
             raise InvariantViolation("matrix is not an element of this Weyl group")
         return element
@@ -97,18 +102,15 @@ class WeylGroup:
     def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
         """The canonical element equal to the composition a after b."""
         try:
-            return self._by_rho[_apply(a.matrix, b.rho_image)]
+            return self.by_rho[_apply(a.matrix, b.rho_image)]
         except KeyError:
             raise InvariantViolation("product is not an element of this Weyl group") from None
 
     def inverse(self, a: WeylElement) -> WeylElement:
         try:
-            return self._inverses[a]
+            return self.inverses[a]
         except KeyError:
             raise InvariantViolation("element is not a member of this Weyl group") from None
-
-    def __iter__(self) -> Iterator[WeylElement]:
-        return iter(self.elements)
 
 
 def act(w: WeylElement, lam: Weight) -> Weight:
@@ -214,8 +216,8 @@ def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
         elements=tuple(elements),
         order=order,
         simple=tuple(found[_reflect(rs, i, identity.rho_image)] for i in range(n)),
-        _by_rho=found,
-        _inverses=inverses,
+        by_rho=found,
+        inverses=inverses,
     )
 
 

@@ -292,6 +292,10 @@ def test_parameter_incompatible(systems, groups):
         blattner_multiplicity(grading, kdata, Weight((-2, -1)), Weight((Fraction(1, 2), 0)))
     with pytest.raises(ParameterIncompatible):
         blattner_multiplicity(grading, kdata, Weight((-2, -1)), Weight((1, -4)))
+    # the oracle checks a nu it is handed the same way
+    for nu in (Weight((Fraction(1, 2), 0)), Weight((1, -4))):
+        with pytest.raises(ParameterIncompatible):
+            filtration_oracle(grading, kdata, Weight((-2, -1)), nu)
 
 
 def test_blattner_equals_oracle_rank3(systems, groups):
@@ -370,8 +374,9 @@ def test_ktype_table_equals_filtration_table_rank4(extra_systems, name, lam, box
 
 def test_grading_holds_no_memo(systems, groups):
     rs, grading, kdata = setup(systems, groups, "B3", (1, 1, -1))
-    before = dict(vars(grading))
-    assert not hasattr(grading, "_partition_cache")
+    # the grading has no __dict__, so no memo can be attached to it at all
+    assert not hasattr(grading, "__dict__")
+    before, signs = tuple(grading), dict(grading.sign_by_root)
     lam = -rs.rho - rs.rho
     box = ((-4, -4, -4), (0, 0, 0))
     first = ktype_table(grading, kdata, lam, box)
@@ -380,7 +385,7 @@ def test_grading_holds_no_memo(systems, groups):
     nu, value = first.sorted_entries()[0]
     assert blattner_multiplicity(grading, kdata, lam, nu) == value
     assert partition(grading, rs.rho.scale(4)) == partition(grading, rs.rho.scale(4))
-    assert vars(grading) == before
+    assert tuple(grading) == before and grading.sign_by_root == signs
 
 
 def test_filtration_oracle_reads_its_table_entry(systems, groups):

@@ -45,13 +45,18 @@ LAYOUT = [
                            "dischar.verify"}),
 ]
 
+# dataclasses imports inspect, ast, dis and tokenize (about 10 ms); the records
+# are NamedTuples so that no command pays for them
+HEAVY = ("dataclasses", "inspect")
+
 CHILD = """
 import contextlib, io, json, sys
 from dischar.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("dischar"))]))
-"""
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("dischar")),
+                  sorted(m for m in %r if m in sys.modules)]))
+""" % (HEAVY,)
 
 
 def _loaded_by(code, argv=()):
@@ -65,9 +70,11 @@ def _loaded_by(code, argv=()):
 def test_each_command_loads_only_its_layers(tmp_path, argv, expected):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(A2_MIXED))
-    code, modules = _loaded_by(CHILD, [*argv, "--config", str(path)])
+    code, modules, heavy = _loaded_by(CHILD, [*argv, "--config", str(path)])
     assert code == 0
     assert set(modules) == expected
+    # verify loads every layer, so its row covers the whole package
+    assert heavy == []
 
 
 def test_importing_the_package_loads_no_layer():

@@ -1,6 +1,6 @@
 import itertools
 
-from dischar import build_grading, enumerate_closed_orbits, orbit_strata, weyl_k
+from dischar import build_grading, enumerate_closed_orbits, generate, orbit_strata, weyl_k
 
 
 def test_a1_noncompact_orbits(systems, groups):
@@ -50,9 +50,11 @@ def test_strata_examples(systems, groups):
     ]
 
 
-def test_orbit_count_and_partition(systems, groups):
-    for name in ("A1", "A1xA1", "A2", "B2", "G2"):
-        rs, W = systems[name], groups[name]
+def test_orbit_count_and_partition(systems, groups, extra_systems):
+    cases = [(systems[name], groups[name]) for name in ("A1", "A1xA1", "A2", "B2", "G2")]
+    # D4, F4, A1xA2 and the permuted B3, on every grading
+    cases += [(rs, generate(rs)) for rs in extra_systems.values()]
+    for rs, W in cases:
         for signs in itertools.product((1, -1), repeat=rs.rank):
             grading = build_grading(rs, signs)
             kdata = weyl_k(rs, grading, W)

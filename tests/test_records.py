@@ -1,0 +1,80 @@
+"""The records are NamedTuples: read-only, hashed and compared as tuples.
+
+A NamedTuple also brings tuple behaviour to every record (``len``,
+iteration, ``+``, ``<``).  No code may rely on it: fields are read by name.
+"""
+
+import pytest
+
+from dischar import (
+    Root,
+    Weight,
+    build_grading,
+    classify_weight,
+    enumerate_closed_orbits,
+    kostant_table,
+    ktype_table,
+    weyl_k,
+)
+from dischar.cli import JobConfig
+from dischar.verify import CheckResult, VerifyContext
+
+
+def test_root_hashes_and_compares_by_its_coordinates(systems):
+    rs = systems["B3"]
+    grading = build_grading(rs, (1, 1, -1))
+    for alpha in rs.positive_roots:
+        copy = Root(alpha.root_coords, alpha.fw_coords, alpha.coroot_coords)
+        assert copy is not alpha
+        assert copy == alpha and hash(copy) == hash(alpha)
+        assert grading.sign_by_root[copy] == grading.sign_of(alpha)
+        flipped = tuple(-c for c in alpha.coroot_coords)
+        assert Root(alpha.root_coords, alpha.fw_coords, flipped) != alpha
+    assert len(set(rs.positive_roots)) == len(rs.positive_roots)
+
+
+def _records(systems, groups):
+    rs, group = systems["A2"], groups["A2"]
+    grading = build_grading(rs, (1, -1))
+    kdata = weyl_k(rs, grading, group)
+    orbits = enumerate_closed_orbits(rs, grading, group, kdata)
+    lam = Weight((-2, -1))
+    return [
+        rs.positive_roots[0],
+        rs,
+        classify_weight(rs, lam),
+        group,
+        grading,
+        kdata,
+        orbits[0].strata[0],
+        orbits[0],
+        kostant_table(rs, group, Weight((-1, -1))),
+        ktype_table(grading, kdata, lam, ((-3, -3), (0, 0))),
+        CheckResult("grading", True),
+        VerifyContext(rs, group, grading, kdata, orbits, 0),
+        JobConfig(cartan=rs.cartan, compact_simple=(True, False), lam=lam),
+    ]
+
+
+def test_every_record_is_read_only(systems, groups):
+    records = _records(systems, groups)
+    assert len({type(r) for r in records}) == 13
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        # no __dict__: nothing can be attached either
+        with pytest.raises(AttributeError):
+            record.memo = {}
+
+
+def test_repr_leaves_out_the_lookup_maps(systems, groups):
+    rs, group = systems["A2"], groups["A2"]
+    text = repr(rs)
+    assert text.startswith("RootSystem(rank=2, cartan=((2, -1), (-1, 2)), positive_roots=(")
+    assert not any(name in text for name in ("cartan_det", "cartan_adj", "by_root_coords"))
+    assert "{" not in text
+    text = repr(group)
+    assert text.startswith("WeylGroup(rank=2, elements=(WeylElement(e), ")
+    assert "order=6" in text
+    assert not any(name in text for name in ("by_rho", "inverses", "{"))
