@@ -77,6 +77,7 @@ _EXPORTS = {
         "WeylElement",
         "WeylGroup",
         "act",
+        "dot_orbit",
         "generate",
         "length_fiber",
         "sign",

@@ -26,7 +26,7 @@ from .rootdata import (
     check_schmid_parameter,
     dominant_representative,
 )
-from .weyl import Matrix, WeylGroup, _apply, act, generate
+from .weyl import Matrix, WeylGroup, _apply, act, dot_orbit, generate
 
 if TYPE_CHECKING:
     from .homology import HomologyTable
@@ -133,9 +133,9 @@ def weyl_denominator(rs: RootSystem, group: WeylGroup | None = None) -> FormalCh
 def weyl_numerator(rs: RootSystem, group: WeylGroup, lam: Weight) -> FormalCharacter:
     """Alternating sum of e^{w(lam - rho) + rho} over the full Weyl group."""
     check_kostant_parameter(rs, lam, "numerator parameter")
-    shifted = lam - rs.rho
     return FormalCharacter(
-        (act(w, shifted) + rs.rho, -1 if w.length % 2 else 1) for w in group.elements
+        (weight, -1 if w.length % 2 else 1)
+        for w, weight in zip(group.elements, dot_orbit(rs, group, lam))
     )
 
 

@@ -6,6 +6,12 @@ module, and its discrete-series analogue over W_K with degree
 q - l(wu) + 2 l_K(w)), plus the resolution indexers and the degree-collapse
 rule that recovers each table from its resolution one term at a time.
 
+The whole-group sweeps (Kostant table, BGG terms) take their weights from
+``weyl.dot_orbit``, one simple reflection per element.  The W_K sweeps
+(Schmid table, Trauber terms) read the cells w*u and l_K(w) off the
+orbit's strata in ``kdata.elements`` order (``_cells``) rather than
+multiplying them out again, so the orbit must come from the same W_K.
+
 The collapse normalization is: a term of internal degree d sitting at
 resolution position p ends up in homological degree d - p.  This is pinned
 by requiring the BGG pipeline to land dual-Verma terms in degree l(w); the
@@ -16,11 +22,11 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import CollapseAmbiguous, InvariantViolation
+from .errors import CollapseAmbiguous, InvariantViolation, ParameterIncompatible
 from .orbits import ClosedOrbit
 from .realform import CompactGrading, KWeylData
 from .rootdata import RootSystem, Weight, check_kostant_parameter, check_schmid_parameter
-from .weyl import WeylElement, WeylGroup, act
+from .weyl import WeylElement, WeylGroup, act, dot_orbit
 
 
 class HomologyTable(NamedTuple):
@@ -50,16 +56,21 @@ def kostant_table(rs: RootSystem, group: WeylGroup, lam: Weight) -> HomologyTabl
     """Homology of the finite-dimensional module with lowest weight ``lam``:
     degree l(w) carries w(lam - rho) + rho."""
     check_kostant_parameter(rs, lam, "parameter")
-    shifted = lam - rs.rho
     return HomologyTable.from_entries(
-        (w.length, act(w, shifted) + rs.rho) for w in group.elements
+        (w.length, weight) for w, weight in zip(group.elements, dot_orbit(rs, group, lam))
     )
 
 
 def _cells(kdata: KWeylData, orbit: ClosedOrbit) -> list[tuple[WeylElement, int]]:
-    """(w*u, l_K(w)) for every w in W_K, in W_K order."""
-    multiply, u, lengths = kdata.weyl.multiply, orbit.u, kdata.lengthK
-    return [(multiply(w, u), lengths[w]) for w in kdata.elements]
+    """(w*u, l_K(w)) for every w in W_K, in W_K order, read off the orbit's strata.
+
+    The strata must be indexed by exactly ``kdata.elements``; an orbit
+    enumerated under another grading is refused.
+    """
+    cells = {s.w: (s.cell, s.dim) for s in orbit.strata}
+    if len(orbit.strata) != kdata.order or cells.keys() != set(kdata.elements):
+        raise ParameterIncompatible("orbit strata are not indexed by the elements of W_K")
+    return [cells[w] for w in kdata.elements]
 
 
 def schmid_table(
@@ -89,8 +100,10 @@ def bgg_terms(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[tuple[int, 
     """
     check_kostant_parameter(rs, lam, "parameter")
     dim_x = len(rs.positive_roots)
-    shifted = lam - rs.rho
-    return [(dim_x - w.length, dim_x, act(w, shifted) + rs.rho) for w in group.elements]
+    return [
+        (dim_x - w.length, dim_x, weight)
+        for w, weight in zip(group.elements, dot_orbit(rs, group, lam))
+    ]
 
 
 def trauber_terms(

@@ -9,6 +9,7 @@ shared by every section.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Callable, NamedTuple, Sequence
 
 from .blattner import check_oracle_walk, filtration_table, ktype_table, partition, partition_p
@@ -23,7 +24,7 @@ from .homology import kostant_table, kostant_via_bgg, schmid_table, schmid_via_t
 from .orbits import ClosedOrbit, enumerate_closed_orbits
 from .realform import CompactGrading, KWeylData, build_grading, validate_grading, weyl_k
 from .rootdata import RootSystem, Weight, build_root_system, coroot_pairing
-from .weyl import WeylGroup, act, generate, length_fiber, sign
+from .weyl import WeylGroup, act, dot_orbit, generate, length_fiber, sign
 
 
 class CheckResult(NamedTuple):
@@ -86,11 +87,14 @@ def _check_weyl_group(ctx: VerifyContext) -> CheckResult:
         if sign(w) != (-1 if w.length % 2 else 1):
             return CheckResult("weyl-group", False, "sign/determinant mismatch")
     rng = random.Random(7)
+    rho = ctx.rs.rho
     for _ in range(5):
         lam = Weight([rng.randint(-6, 6) for _ in range(group.rank)])
         for w in group.elements:
             if act(w, act(group.inverse(w), lam)) != lam:
                 return CheckResult("weyl-group", False, "inverse action roundtrip failed")
+        if dot_orbit(ctx.rs, group, lam) != [act(w, lam - rho) + rho for w in group.elements]:
+            return CheckResult("weyl-group", False, "dot orbit disagrees with the matrix action")
     return CheckResult("weyl-group", True)
 
 
@@ -145,10 +149,11 @@ def _check_weyl_identity(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_kostant(ctx: VerifyContext) -> CheckResult:
+    fiber_sizes = Counter(w.length for w in ctx.group.elements)
     for lam in _weyl_sweep(ctx.rs):
         table = kostant_table(ctx.rs, ctx.group, lam)
         for p, row in table.rows.items():
-            if len(row) != len(length_fiber(ctx.group, p)):
+            if len(row) != fiber_sizes[p]:
                 return CheckResult("kostant", False, "row size differs from |W(p)|")
         if euler_character(table) != weyl_numerator(ctx.rs, ctx.group, lam):
             return CheckResult("kostant", False, "Euler characteristic mismatch")

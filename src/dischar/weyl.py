@@ -3,8 +3,11 @@
 An element is identified by w(rho), which determines w because rho is
 regular; equality and hashing go through that integer vector alone.  Each
 element also carries its dense integer matrix on fundamental-weight
-coordinates, used only to act on weights, and the first shortest word the
-BFS found (breadth-first order guarantees it is reduced).
+coordinates, used to act on single weights, the first shortest word the
+BFS found (breadth-first order guarantees it is reduced) and its BFS parent,
+the element that word minus its last letter reaches.  Whole-group sweeps
+(:func:`dot_orbit`) walk that tree with the dot action, one simple
+reflection per element instead of one matrix product.
 """
 
 from __future__ import annotations
@@ -28,16 +31,20 @@ def _apply(matrix: Matrix, vec: IntVec) -> IntVec:
 
 
 class WeylElement:
-    """Group element: w(rho), matrix on fw coordinates, one reduced word, length."""
+    """Group element: w(rho), matrix on fw coordinates, one reduced word, length, BFS parent."""
 
-    __slots__ = ("matrix", "rho_image", "reduced_word", "length", "_hash")
+    __slots__ = ("matrix", "rho_image", "reduced_word", "length", "parent", "_hash")
 
-    def __init__(self, matrix: Matrix, reduced_word: tuple[int, ...]) -> None:
+    def __init__(
+        self, matrix: Matrix, reduced_word: tuple[int, ...], parent: WeylElement | None = None
+    ) -> None:
         self.matrix = matrix
         # rho = (1,...,1), so w(rho) is the vector of row sums
         self.rho_image: IntVec = tuple(sum(row) for row in matrix)
         self.reduced_word = reduced_word
         self.length = len(reduced_word)
+        # the BFS tree: self = parent * s_i with i = reduced_word[-1]
+        self.parent = parent
         self._hash = hash(self.rho_image)
 
     def rho_pairing(self, alpha: Root) -> int:
@@ -120,6 +127,26 @@ def act(w: WeylElement, lam: Weight) -> Weight:
     return Weight.from_twice(_apply(w.matrix, lam.twice))
 
 
+def dot_orbit(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[Weight]:
+    """w(lam - rho) + rho for every w, in ``group.elements`` order.
+
+    Walks the BFS tree: w = p*s_i gives w^-1.lam = s_i.(p^-1.lam), and
+    s_i.v = v - (v_i - 2) alpha_i on the doubled coordinates v = 2 lam
+    (alpha_i is column i of the Cartan matrix), so each element costs one
+    simple reflection; the inverses put the images back in W order.
+    """
+    if lam.rank != group.rank:
+        raise DimensionMismatch(f"rank {group.rank} group applied to rank {lam.rank} weight")
+    alphas = [alpha.fw_coords for alpha in rs.simple_roots]
+    images = {group.identity: lam.twice}  # w -> 2 (w^-1.lam)
+    for w in group.elements[1:]:
+        v, i = images[w.parent], w.reduced_word[-1]
+        value = v[i] - 2
+        images[w] = tuple([x - value * a for x, a in zip(v, alphas[i])])
+    inverses = group.inverses
+    return [Weight.from_twice(images[inverses[w]]) for w in group.elements]
+
+
 def _length_from_rho_image(coroots: Matrix, rho_image: IntVec) -> int:
     """l(w) = #{alpha > 0 : <alpha-check, w rho> < 0}, from w(rho) alone.
 
@@ -187,7 +214,7 @@ def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
                 matrix = tuple(
                     row[:i] + (row[i] - y,) + row[i + 1:] for row, y in zip(w.matrix, w_alpha)
                 )
-                element = WeylElement(matrix, w.reduced_word + (i,))
+                element = WeylElement(matrix, w.reduced_word + (i,), w)
                 found[element.rho_image] = element
                 inverse_rho[element.rho_image] = _reflect(rs, i, inverse_rho[w.rho_image])
                 new_frontier.append(element)

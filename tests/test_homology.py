@@ -1,8 +1,12 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import dischar.characters
+import dischar.homology
+import dischar.weyl
 from dischar import (
     CollapseAmbiguous,
     HomologyTable,
@@ -10,7 +14,9 @@ from dischar import (
     NotCompatible,
     NotIntegral,
     NotStronglyAntidominant,
+    ParameterIncompatible,
     Weight,
+    WeylGroup,
     bgg_terms,
     build_grading,
     build_root_system,
@@ -18,13 +24,17 @@ from dischar import (
     discrete_numerator,
     enumerate_closed_orbits,
     euler_character,
+    generate,
     kostant_table,
     kostant_via_bgg,
+    orbit_strata,
     schmid_table,
     schmid_via_trauber,
     trauber_terms,
     weyl_k,
+    weyl_numerator,
 )
+from tests.conftest import EXTRA_CARTAN
 
 
 def mixed_setup(systems, groups, name, signs):
@@ -223,3 +233,55 @@ def test_schmid_table_size_and_degree_bounds(systems, groups):
                 dim_q = len(grading.compact_positive)
                 for p in table.rows:
                     assert 0 <= p <= grading.q + 2 * dim_q
+
+
+def test_whole_group_sweeps_make_no_dense_products(monkeypatch):
+    rs = build_root_system(EXTRA_CARTAN["F4"])
+    W = generate(rs)
+    grading = build_grading(rs, (1, 1, 1, -1))
+    kdata = weyl_k(rs, grading, W)
+    orbits = enumerate_closed_orbits(rs, grading, W, kdata)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    act = counted("act", dischar.weyl.act)
+    for module in (dischar.weyl, dischar.homology, dischar.characters):
+        monkeypatch.setattr(module, "act", act)
+    monkeypatch.setattr(WeylGroup, "multiply", counted("multiply", WeylGroup.multiply))
+
+    lam = -rs.rho
+    kostant_table(rs, W, lam)
+    bgg_terms(rs, W, lam)
+    weyl_numerator(rs, W, lam)
+    assert calls["act"] == 0
+    schmid_table(grading, kdata, orbits[1], lam)
+    trauber_terms(grading, kdata, orbits[1], lam)
+    assert calls["multiply"] == 0
+    # the wrappers do see calls: the W_K-sized weights still use act, and
+    # the strata are built with multiply
+    assert calls["act"] == 2 * kdata.order
+    orbit_strata(orbits[1], kdata)
+    assert calls["multiply"] == kdata.order
+
+
+def test_orbit_from_another_w_k_is_refused(systems, groups):
+    rs, W = systems["A2"], groups["A2"]
+    lam = -rs.rho
+    ours = build_grading(rs, (1, -1))
+    kdata = weyl_k(rs, ours, W)
+    foreign = []
+    for signs in ((-1, 1), (1, 1)):  # W_K = {e, s2}, and W_K = W
+        grading = build_grading(rs, signs)
+        foreign += enumerate_closed_orbits(rs, grading, W, weyl_k(rs, grading, W))[:1]
+    for orbit in foreign:
+        for sweep in (schmid_table, trauber_terms, schmid_via_trauber):
+            with pytest.raises(
+                ParameterIncompatible, match="^orbit strata are not indexed by the elements of W_K$"
+            ):
+                sweep(ours, kdata, orbit, lam)

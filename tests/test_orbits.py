@@ -1,6 +1,23 @@
 import itertools
 
-from dischar import build_grading, enumerate_closed_orbits, generate, orbit_strata, weyl_k
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dischar import (
+    Weight,
+    build_grading,
+    build_root_system,
+    enumerate_closed_orbits,
+    generate,
+    kostant_table,
+    kostant_via_bgg,
+    orbit_strata,
+    schmid_table,
+    schmid_via_trauber,
+    weyl_k,
+)
+from tests.conftest import CARTAN, EXTRA_CARTAN
 
 
 def test_a1_noncompact_orbits(systems, groups):
@@ -82,3 +99,52 @@ def test_strata_dims_are_k_lengths(systems, groups):
         for stratum in orbit.strata:
             assert stratum.dim == kdata.lengthK[stratum.w]
             assert stratum.cell == kdata.weyl.multiply(stratum.w, orbit.u)
+
+
+def _classical(kind, n):
+    """Cartan matrix of A_n, B_n, C_n or D_n (n >= 3) in the conftest conventions."""
+    c = [[2 if i == j else -int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    if kind == "B":
+        c[n - 1][n - 2] = -2
+    elif kind == "C":
+        c[n - 2][n - 1] = -2
+    elif kind == "D":  # move the last node from n-2 to n-3
+        c[n - 2][n - 1] = c[n - 1][n - 2] = 0
+        c[n - 3][n - 1] = c[n - 1][n - 3] = -1
+    return c
+
+
+RANDOM_TYPES = {f"{kind}{n}": _classical(kind, n) for kind in "ABC" for n in range(1, 5)}
+RANDOM_TYPES.update(
+    D3=_classical("D", 3), D4=_classical("D", 4), G2=CARTAN["G2"], F4=EXTRA_CARTAN["F4"],
+    A1xA2=EXTRA_CARTAN["A1xA2"], B3perm=EXTRA_CARTAN["B3perm"],
+)
+del RANDOM_TYPES["B1"], RANDOM_TYPES["C1"]
+
+
+@pytest.fixture(scope="module")
+def random_cases():
+    rss = {name: build_root_system(cartan) for name, cartan in RANDOM_TYPES.items()}
+    return {name: (rs, generate(rs)) for name, rs in rss.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(RANDOM_TYPES)), data=st.data())
+def test_random_gradings(random_cases, name, data):
+    rs, W = random_cases[name]
+    signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * rs.rank), label="signs")
+    shifts = st.tuples(*[st.integers(0, 2)] * rs.rank)
+    grading = build_grading(rs, signs)
+    kdata = weyl_k(rs, grading, W)
+    orbits = enumerate_closed_orbits(rs, grading, W, kdata)
+    assert len(orbits) * kdata.order == W.order
+    cells = [s.cell for orbit in orbits for s in orbit.strata]
+    assert len(cells) == W.order and set(cells) == set(W.elements)
+    # -d is antidominant and -rho - d strongly antidominant for dominant d
+    lam = -Weight(data.draw(shifts, label="kostant shift"))
+    assert kostant_via_bgg(rs, W, lam) == kostant_table(rs, W, lam)
+    lam = -rs.rho - Weight(data.draw(shifts, label="schmid shift"))
+    for orbit in orbits:
+        table = schmid_table(grading, kdata, orbit, lam)
+        assert table.total_multiplicity() == kdata.order
+        assert schmid_via_trauber(grading, kdata, orbit, lam) == table

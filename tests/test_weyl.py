@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dischar.weyl
 from dischar import (
@@ -10,6 +12,7 @@ from dischar import (
     Weight,
     act,
     build_root_system,
+    dot_orbit,
     generate,
     length_fiber,
     sign,
@@ -79,6 +82,43 @@ def test_act_examples(systems, groups):
 def test_act_dimension_mismatch(groups):
     with pytest.raises(DimensionMismatch):
         act(groups["A2"].identity, Weight((1,)))
+
+
+# every conftest system, D4, F4 and rank 0
+DOT_TYPES = [*CARTAN, "D4", "F4", "rank0"]
+
+
+@pytest.fixture(scope="module")
+def dot_cases():
+    cartans = {**CARTAN, **EXTRA_CARTAN, "rank0": []}
+    rss = {name: build_root_system(cartans[name]) for name in DOT_TYPES}
+    return {name: (rs, generate(rs)) for name, rs in rss.items()}
+
+
+@pytest.mark.parametrize("name", DOT_TYPES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_dot_orbit_matches_act_elementwise(name, dot_cases, data):
+    rs, W = dot_cases[name]
+    # lam anywhere in (1/2)Z^rank, drawn as its doubled coordinates
+    lam = Weight.from_twice(data.draw(st.tuples(*[st.integers(-15, 15)] * rs.rank)))
+    images = dot_orbit(rs, W, lam)
+    assert len(images) == W.order
+    for w, image in zip(W.elements, images):
+        assert image == act(w, lam - rs.rho) + rs.rho
+
+
+def test_dot_orbit_dimension_mismatch(systems, groups):
+    with pytest.raises(DimensionMismatch):
+        dot_orbit(systems["A2"], groups["A2"], Weight((1,)))
+
+
+def test_parents_are_the_word_prefixes(groups):
+    for W in groups.values():
+        assert W.identity.parent is None
+        for w in W.elements[1:]:
+            assert w.parent.reduced_word == w.reduced_word[:-1]
+            assert W.multiply(w.parent, W.simple[w.reduced_word[-1]]) is w
 
 
 def test_length_fibers_a2(groups):
