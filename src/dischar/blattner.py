@@ -53,7 +53,6 @@ from .errors import (
 )
 from .realform import CompactGrading, KWeylData
 from .rootdata import Weight, classify_weight, coroot_pairing
-from .weyl import act
 
 IntVec = tuple[int, ...]
 Box = tuple[Sequence[Rational], Sequence[Rational]]
@@ -268,11 +267,14 @@ def _alternating_terms(
         return coords
 
     units = [Weight(tuple(int(i == j) for i in range(rs.rank))) for j in range(rs.rank)]
+    # w(e_j) and w(rho_c) for every w: one W_K sweep per vector
+    moved = [kdata.orbit(e.twice) for e in units]
     signs, rows, offsets = [], [], []
-    for w in kdata.elements:
+    for k, (w, image) in enumerate(zip(kdata.elements, kdata.orbit(grading.rho_c.twice))):
         signs.append(-1 if kdata.lengthK[w] % 2 else 1)
-        rows.extend(zip(*[root_coords(e - act(w, e)) for e in units]))
-        offsets.extend(root_coords(act(w, grading.rho_c) - grading.rho_c))
+        columns = [e - Weight.from_twice(orbit[k]) for e, orbit in zip(units, moved)]
+        rows.extend(zip(*map(root_coords, columns)))
+        offsets.extend(root_coords(Weight.from_twice(image) - grading.rho_c))
     return signs, rows, offsets
 
 
@@ -373,13 +375,13 @@ def _filtration_level(
     (lam - rho_n) + w rho_c is computed once per w.
     """
     shifted = lam - grading.rho_n
-    anchors = [(w, shifted + act(w, grading.rho_c)) for w in kdata.elements]
+    anchors = [shifted + Weight.from_twice(v) for v in kdata.orbit(grading.rho_c.twice)]
     needed = 0
     for nu in points:
         if _as_root_lattice(grading, shifted + grading.rho_c - nu) is None:
             continue
-        for w, anchor in anchors:
-            bound = _max_parts_bound(grading, anchor - act(w, nu))
+        for anchor, image in zip(anchors, kdata.orbit(nu.twice)):
+            bound = _max_parts_bound(grading, anchor - Weight.from_twice(image))
             if bound is not None:
                 needed = max(needed, bound)
     return needed

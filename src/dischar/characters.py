@@ -26,7 +26,7 @@ from .rootdata import (
     check_schmid_parameter,
     dominant_representative,
 )
-from .weyl import Matrix, WeylGroup, _apply, act, dot_orbit, generate
+from .weyl import Matrix, WeylGroup, _apply, dot_orbit, generate
 
 if TYPE_CHECKING:
     from .homology import HomologyTable
@@ -241,8 +241,8 @@ def discrete_numerator(
     check_schmid_parameter(rs, lam)
     overall = -1 if grading.q % 2 else 1
     return FormalCharacter(
-        (act(w, lam) + rs.rho, -overall if kdata.lengthK[w] % 2 else overall)
-        for w in kdata.elements
+        (Weight.from_twice(image) + rs.rho, -overall if kdata.lengthK[w] % 2 else overall)
+        for w, image in zip(kdata.elements, kdata.orbit(lam.twice))
     )
 
 

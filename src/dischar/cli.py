@@ -28,7 +28,7 @@ from .errors import (
 from .orbits import enumerate_closed_orbits
 from .realform import CompactGrading, KWeylData, build_grading, weyl_k
 from .rootdata import Weight, build_root_system
-from .weyl import act, generate
+from .weyl import generate
 
 if TYPE_CHECKING:
     from .homology import HomologyTable
@@ -188,7 +188,7 @@ def _orbits(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
             {"w": s.w.word_str(), "cell": s.cell.word_str(), "dim": s.dim} for s in orbit.strata
         ]
         payload.append(
-            {"u": u, "u_rho": act(orbit.u, rs.rho).serialize(), "simple_signs": signs,
+            {"u": u, "u_rho": Weight(orbit.u.rho_image).serialize(), "simple_signs": signs,
              "strata": strata}
         )
         rows += [[str(i), u, "".join(signs), s["w"], s["cell"], str(s["dim"])] for s in strata]

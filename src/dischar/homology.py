@@ -10,7 +10,8 @@ The whole-group sweeps (Kostant table, BGG terms) take their weights from
 ``weyl.dot_orbit``, one simple reflection per element.  The W_K sweeps
 (Schmid table, Trauber terms) read the cells w*u and l_K(w) off the
 orbit's strata in ``kdata.elements`` order (``_cells``) rather than
-multiplying them out again, so the orbit must come from the same W_K.
+multiplying them out again, so the orbit must come from the same W_K; the
+weights w(u(lam)) come from one W_K sweep of u(lam) (``KWeylData.orbit``).
 
 The collapse normalization is: a term of internal degree d sitting at
 resolution position p ends up in homological degree d - p.  This is pinned
@@ -26,7 +27,7 @@ from .errors import CollapseAmbiguous, InvariantViolation, ParameterIncompatible
 from .orbits import ClosedOrbit
 from .realform import CompactGrading, KWeylData
 from .rootdata import RootSystem, Weight, check_kostant_parameter, check_schmid_parameter
-from .weyl import WeylElement, WeylGroup, act, dot_orbit
+from .weyl import WeylGroup, act, dot_orbit
 
 
 class HomologyTable(NamedTuple):
@@ -61,34 +62,35 @@ def kostant_table(rs: RootSystem, group: WeylGroup, lam: Weight) -> HomologyTabl
     )
 
 
-def _cells(kdata: KWeylData, orbit: ClosedOrbit) -> list[tuple[WeylElement, int]]:
-    """(w*u, l_K(w)) for every w in W_K, in W_K order, read off the orbit's strata.
+def _cells(grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit,
+           lam: Weight) -> list[tuple[int, int, Weight]]:
+    """(l(w*u), l_K(w), w*u(lam) + rho) for every w in W_K, in W_K order.
 
-    The strata must be indexed by exactly ``kdata.elements``; an orbit
-    enumerated under another grading is refused.
+    The cells come off the orbit's strata, which must be indexed by exactly
+    ``kdata.elements``: an orbit enumerated under another grading is
+    refused.  The weights come from one W_K sweep of u(lam).
     """
-    cells = {s.w: (s.cell, s.dim) for s in orbit.strata}
+    cells = {s.w: (s.cell.length, s.dim) for s in orbit.strata}
     if len(orbit.strata) != kdata.order or cells.keys() != set(kdata.elements):
         raise ParameterIncompatible("orbit strata are not indexed by the elements of W_K")
-    return [cells[w] for w in kdata.elements]
+    rho = grading.rs.rho
+    images = kdata.orbit(act(orbit.u, lam).twice)
+    return [(*cells[w], Weight.from_twice(v) + rho) for w, v in zip(kdata.elements, images)]
 
 
 def schmid_table(
-    grading: CompactGrading,
-    kdata: KWeylData,
-    orbit: ClosedOrbit,
-    lam: Weight,
+    grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit, lam: Weight
 ) -> HomologyTable:
     """Discrete-series homology for one closed orbit.
 
     Only cells w*u, w in W_K, contribute; the weight w*u(lam) + rho sits in
     degree q - l(wu) + 2 l_K(w).
     """
-    rs = grading.rs
-    check_schmid_parameter(rs, lam)
-    q, rho = grading.q, rs.rho
+    check_schmid_parameter(grading.rs, lam)
+    q = grading.q
     return HomologyTable.from_entries(
-        (q - wu.length + 2 * length_k, act(wu, lam) + rho) for wu, length_k in _cells(kdata, orbit)
+        (q - length + 2 * length_k, weight)
+        for length, length_k, weight in _cells(grading, kdata, orbit, lam)
     )
 
 
@@ -107,24 +109,19 @@ def bgg_terms(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[tuple[int, 
 
 
 def trauber_terms(
-    grading: CompactGrading,
-    kdata: KWeylData,
-    orbit: ClosedOrbit,
-    lam: Weight,
+    grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit, lam: Weight
 ) -> list[tuple[int, int, Weight]]:
     """Standard-module resolution terms as (position, degree, weight), one per w in W_K.
 
     W_K(dim Q - p) sits at position p; the term of w lies in degree
     dim X - l(wu) + l_K(w) with weight wu(lam) + rho.
     """
-    rs = grading.rs
-    check_schmid_parameter(rs, lam)
-    dim_x = len(rs.positive_roots)
+    check_schmid_parameter(grading.rs, lam)
+    dim_x = len(grading.rs.positive_roots)
     dim_q = len(grading.compact_positive)
-    rho = rs.rho
     return [
-        (dim_q - length_k, dim_x - wu.length + length_k, act(wu, lam) + rho)
-        for wu, length_k in _cells(kdata, orbit)
+        (dim_q - length_k, dim_x - length + length_k, weight)
+        for length, length_k, weight in _cells(grading, kdata, orbit, lam)
     ]
 
 
@@ -158,10 +155,7 @@ def kostant_via_bgg(rs: RootSystem, group: WeylGroup, lam: Weight) -> HomologyTa
 
 
 def schmid_via_trauber(
-    grading: CompactGrading,
-    kdata: KWeylData,
-    orbit: ClosedOrbit,
-    lam: Weight,
+    grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit, lam: Weight
 ) -> HomologyTable:
     """Recover the discrete-series table through the Trauber pipeline."""
     terms = trauber_terms(grading, kdata, orbit, lam)

@@ -35,9 +35,10 @@ def _positive_system_of(rs: RootSystem, w: WeylElement) -> dict[Root, int]:
 
 
 def _strata_for(u: WeylElement, kdata: KWeylData) -> tuple[Stratum, ...]:
+    by_rho = kdata.weyl.by_rho
     strata = [
-        Stratum(w=w, cell=kdata.weyl.multiply(w, u), dim=kdata.lengthK[w])
-        for w in kdata.elements
+        Stratum(w=w, cell=by_rho[image], dim=kdata.lengthK[w])
+        for w, image in zip(kdata.elements, kdata.orbit(u.rho_image))
     ]
     strata.sort(key=lambda s: (s.dim, s.cell.reduced_word))
     return tuple(strata)
@@ -57,15 +58,10 @@ def enumerate_closed_orbits(
     """All closed orbits, canonically ordered by the reduced word of ``u``."""
     if kdata is None:
         kdata = weyl_k(rs, grading, group)
-    orbits = []
-    for w in group.elements:
-        if all(w.rho_pairing(alpha) > 0 for alpha in grading.compact_positive):
-            orbits.append(
-                ClosedOrbit(
-                    positive_system=_positive_system_of(rs, w),
-                    u=w,
-                    strata=_strata_for(w, kdata),
-                )
-            )
+    orbits = [
+        ClosedOrbit(positive_system=_positive_system_of(rs, w), u=w, strata=_strata_for(w, kdata))
+        for w in group.elements
+        if all(w.rho_pairing(alpha) > 0 for alpha in grading.compact_positive)
+    ]
     orbits.sort(key=lambda orbit: orbit.u.reduced_word)
     return orbits

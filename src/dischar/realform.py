@@ -4,15 +4,26 @@ A real form enters as a vector of signs on the simple roots (+1 compact,
 -1 noncompact); the sign of any root is the product over its simple-root
 coordinates, which is automatically multiplicative.  Hand-entered full
 assignments can be screened with :func:`validate_grading`.
+
+W_K is closed on w(rho) by left multiplication with the simple compact
+reflections, recording each element as s_beta times an earlier one; every
+W_K sweep walks that tree (:meth:`KWeylData.orbit`), one reflection per element.
 """
 
 from __future__ import annotations
 
+from operator import add, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, IncompleteAssignment, InvariantViolation
 from .rootdata import Root, RootSystem, Weight
-from .weyl import WeylElement, WeylGroup, _apply, reflection_matrix
+from .weyl import IntVec, WeylElement, WeylGroup
+
+
+def _reflect(beta: Root, v: IntVec) -> IntVec:
+    # s_beta(v) = v - <beta-check, v> beta, on fw coordinates
+    value = sum(map(mul, beta.coroot_coords, v))
+    return tuple([x - value * a for x, a in zip(v, beta.fw_coords)])
 
 
 class CompactGrading(NamedTuple):
@@ -39,21 +50,33 @@ class KWeylData(NamedTuple):
     """The Weyl group of the compact roots inside the ambient group.
 
     ``lengthK`` counts compact positive roots made negative; ``simpleK``
-    holds the simple roots of the compact positive system.
+    holds the simple roots of the compact positive system.  ``tree`` holds
+    (child, parent, j), parents first: elements[child] = s_{simpleK[j]} * elements[parent].
     """
 
     weyl: WeylGroup
     elements: tuple[WeylElement, ...]
     lengthK: Mapping[WeylElement, int]
     simpleK: tuple[Root, ...]
+    tree: tuple[tuple[int, int, int], ...]
+
+    def __repr__(self) -> str:  # the tree stays out
+        return (f"KWeylData(weyl={self.weyl!r}, elements={self.elements!r}, "
+                f"lengthK={self.lengthK!r}, simpleK={self.simpleK!r})")
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity(self) -> WeylElement:
-        return self.weyl.identity
+    def orbit(self, vec: IntVec) -> list[IntVec]:
+        """w(vec) for every w in ``elements``, in that order, one reflection each.
+
+        The action is linear, so ``vec`` may be a doubled vector.
+        """
+        images = [vec] * len(self.elements)
+        for child, parent, j in self.tree:
+            images[child] = _reflect(self.simpleK[j], images[parent])
+        return images
 
 
 def build_grading(rs: RootSystem, simple_signs: Sequence[int]) -> CompactGrading:
@@ -111,42 +134,35 @@ def validate_grading(rs: RootSystem, assignment: Mapping[Root, int]) -> bool:
 
 
 def weyl_k(rs: RootSystem, grading: CompactGrading, group: WeylGroup) -> KWeylData:
-    """Close the compact-root reflections into W_K and compute its lengths.
+    """Close the simple compact reflections into W_K and compute its lengths.
 
-    l_K(w) counts the compact positive roots beta with <beta-check, w rho> < 0,
-    which are exactly those that w^-1 makes negative.
+    Each generator s_beta is checked once to permute the compact roots, and
+    s_beta * w is found from w(rho) by one reflection.  l_K(w) counts the
+    compact positive roots beta with <beta-check, w rho> < 0, which are
+    exactly those that w^-1 makes negative.
     """
-    generators = [group.lookup(reflection_matrix(rs, a)) for a in grading.compact_positive]
-    members = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        new_frontier = []
-        for w in frontier:
-            for g in generators:
-                prod = group.multiply(w, g)
-                if prod not in members:
-                    members.add(prod)
-                    new_frontier.append(prod)
-        frontier = new_frontier
+    compact = grading.compact_positive
+    sums = {tuple(map(add, a.root_coords, b.root_coords)) for a in compact for b in compact}
+    simple_k = tuple(r for r in compact if r.root_coords not in sums)
+    roots = {r.fw_coords for r in compact} | {tuple(-c for c in r.fw_coords) for r in compact}
+    if any(_reflect(beta, a.fw_coords) not in roots for beta in simple_k for a in compact):
+        raise InvariantViolation("W_K does not preserve the compact roots")
 
-    compact_fw = {r.fw_coords for r in grading.compact_positive}
-    compact_fw |= {tuple(-c for c in fw) for fw in compact_fw}
-    lengthK = {}
-    for w in members:
-        if any(_apply(w.matrix, a.fw_coords) not in compact_fw for a in grading.compact_positive):
-            raise InvariantViolation("W_K does not preserve the compact roots")
-        lengthK[w] = sum(1 for beta in grading.compact_positive if w.rho_pairing(beta) < 0)
+    found, seen, walk = [group.identity], {group.identity.rho_image}, []
+    for k, w in enumerate(found):  # the list grows while it is walked: breadth first
+        for j, beta in enumerate(simple_k):
+            image = _reflect(beta, w.rho_image)
+            if image not in seen:
+                seen.add(image)
+                walk.append((len(found), k, j))
+                found.append(group.by_rho[image])
 
-    decomposable = set()
-    compact_coords = {r.root_coords for r in grading.compact_positive}
-    for a in grading.compact_positive:
-        for b in grading.compact_positive:
-            total = tuple(x + y for x, y in zip(a.root_coords, b.root_coords))
-            if total in compact_coords:
-                decomposable.add(total)
-    simple_k = tuple(
-        r for r in grading.compact_positive if r.root_coords not in decomposable
+    elements = tuple(sorted(found, key=lambda w: (w.length, w.reduced_word)))
+    index = {w: k for k, w in enumerate(elements)}
+    return KWeylData(
+        weyl=group,
+        elements=elements,
+        lengthK={w: sum(w.rho_pairing(beta) < 0 for beta in compact) for w in elements},
+        simpleK=simple_k,
+        tree=tuple((index[found[c]], index[found[p]], j) for c, p, j in walk),
     )
-
-    elements = tuple(sorted(members, key=lambda w: (w.length, w.reduced_word)))
-    return KWeylData(weyl=group, elements=elements, lengthK=lengthK, simpleK=simple_k)

@@ -2,12 +2,16 @@
 
 An element is identified by w(rho), which determines w because rho is
 regular; equality and hashing go through that integer vector alone.  Each
-element also carries its dense integer matrix on fundamental-weight
-coordinates, used to act on single weights, the first shortest word the
-BFS found (breadth-first order guarantees it is reduced) and its BFS parent,
-the element that word minus its last letter reaches.  Whole-group sweeps
-(:func:`dot_orbit`) walk that tree with the dot action, one simple
-reflection per element instead of one matrix product.
+element also carries its ShortLex reduced word (the lexicographically least
+of its shortest words) and one reference, shared by the whole group, to the
+simple roots, so :func:`act` and ``WeylGroup.multiply`` apply the word one
+simple reflection at a time.
+
+:func:`generate` closes W on y = w^-1(rho), where w*s_i is y -> s_i(y).  A
+suffix of a ShortLex word is ShortLex, so w = s_{word[0]} * (the element
+whose word is word[1:]); these left parents form the group's ``tree``.  One
+pass down it gives every w(rho), and whole-group sweeps (:func:`dot_orbit`)
+walk it with one simple reflection per element.
 """
 
 from __future__ import annotations
@@ -16,36 +20,51 @@ from operator import mul
 from typing import Mapping, NamedTuple
 
 from .errors import DimensionMismatch, GroupTooLarge, InvariantViolation
-from .rootdata import Root, RootSystem, Weight, _det
+from .rootdata import Root, RootSystem, Weight
 
 IntVec = tuple[int, ...]
 Matrix = tuple[IntVec, ...]
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+Column = tuple[tuple[int, int], ...]  # the nonzero (k, alpha_i[k]) of a simple root
 
 
 def _apply(matrix: Matrix, vec: IntVec) -> IntVec:
     return tuple([sum(map(mul, row, vec)) for row in matrix])
 
 
+def _columns(rs: RootSystem) -> tuple[Column, ...]:
+    # alpha_i on fw coordinates is column i of the Cartan matrix
+    return tuple(
+        tuple((k, a) for k, a in enumerate(alpha.fw_coords) if a) for alpha in rs.simple_roots
+    )
+
+
+def _apply_word(columns: tuple[Column, ...], word: tuple[int, ...], vec: IntVec,
+                shift: int = 0) -> IntVec:
+    """Letters of ``word`` applied to vec, last first, each v -> v - (v_i - shift) alpha_i.
+
+    That is s_i for shift 0, and the dot action on doubled coordinates for 2.
+    """
+    v = list(vec)
+    for i in reversed(word):
+        value = v[i] - shift
+        for k, a in columns[i]:
+            v[k] -= value * a
+    return tuple(v)
+
+
 class WeylElement:
-    """Group element: w(rho), matrix on fw coordinates, one reduced word, length, BFS parent."""
+    """Group element: w(rho), one reduced word, length, and the group's simple roots."""
 
-    __slots__ = ("matrix", "rho_image", "reduced_word", "length", "parent", "_hash")
+    __slots__ = ("rho_image", "reduced_word", "length", "columns", "_hash")
 
-    def __init__(
-        self, matrix: Matrix, reduced_word: tuple[int, ...], parent: WeylElement | None = None
-    ) -> None:
-        self.matrix = matrix
-        # rho = (1,...,1), so w(rho) is the vector of row sums
-        self.rho_image: IntVec = tuple(sum(row) for row in matrix)
+    def __init__(self, rho_image: IntVec, reduced_word: tuple[int, ...],
+                 columns: tuple[Column, ...]) -> None:
+        self.rho_image = rho_image
         self.reduced_word = reduced_word
         self.length = len(reduced_word)
-        # the BFS tree: self = parent * s_i with i = reduced_word[-1]
-        self.parent = parent
-        self._hash = hash(self.rho_image)
+        # the simple roots, one tuple shared by every element of the group
+        self.columns = columns
+        self._hash = hash(rho_image)
 
     def rho_pairing(self, alpha: Root) -> int:
         """<alpha-check, w rho>: positive exactly when w^-1 alpha is a positive root."""
@@ -67,16 +86,12 @@ class WeylElement:
         return f"WeylElement({self.word_str()})"
 
 
-def reflection_matrix(rs: RootSystem, alpha: Root) -> Matrix:
-    # (s_alpha lam)_k = lam_k - <alpha-check, lam> fw(alpha)_k
-    return tuple(
-        tuple(int(k == m) - alpha.fw_coords[k] * alpha.coroot_coords[m] for m in range(rs.rank))
-        for k in range(rs.rank)
-    )
-
-
 class WeylGroup(NamedTuple):
-    """The full Weyl group, closed under composition, canonically ordered."""
+    """The full Weyl group, closed under composition, canonically ordered.
+
+    ``tree`` holds (parent, i) for each of ``elements[1:]``: the element is
+    s_i * elements[parent], and the parent comes earlier.
+    """
 
     rank: int
     elements: tuple[WeylElement, ...]
@@ -84,9 +99,10 @@ class WeylGroup(NamedTuple):
     simple: tuple[WeylElement, ...]
     by_rho: Mapping[IntVec, WeylElement]
     inverses: Mapping[WeylElement, WeylElement]
+    tree: tuple[tuple[int, int], ...]
 
     def __repr__(self) -> str:
-        # the lookup maps stay out of the repr
+        # the lookup maps and the tree stay out of the repr
         return (
             f"WeylGroup(rank={self.rank!r}, elements={self.elements!r}, "
             f"order={self.order!r}, simple={self.simple!r})"
@@ -100,16 +116,15 @@ class WeylGroup(NamedTuple):
     def longest(self) -> WeylElement:
         return self.elements[-1]
 
-    def lookup(self, matrix: Matrix) -> WeylElement:
-        element = self.by_rho.get(tuple(sum(row) for row in matrix))
-        if element is None or element.matrix != matrix:
-            raise InvariantViolation("matrix is not an element of this Weyl group")
-        return element
-
     def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
         """The canonical element equal to the composition a after b."""
+        for w in (a, b):
+            if len(w.rho_image) != self.rank:
+                raise DimensionMismatch(
+                    f"rank {len(w.rho_image)} element in a rank {self.rank} group"
+                )
         try:
-            return self.by_rho[_apply(a.matrix, b.rho_image)]
+            return self.by_rho[_apply_word(a.columns, a.reduced_word, b.rho_image)]
         except KeyError:
             raise InvariantViolation("product is not an element of this Weyl group") from None
 
@@ -121,30 +136,28 @@ class WeylGroup(NamedTuple):
 
 
 def act(w: WeylElement, lam: Weight) -> Weight:
-    """Apply a Weyl element to a weight (exact matrix-vector product)."""
-    if lam.rank != len(w.matrix):
-        raise DimensionMismatch(f"rank {len(w.matrix)} element applied to rank {lam.rank} weight")
-    return Weight.from_twice(_apply(w.matrix, lam.twice))
+    """Apply a Weyl element to a weight, one simple reflection per letter of its word."""
+    if lam.rank != len(w.rho_image):
+        raise DimensionMismatch(
+            f"rank {len(w.rho_image)} element applied to rank {lam.rank} weight"
+        )
+    return Weight.from_twice(_apply_word(w.columns, w.reduced_word, lam.twice))
 
 
 def dot_orbit(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[Weight]:
     """w(lam - rho) + rho for every w, in ``group.elements`` order.
 
-    Walks the BFS tree: w = p*s_i gives w^-1.lam = s_i.(p^-1.lam), and
-    s_i.v = v - (v_i - 2) alpha_i on the doubled coordinates v = 2 lam
-    (alpha_i is column i of the Cartan matrix), so each element costs one
-    simple reflection; the inverses put the images back in W order.
+    Walks the group's tree: w = s_i*p gives w.lam = s_i.(p.lam), and
+    s_i.v = v - (v_i - 2) alpha_i on the doubled coordinates v = 2 lam, so
+    each element costs one simple reflection.
     """
     if lam.rank != group.rank:
         raise DimensionMismatch(f"rank {group.rank} group applied to rank {lam.rank} weight")
-    alphas = [alpha.fw_coords for alpha in rs.simple_roots]
-    images = {group.identity: lam.twice}  # w -> 2 (w^-1.lam)
-    for w in group.elements[1:]:
-        v, i = images[w.parent], w.reduced_word[-1]
-        value = v[i] - 2
-        images[w] = tuple([x - value * a for x, a in zip(v, alphas[i])])
-    inverses = group.inverses
-    return [Weight.from_twice(images[inverses[w]]) for w in group.elements]
+    columns = _columns(rs)
+    images = [lam.twice]
+    for parent, i in group.tree:
+        images.append(_apply_word(columns, (i,), images[parent], 2))
+    return [Weight.from_twice(v) for v in images]
 
 
 def _length_from_rho_image(coroots: Matrix, rho_image: IntVec) -> int:
@@ -157,12 +170,6 @@ def _length_from_rho_image(coroots: Matrix, rho_image: IntVec) -> int:
     if 0 in values:
         raise InvariantViolation("Weyl image of rho is singular")
     return sum(v < 0 for v in values)
-
-
-def _reflect(rs: RootSystem, i: int, vec: IntVec) -> IntVec:
-    # (s_i lam)_k = lam_k - lam_i C[k][i]
-    value = vec[i]
-    return tuple(x - value * row[i] for x, row in zip(vec, rs.cartan))
 
 
 def weyl_order(rs: RootSystem) -> int:
@@ -187,64 +194,58 @@ def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
 
     The order is predicted by :func:`weyl_order` and checked against
     ``max_order`` before any element is built; the closure must reach it
-    exactly.  Each element records the first shortest word reaching it, so
-    stored words are reduced.  The element list is sorted by (length, word).
-    A candidate w*s_i is recognised by w s_i(rho) = w(rho) - w(alpha_i)
-    before its matrix is built; that matrix differs from w's in column i.
+    exactly.  It runs on y = w^-1(rho): w*s_i is y -> s_i(y), longer than w
+    exactly when y_i > 0.  Walking the elements in the order found, each
+    extended by its ascents, finds every element first by its ShortLex word,
+    in (length, word) order.  The left tree then gives every w(rho), and
+    w^-1 is the element whose w(rho) is w's y.
     """
     order = weyl_order(rs)
     if order > max_order:
         raise GroupTooLarge(f"Weyl group has {order} elements; the limit is {max_order}")
     n = rs.rank
-    alphas = [tuple(row[i] for row in rs.cartan) for i in range(n)]
-    identity = WeylElement(_identity(n), ())
-    found: dict[IntVec, WeylElement] = {identity.rho_image: identity}
-    # w^-1(rho); the inverse of w*s_i is s_i*w^-1, so the reversed word is
-    # applied to rho one simple reflection per element
-    inverse_rho: dict[IntVec, IntVec] = {identity.rho_image: identity.rho_image}
-    frontier = [identity]
-    while frontier:
-        new_frontier: list[WeylElement] = []
-        for w in frontier:
-            for i in range(n):
-                w_alpha = _apply(w.matrix, alphas[i])
-                key = tuple(x - y for x, y in zip(w.rho_image, w_alpha))
-                if key in found:
-                    continue
-                matrix = tuple(
-                    row[:i] + (row[i] - y,) + row[i + 1:] for row, y in zip(w.matrix, w_alpha)
-                )
-                element = WeylElement(matrix, w.reduced_word + (i,), w)
-                found[element.rho_image] = element
-                inverse_rho[element.rho_image] = _reflect(rs, i, inverse_rho[w.rho_image])
-                new_frontier.append(element)
+    columns = _columns(rs)
+    rho = (1,) * n
+    words: dict[IntVec, tuple[int, ...]] = {rho: ()}  # w^-1(rho) -> word of w
+    found = [rho]
+    for y in found:  # the list grows while it is walked: breadth first
+        for i in range(n):
+            if y[i] > 0 and (key := _apply_word(columns, (i,), y)) not in words:
+                words[key] = words[y] + (i,)
+                found.append(key)
                 if len(found) > order:
                     raise InvariantViolation(f"closure passes the predicted order {order}")
-        new_frontier.sort(key=lambda w: w.reduced_word)
-        frontier = new_frontier
-    if len(found) != order:
-        raise InvariantViolation(f"closure has {len(found)} elements, predicted {order}")
+    if len(words) != order:
+        raise InvariantViolation(f"closure has {len(words)} elements, predicted {order}")
 
-    elements = sorted(found.values(), key=lambda w: (w.length, w.reduced_word))
+    ordered = list(words.values())
+    index = {word: k for k, word in enumerate(ordered)}
+    tree = tuple((index[word[1:]], word[0]) for word in ordered[1:])
+    images = [rho]
+    for parent, i in tree:
+        images.append(_apply_word(columns, (i,), images[parent]))
+    elements = tuple(WeylElement(image, word, columns) for image, word in zip(images, ordered))
+    by_rho = {w.rho_image: w for w in elements}
+    if by_rho.keys() != words.keys():
+        raise InvariantViolation("the images w(rho) and w^-1(rho) are different orbits")
+
     coroots = tuple(alpha.coroot_coords for alpha in rs.positive_roots)
     for w in elements:
         if _length_from_rho_image(coroots, w.rho_image) != w.length:
             raise InvariantViolation(
                 f"word length of {w.word_str()} disagrees with its inversion count"
             )
-    top = [w for w in elements if w.length == elements[-1].length]
-    if len(top) != 1:
+    if sum(w.length == elements[-1].length for w in elements) != 1:
         raise InvariantViolation("longest element is not unique")
-
-    inverses = {w: found[inverse_rho[w.rho_image]] for w in elements}
 
     return WeylGroup(
         rank=n,
-        elements=tuple(elements),
+        elements=elements,
         order=order,
-        simple=tuple(found[_reflect(rs, i, identity.rho_image)] for i in range(n)),
-        by_rho=found,
-        inverses=inverses,
+        simple=elements[1:n + 1],
+        by_rho=by_rho,
+        inverses={w: by_rho[y] for w, y in zip(elements, words)},
+        tree=tree,
     )
 
 
@@ -254,8 +255,5 @@ def length_fiber(group: WeylGroup, p: int) -> frozenset[WeylElement]:
 
 
 def sign(w: WeylElement) -> int:
-    """(-1)**length, checked against the matrix determinant."""
-    value = -1 if w.length % 2 else 1
-    if _det(w.matrix) != value:
-        raise InvariantViolation(f"sign of {w.word_str()} disagrees with its determinant")
-    return value
+    """(-1)**length, the determinant of w."""
+    return -1 if w.length % 2 else 1

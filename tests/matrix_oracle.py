@@ -1,0 +1,70 @@
+"""The dense-matrix Weyl group: a test-only oracle for ``dischar.weyl``.
+
+The group is closed by BFS over products of the simple-reflection matrices
+on fundamental-weight coordinates, keyed by the matrix itself, so it shares
+no code with ``generate``'s closure on w^-1(rho).
+"""
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def apply(matrix, vec):
+    return tuple(sum(m * x for m, x in zip(row, vec)) for row in matrix)
+
+
+def simple_reflection_matrices(cartan):
+    # (s_i lam)_k = lam_k - lam_i C[k][i]
+    n = len(cartan)
+    return [
+        tuple(
+            tuple(int(k == m) - (cartan[k][i] if m == i else 0) for m in range(n))
+            for k in range(n)
+        )
+        for i in range(n)
+    ]
+
+
+def matrix_closure(cartan):
+    """Matrix -> first shortest word, by BFS over matrix products keyed by matrix."""
+    gens = simple_reflection_matrices(cartan)
+    found = {identity(len(cartan)): ()}
+    frontier = list(found)
+    while frontier:
+        new_frontier = []
+        for m in frontier:
+            for i, g in enumerate(gens):
+                product = matmul(m, g)
+                if product not in found:
+                    found[product] = found[m] + (i,)
+                    new_frontier.append(product)
+        new_frontier.sort(key=found.__getitem__)
+        frontier = new_frontier
+    return found
+
+
+def matrix_inversion_count(rs, matrix):
+    positive = {alpha.fw_coords for alpha in rs.positive_roots}
+    count = 0
+    for alpha in rs.positive_roots:
+        image = apply(matrix, alpha.fw_coords)
+        assert image in positive or tuple(-c for c in image) in positive
+        count += tuple(-c for c in image) in positive
+    return count
+
+
+def word_matrix(cartan, word):
+    """The product of the simple-reflection matrices of ``word``, left to right."""
+    gens = simple_reflection_matrices(cartan)
+    product = identity(len(cartan))
+    for i in word:
+        product = matmul(product, gens[i])
+    return product

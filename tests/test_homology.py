@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import dischar.blattner
 import dischar.characters
 import dischar.homology
 import dischar.weyl
@@ -251,8 +252,9 @@ def test_whole_group_sweeps_make_no_dense_products(monkeypatch):
         return wrapper
 
     act = counted("act", dischar.weyl.act)
-    for module in (dischar.weyl, dischar.homology, dischar.characters):
-        monkeypatch.setattr(module, "act", act)
+    # characters and blattner no longer bind act at all
+    for module in (dischar.weyl, dischar.homology, dischar.characters, dischar.blattner):
+        monkeypatch.setattr(module, "act", act, raising=False)
     monkeypatch.setattr(WeylGroup, "multiply", counted("multiply", WeylGroup.multiply))
 
     lam = -rs.rho
@@ -263,11 +265,12 @@ def test_whole_group_sweeps_make_no_dense_products(monkeypatch):
     schmid_table(grading, kdata, orbits[1], lam)
     trauber_terms(grading, kdata, orbits[1], lam)
     assert calls["multiply"] == 0
-    # the wrappers do see calls: the W_K-sized weights still use act, and
-    # the strata are built with multiply
-    assert calls["act"] == 2 * kdata.order
+    # the wrappers do see calls: each W_K table applies u to lam once, and
+    # sweeps W_K for the rest
+    assert calls["act"] == 2
     orbit_strata(orbits[1], kdata)
-    assert calls["multiply"] == kdata.order
+    discrete_numerator(grading, kdata, lam)
+    assert calls == {"act": 2}
 
 
 def test_orbit_from_another_w_k_is_refused(systems, groups):

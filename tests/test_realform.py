@@ -2,15 +2,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dischar import (
     IncompleteAssignment,
     Weight,
+    act,
     build_grading,
+    build_root_system,
     coroot_pairing,
+    generate,
     validate_grading,
     weyl_k,
 )
+from tests.conftest import CARTAN, EXTRA_CARTAN
 
 
 def test_a1_noncompact():
@@ -134,3 +140,69 @@ def test_rho_c_pairs_one_on_simple_k(systems, groups):
             kdata = weyl_k(rs, grading, W)
             for alpha in kdata.simpleK:
                 assert coroot_pairing(alpha, grading.rho_c) == 1
+
+
+# every conftest system, D4 and F4, each under every simple-sign grading
+KERNEL_TYPES = [*CARTAN, "D4", "F4"]
+
+
+@pytest.fixture(scope="module")
+def kernel_cases():
+    """name -> (rs, W, {signs: kdata}) with W_K built on demand."""
+    cartans = {**CARTAN, **EXTRA_CARTAN}
+    cases = {}
+    for name in KERNEL_TYPES:
+        rs = build_root_system(cartans[name])
+        W = generate(rs)
+        cases[name] = (rs, W, {
+            signs: weyl_k(rs, build_grading(rs, signs), W)
+            for signs in itertools.product((1, -1), repeat=rs.rank)
+        })
+    return cases
+
+
+@pytest.mark.parametrize("name", KERNEL_TYPES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_w_k_orbit_matches_act_elementwise(name, kernel_cases, data):
+    rs, _W, by_signs = kernel_cases[name]
+    kdata = by_signs[data.draw(st.sampled_from(sorted(by_signs)))]
+    # mu anywhere in (1/2)Z^rank, drawn as its doubled coordinates
+    mu = Weight.from_twice(data.draw(st.tuples(*[st.integers(-15, 15)] * rs.rank)))
+    images = kdata.orbit(mu.twice)
+    assert [Weight.from_twice(v) for v in images] == [act(w, mu) for w in kdata.elements]
+
+
+@pytest.mark.parametrize("name", KERNEL_TYPES)
+def test_weyl_k_is_the_closure_of_the_compact_reflections(name, kernel_cases):
+    rs, W, by_signs = kernel_cases[name]
+
+    def reflection(beta):
+        # s_beta is the element with s_beta(rho) = rho - <beta-check, rho> beta
+        value = coroot_pairing(beta, rs.rho)
+        return W.by_rho[tuple(1 - value * c for c in beta.fw_coords)]
+
+    for signs, kdata in by_signs.items():
+        # the closure under right multiplication by every compact positive reflection
+        generators = [reflection(beta) for beta in build_grading(rs, signs).compact_positive]
+        members = {W.identity}
+        frontier = [W.identity]
+        while frontier:
+            new_frontier = []
+            for w in frontier:
+                for g in generators:
+                    product = W.multiply(w, g)
+                    if product not in members:
+                        members.add(product)
+                        new_frontier.append(product)
+            frontier = new_frontier
+        assert set(kdata.elements) == members
+        assert list(kdata.elements) == sorted(members, key=lambda w: (w.length, w.reduced_word))
+        # the tree: elements[child] = s_beta * elements[parent], parents walked first
+        assert sorted(child for child, _p, _j in kdata.tree) == list(range(1, kdata.order))
+        reached = {0}
+        for child, parent, j in kdata.tree:
+            assert parent in reached
+            reached.add(child)
+            simple = reflection(kdata.simpleK[j])
+            assert W.multiply(simple, kdata.elements[parent]) is kdata.elements[child]

@@ -77,4 +77,20 @@ def test_repr_leaves_out_the_lookup_maps(systems, groups):
     text = repr(group)
     assert text.startswith("WeylGroup(rank=2, elements=(WeylElement(e), ")
     assert "order=6" in text
-    assert not any(name in text for name in ("by_rho", "inverses", "{"))
+    assert not any(name in text for name in ("by_rho", "inverses", "tree", "{"))
+    kdata = weyl_k(rs, build_grading(rs, (1, -1)), group)
+    text = repr(kdata)
+    assert text.startswith("KWeylData(weyl=WeylGroup(rank=2, ")
+    assert "lengthK={WeylElement(e): 0, WeylElement(s1): 1}" in text
+    assert "tree" not in text
+
+
+def test_trees_are_tuples_of_int_tuples(systems, groups):
+    # the records stay read-only all the way down
+    rs, group = systems["B3"], groups["B3"]
+    kdata = weyl_k(rs, build_grading(rs, (1, 1, -1)), group)
+    for tree, width in ((group.tree, 2), (kdata.tree, 3)):
+        assert type(tree) is tuple and len(tree) > 0
+        for entry in tree:
+            assert type(entry) is tuple and len(entry) == width
+            assert all(type(x) is int for x in entry)

@@ -19,6 +19,7 @@ from dischar import (
     dominant_representative,
 )
 from tests.conftest import CARTAN, EXTRA_CARTAN
+from tests.matrix_oracle import word_matrix
 
 
 def closure_oracle(cartan):
@@ -272,7 +273,8 @@ def test_weight_agrees_with_a_fraction_reference(systems, groups, case):
     assert hash(Weight(exact(a))) == hash(wa) and Weight(exact(a)) == wa
     assert (wa < wb) == (a < b) and (wb < wa) == (b < a)
     w = group.elements[index % group.order]
-    assert act(w, wa).coords == tuple(sum(m * x for m, x in zip(row, a)) for row in w.matrix)
+    matrix = word_matrix(CARTAN[name], w.reduced_word)
+    assert act(w, wa).coords == tuple(sum(m * x for m, x in zip(row, a)) for row in matrix)
     for alpha in rs.positive_roots:
         value = coroot_pairing(alpha, wa)
         assert value == sum(c * x for c, x in zip(alpha.coroot_coords, a))

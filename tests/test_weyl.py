@@ -18,8 +18,17 @@ from dischar import (
     sign,
     weyl_order,
 )
-from dischar.weyl import _det
+from dischar.rootdata import _det
 from tests.conftest import CARTAN, E7, EXTRA_CARTAN
+from tests.matrix_oracle import (
+    apply,
+    identity,
+    matmul,
+    matrix_closure,
+    matrix_inversion_count,
+    simple_reflection_matrices,
+    word_matrix,
+)
 
 
 @pytest.mark.parametrize(
@@ -84,6 +93,23 @@ def test_act_dimension_mismatch(groups):
         act(groups["A2"].identity, Weight((1,)))
 
 
+@pytest.mark.parametrize("ours,theirs", [("A2", "A3"), ("A3", "A2"), ("A1", "A2"), ("A2", "A1")])
+def test_act_and_multiply_refuse_another_rank(groups, ours, theirs):
+    W, V = groups[ours], groups[theirs]
+    lam = Weight((-1,) * V.rank)
+    for w in W.elements:
+        with pytest.raises(
+            DimensionMismatch, match=rf"^rank {W.rank} element applied to rank {V.rank} weight$"
+        ):
+            act(w, lam)
+        for v in V.elements:
+            for a, b in ((w, v), (v, w)):
+                with pytest.raises(
+                    DimensionMismatch, match=rf"^rank {V.rank} element in a rank {W.rank} group$"
+                ):
+                    W.multiply(a, b)
+
+
 # every conftest system, D4, F4 and rank 0
 DOT_TYPES = [*CARTAN, "D4", "F4", "rank0"]
 
@@ -113,12 +139,14 @@ def test_dot_orbit_dimension_mismatch(systems, groups):
         dot_orbit(systems["A2"], groups["A2"], Weight((1,)))
 
 
-def test_parents_are_the_word_prefixes(groups):
+def test_tree_parents_are_the_word_suffixes(groups):
+    # the left tree: w = s_word[0] * parent, and the parent's word is word[1:]
     for W in groups.values():
-        assert W.identity.parent is None
-        for w in W.elements[1:]:
-            assert w.parent.reduced_word == w.reduced_word[:-1]
-            assert W.multiply(w.parent, W.simple[w.reduced_word[-1]]) is w
+        assert len(W.tree) == W.order - 1
+        for k, (w, (parent, i)) in enumerate(zip(W.elements[1:], W.tree), start=1):
+            assert parent < k and i == w.reduced_word[0]
+            assert W.elements[parent].reduced_word == w.reduced_word[1:]
+            assert W.multiply(W.simple[i], W.elements[parent]) is w
 
 
 def test_length_fibers_a2(groups):
@@ -138,9 +166,9 @@ def test_sign_examples(groups):
 
 
 def test_sign_matches_determinant(groups):
-    for W in groups.values():
+    for name, W in groups.items():
         for w in W.elements:
-            assert sign(w) == _det(w.matrix)
+            assert sign(w) == _det(word_matrix(CARTAN[name], w.reduced_word))
 
 
 def test_palindromic_length_fibers(groups):
@@ -187,55 +215,7 @@ def test_word_rendering(groups):
     assert W.longest.word_str().count("*") == 2
 
 
-# --- brute-force oracle: closure of the simple-reflection matrices --------
-
-
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
-def _simple_reflection_matrices(cartan):
-    # (s_i lam)_k = lam_k - lam_i C[k][i]
-    n = len(cartan)
-    return [
-        tuple(
-            tuple(int(k == m) - (cartan[k][i] if m == i else 0) for m in range(n))
-            for k in range(n)
-        )
-        for i in range(n)
-    ]
-
-
-def matrix_closure(cartan):
-    """Matrix -> first shortest word, by BFS over matrix products keyed by matrix."""
-    gens = _simple_reflection_matrices(cartan)
-    identity = tuple(tuple(int(i == j) for j in range(len(cartan))) for i in range(len(cartan)))
-    found = {identity: ()}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for m in frontier:
-            for i, g in enumerate(gens):
-                product = _matmul(m, g)
-                if product not in found:
-                    found[product] = found[m] + (i,)
-                    new_frontier.append(product)
-        new_frontier.sort(key=found.__getitem__)
-        frontier = new_frontier
-    return found
-
-
-def matrix_inversion_count(rs, matrix):
-    positive = {alpha.fw_coords for alpha in rs.positive_roots}
-    count = 0
-    for alpha in rs.positive_roots:
-        image = tuple(sum(a * x for a, x in zip(row, alpha.fw_coords)) for row in matrix)
-        assert image in positive or tuple(-c for c in image) in positive
-        count += tuple(-c for c in image) in positive
-    return count
+# --- the dense-matrix closure of tests/matrix_oracle.py as the oracle ------
 
 
 ORACLE_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "D4", "F4", "A1xA2", "B3perm"]
@@ -243,40 +223,52 @@ ORACLE_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "D4", "F4", "A1xA2", "
 
 @pytest.fixture(scope="module")
 def oracle_cases():
+    """Each type's group, its matrix closure and the oracle matrix of every element's word."""
     cartans = dict(CARTAN, **EXTRA_CARTAN)
     cases = {}
     for name in ORACLE_TYPES:
         rs = build_root_system(cartans[name])
-        cases[name] = (rs, generate(rs), matrix_closure(cartans[name]), cartans[name])
+        W = generate(rs)
+        oracle = matrix_closure(cartans[name])
+        by_word = {word: m for m, word in oracle.items()}
+        matrices = {w: by_word.get(w.reduced_word) for w in W.elements}
+        cases[name] = (rs, W, oracle, cartans[name], matrices)
     return cases
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
 def test_generate_matches_matrix_closure(name, oracle_cases):
-    rs, W, oracle, cartan = oracle_cases[name]
+    rs, W, oracle, cartan, matrices = oracle_cases[name]
     assert W.order == len(oracle)
-    assert {w.matrix for w in W.elements} == set(oracle)
-    gens = _simple_reflection_matrices(cartan)
-    assert [s.matrix for s in W.simple] == gens
+    # every word is the oracle's word of some matrix, and the matrices are all of W
+    assert None not in matrices.values()
+    assert set(matrices.values()) == set(oracle)
+    gens = simple_reflection_matrices(cartan)
+    assert [matrices[s] for s in W.simple] == gens
+    # a half-integral weight, as its doubled coordinates
+    lam = Weight.from_twice(tuple(range(1 - 2 * W.rank, 1, 2)))
     for w in W.elements:
-        assert w.reduced_word == oracle[w.matrix]
-        assert w.length == matrix_inversion_count(rs, w.matrix)
-        assert w.rho_image == tuple(sum(row) for row in w.matrix)
-        inverse = W.inverse(w)
-        assert _matmul(w.matrix, inverse.matrix) == W.identity.matrix
-        assert W.lookup(w.matrix) is w
+        m = matrices[w]
+        assert w.reduced_word == oracle[m]
+        assert m == word_matrix(cartan, w.reduced_word)
+        assert w.length == matrix_inversion_count(rs, m)
+        assert w.rho_image == tuple(sum(row) for row in m)
+        assert W.by_rho[w.rho_image] is w
+        assert matmul(m, matrices[W.inverse(w)]) == identity(W.rank)
+        assert act(w, lam).twice == apply(m, lam.twice)
+        assert sign(w) == _det(m)
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
 def test_multiply_matches_matrix_product(name, oracle_cases):
-    _rs, W, _oracle, _cartan = oracle_cases[name]
+    _rs, W, _oracle, _cartan, matrices = oracle_cases[name]
     if W.order <= 48:
         pairs = [(a, b) for a in W.elements for b in W.elements]
     else:
         rng = random.Random(2024)
         pairs = [(rng.choice(W.elements), rng.choice(W.elements)) for _ in range(2000)]
     for a, b in pairs:
-        assert W.multiply(a, b).matrix == _matmul(a.matrix, b.matrix)
+        assert matrices[W.multiply(a, b)] == matmul(matrices[a], matrices[b])
 
 
 def test_det_matches_leibniz_expansion():
