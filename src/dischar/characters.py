@@ -26,10 +26,16 @@ from .rootdata import (
     check_schmid_parameter,
     dominant_representative,
 )
-from .weyl import Matrix, WeylGroup, _apply, dot_orbit, generate
+from .weyl import IntVec, WeylGroup, dot_orbit, generate
 
 if TYPE_CHECKING:
     from .homology import HomologyTable
+
+Matrix = tuple[IntVec, ...]
+
+
+def _apply(matrix: Matrix, vec: IntVec) -> IntVec:
+    return tuple([sum(map(mul, row, vec)) for row in matrix])
 
 
 class FormalCharacter:

@@ -77,6 +77,10 @@ def _check_root_system(ctx: VerifyContext) -> CheckResult:
 
 def _check_weyl_group(ctx: VerifyContext) -> CheckResult:
     group = ctx.group
+    for w in group.elements:  # l(w) = #{alpha > 0 : <alpha-check, w rho> < 0}
+        if sum(w.rho_pairing(alpha) < 0 for alpha in ctx.rs.positive_roots) != w.length:
+            detail = f"word length of {w.word_str()} disagrees with its inversion count"
+            return CheckResult("weyl-group", False, detail)
     fiber_sizes = Counter(w.length for w in group.elements)
     fibers = [fiber_sizes[p] for p in range(group.longest.length + 1)]
     if sum(fibers) != group.order:

@@ -10,8 +10,9 @@ simple reflection at a time.
 :func:`generate` closes W on y = w^-1(rho), where w*s_i is y -> s_i(y).  A
 suffix of a ShortLex word is ShortLex, so w = s_{word[0]} * (the element
 whose word is word[1:]); these left parents form the group's ``tree``.  One
-pass down it gives every w(rho), and whole-group sweeps (:func:`dot_orbit`)
-walk it with one simple reflection per element.
+pass down it gives every w(rho) and certifies l(w) = len(word), one ascent
+test per edge; the inversion count is the length oracle of ``verify``.
+Whole-group sweeps (:func:`dot_orbit`) walk the tree the same way.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ from .errors import DimensionMismatch, GroupTooLarge, InvariantViolation
 from .rootdata import Root, RootSystem, Weight
 
 IntVec = tuple[int, ...]
-Matrix = tuple[IntVec, ...]
 Column = tuple[tuple[int, int], ...]  # the nonzero (k, alpha_i[k]) of a simple root
-
-
-def _apply(matrix: Matrix, vec: IntVec) -> IntVec:
-    return tuple([sum(map(mul, row, vec)) for row in matrix])
 
 
 def _columns(rs: RootSystem) -> tuple[Column, ...]:
@@ -160,16 +156,19 @@ def dot_orbit(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[Weight]:
     return [Weight.from_twice(v) for v in images]
 
 
-def _length_from_rho_image(coroots: Matrix, rho_image: IntVec) -> int:
-    """l(w) = #{alpha > 0 : <alpha-check, w rho> < 0}, from w(rho) alone.
+def _rho_images(columns: tuple[Column, ...], tree: tuple[tuple[int, int], ...]) -> list[IntVec]:
+    """w(rho) for every element down the left tree, each edge (p, i) an ascent.
 
-    ``coroots`` holds the positive coroots as rows; <alpha-check, w rho> < 0
-    exactly when w^-1 alpha < 0, and l(w^-1) = l(w).
+    l(s_i * p) = l(p) + 1 exactly when <alpha_i-check, p(rho)> > 0 (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.6-1.7), so by induction from e
+    every element's length is its depth in the tree.
     """
-    values = _apply(coroots, rho_image)
-    if 0 in values:
-        raise InvariantViolation("Weyl image of rho is singular")
-    return sum(v < 0 for v in values)
+    images = [(1,) * len(columns)]
+    for child, (parent, i) in enumerate(tree, start=1):
+        if images[parent][i] <= 0:
+            raise InvariantViolation(f"tree edge {parent} -> {child} by s{i + 1} is not an ascent")
+        images.append(_apply_word(columns, (i,), images[parent]))
+    return images
 
 
 def weyl_order(rs: RootSystem) -> int:
@@ -197,8 +196,8 @@ def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
     exactly.  It runs on y = w^-1(rho): w*s_i is y -> s_i(y), longer than w
     exactly when y_i > 0.  Walking the elements in the order found, each
     extended by its ascents, finds every element first by its ShortLex word,
-    in (length, word) order.  The left tree then gives every w(rho), and
-    w^-1 is the element whose w(rho) is w's y.
+    in (length, word) order.  The left tree gives every w(rho) and certifies
+    the lengths (:func:`_rho_images`); w^-1 is the element whose w(rho) is w's y.
     """
     order = weyl_order(rs)
     if order > max_order:
@@ -221,20 +220,12 @@ def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
     ordered = list(words.values())
     index = {word: k for k, word in enumerate(ordered)}
     tree = tuple((index[word[1:]], word[0]) for word in ordered[1:])
-    images = [rho]
-    for parent, i in tree:
-        images.append(_apply_word(columns, (i,), images[parent]))
+    images = _rho_images(columns, tree)
     elements = tuple(WeylElement(image, word, columns) for image, word in zip(images, ordered))
     by_rho = {w.rho_image: w for w in elements}
     if by_rho.keys() != words.keys():
         raise InvariantViolation("the images w(rho) and w^-1(rho) are different orbits")
 
-    coroots = tuple(alpha.coroot_coords for alpha in rs.positive_roots)
-    for w in elements:
-        if _length_from_rho_image(coroots, w.rho_image) != w.length:
-            raise InvariantViolation(
-                f"word length of {w.word_str()} disagrees with its inversion count"
-            )
     if sum(w.length == elements[-1].length for w in elements) != 1:
         raise InvariantViolation("longest element is not unique")
 

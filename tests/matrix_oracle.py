@@ -5,20 +5,20 @@ on fundamental-weight coordinates, keyed by the matrix itself, so it shares
 no code with ``generate``'s closure on w^-1(rho).
 """
 
+from operator import mul
+
 
 def identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
 def apply(matrix, vec):
-    return tuple(sum(m * x for m, x in zip(row, vec)) for row in matrix)
+    return tuple(sum(map(mul, row, vec)) for row in matrix)
 
 
 def simple_reflection_matrices(cartan):

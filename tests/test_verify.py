@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
-from dischar import TruncationTooLarge, verify
+from dischar import TruncationTooLarge, generate, verify
+from dischar.cli import parse_config, run
 from dischar.verify import SECTIONS, run_verify
 
 
@@ -55,3 +58,18 @@ def test_partitions_section_compares_every_level(monkeypatch):
     monkeypatch.setattr(verify, "partition_p", reversed_levels)
     failed = [r for r in run_verify([[2, -1], [-1, 2]], [True, False]) if not r.passed]
     assert [(r.name, r.detail) for r in failed] == [("partitions", "P_p mismatch at (0, 1)")]
+
+
+def test_weyl_group_section_counts_inversions(monkeypatch):
+    def corrupted(rs):
+        group = generate(rs)
+        group.elements[3].length += 2  # s1*s2 in A2, parity kept
+        return group
+
+    monkeypatch.setattr(verify, "generate", corrupted)
+    code, out = run("verify", parse_config({"cartan": [[2, -1], [-1, 2]],
+                                            "compact_simple": [True, False]}))
+    assert code == 2
+    assert re.search(
+        r"^FAIL weyl-group: word length of s1\*s2 disagrees with its inversion count$", out, re.M
+    )

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from dischar import (
     weyl_order,
 )
 from dischar.rootdata import _det
+from dischar.weyl import _columns, _rho_images
 from tests.conftest import CARTAN, E7, EXTRA_CARTAN
 from tests.matrix_oracle import (
     apply,
@@ -147,6 +149,54 @@ def test_tree_parents_are_the_word_suffixes(groups):
             assert parent < k and i == w.reduced_word[0]
             assert W.elements[parent].reduced_word == w.reduced_word[1:]
             assert W.multiply(W.simple[i], W.elements[parent]) is w
+
+
+@pytest.mark.parametrize("name", ["B3", "F4"])
+def test_rho_images_along_the_tree_are_the_elements_images(name):
+    rs = build_root_system({**CARTAN, **EXTRA_CARTAN}[name])
+    W = generate(rs)
+    assert _rho_images(_columns(rs), W.tree) == [w.rho_image for w in W.elements]
+
+
+def test_a_descent_in_the_tree_is_refused(systems, groups):
+    # the first letter j of p's word is a left descent: s_j * p is shorter than p
+    rs, W = systems["B3"], groups["B3"]
+    parent, _i = W.tree[-1]
+    j = W.elements[parent].reduced_word[0]
+    tree = W.tree[:-1] + ((parent, j),)
+    with pytest.raises(
+        InvariantViolation,
+        match=rf"^tree edge {parent} -> {W.order - 1} by s{j + 1} is not an ascent$",
+    ):
+        _rho_images(_columns(rs), tree)
+
+
+def test_e6_closes_with_certified_lengths():
+    rs = build_root_system(E6)
+    W = generate(rs)
+    assert W.order == len(W.elements) == 51_840
+    w0 = W.longest
+    assert w0.length == 36 == len(rs.positive_roots)
+    assert sum(w.length == 36 for w in W.elements) == 1
+    assert w0.rho_image == (-1,) * 6
+    fiber_sizes = Counter(w.length for w in W.elements)
+    fibers = [fiber_sizes[p] for p in range(37)]
+    assert sum(fibers) == W.order and fibers == fibers[::-1]
+    # the dense-matrix oracle on a seeded sample, the simple reflections and w0;
+    # each word's matrix is its prefix's times one generator, shared prefixes once
+    gens = simple_reflection_matrices(E6)
+    matrices = {(): identity(6)}
+
+    def matrix_of(word):
+        if word not in matrices:
+            matrices[word] = matmul(matrix_of(word[:-1]), gens[word[-1]])
+        return matrices[word]
+
+    sample = {*random.Random(36).sample(W.elements, 2000), *W.simple, w0}
+    for w in sample:
+        m = matrix_of(w.reduced_word)
+        assert w.rho_image == tuple(sum(row) for row in m)
+        assert matrix_inversion_count(rs, m) == w.length
 
 
 def test_length_fibers_a2(groups):
