@@ -270,8 +270,8 @@ def _alternating_terms(
     # w(e_j) and w(rho_c) for every w: one W_K sweep per vector
     moved = [kdata.orbit(e.twice) for e in units]
     signs, rows, offsets = [], [], []
-    for k, (w, image) in enumerate(zip(kdata.elements, kdata.orbit(grading.rho_c.twice))):
-        signs.append(-1 if kdata.lengthK[w] % 2 else 1)
+    for k, (length_k, image) in enumerate(zip(kdata.lengthK, kdata.orbit(grading.rho_c.twice))):
+        signs.append(-1 if length_k % 2 else 1)
         columns = [e - Weight.from_twice(orbit[k]) for e, orbit in zip(units, moved)]
         rows.extend(zip(*map(root_coords, columns)))
         offsets.extend(root_coords(Weight.from_twice(image) - grading.rho_c))
@@ -395,20 +395,6 @@ def _check_walk_size(grading: CompactGrading, p_max: int) -> None:
         )
 
 
-def check_oracle_walk(
-    grading: CompactGrading, kdata: KWeylData, lam: Weight, box: Box
-) -> int:
-    """The level the box's oracle walk needs, refused past ``MAX_ORACLE_MULTISETS``.
-
-    Raises ``TruncationTooLarge`` as the walk itself would, but before any
-    other work on the box; the level returned can be handed to
-    :func:`filtration_table` for the same box.
-    """
-    level = _filtration_level(grading, kdata, lam, _box_points(grading, box))
-    _check_walk_size(grading, level)
-    return level
-
-
 def _filtration_walk(
     grading: CompactGrading, kdata: KWeylData, lam: Weight, p_max: int
 ) -> dict[Weight, int]:
@@ -457,21 +443,13 @@ def filtration_oracle(
 
 
 def filtration_table(
-    grading: CompactGrading,
-    kdata: KWeylData,
-    lam: Weight,
-    box: Box,
-    p_max: int | None = None,
+    grading: CompactGrading, kdata: KWeylData, lam: Weight, box: Box
 ) -> KTypeTable:
     """The oracle's multiplicities for every nu that ``ktype_table`` evaluates.
 
     One walk up to the largest level any nu of the box needs serves them all.
-    That level is computed from the box unless ``p_max`` passes the one
-    :func:`check_oracle_walk` returned for the same lam and box.
     """
     points = _box_points(grading, box)
     _check_lambda(grading, lam)
-    if p_max is None:
-        p_max = _filtration_level(grading, kdata, lam, points)
-    buckets = _filtration_walk(grading, kdata, lam, p_max)
+    buckets = _filtration_walk(grading, kdata, lam, _filtration_level(grading, kdata, lam, points))
     return KTypeTable(entries={nu: buckets[nu] for nu in points if buckets.get(nu)})

@@ -26,7 +26,7 @@ from .rootdata import (
     check_schmid_parameter,
     dominant_representative,
 )
-from .weyl import IntVec, WeylGroup, dot_orbit, generate
+from .weyl import IntVec, WeylGroup, dot_orbit
 
 if TYPE_CHECKING:
     from .homology import HomologyTable
@@ -114,13 +114,12 @@ class FormalCharacter:
     __hash__ = None  # mutable mapping inside
 
 
-def weyl_denominator(rs: RootSystem, group: WeylGroup | None = None) -> FormalCharacter:
+def weyl_denominator(rs: RootSystem, group: WeylGroup) -> FormalCharacter:
     """The product of (1 - e^alpha) over the positive roots.
 
     Computed both as an expanded product and by the Weyl denominator
-    formula, the sum over W of (-1)^l(w) e^{rho - w rho}; the two
-    expansions must agree exactly.  ``group`` is the Weyl group of ``rs``
-    when the caller has already closed it; otherwise it is generated here.
+    formula, the sum over W of (-1)^l(w) e^{rho - w rho}, with ``group`` the
+    Weyl group of ``rs``; the two expansions must agree exactly.
     """
     product = FormalCharacter.one(rs.rank)
     for alpha in rs.positive_roots:  # times (1 - e^alpha): subtract the shift by alpha
@@ -129,7 +128,7 @@ def weyl_denominator(rs: RootSystem, group: WeylGroup | None = None) -> FormalCh
 
     alternating = FormalCharacter(
         (rs.rho - Weight(w.rho_image), -1 if w.length % 2 else 1)
-        for w in (group if group is not None else generate(rs)).elements
+        for w in group.elements
     )
     if alternating != product:
         raise InvariantViolation("denominator product and Weyl-group sum disagree")
@@ -247,8 +246,8 @@ def discrete_numerator(
     check_schmid_parameter(rs, lam)
     overall = -1 if grading.q % 2 else 1
     return FormalCharacter(
-        (Weight.from_twice(image) + rs.rho, -overall if kdata.lengthK[w] % 2 else overall)
-        for w, image in zip(kdata.elements, kdata.orbit(lam.twice))
+        (Weight.from_twice(image) + rs.rho, -overall if length_k % 2 else overall)
+        for length_k, image in zip(kdata.lengthK, kdata.orbit(lam.twice))
     )
 
 

@@ -25,7 +25,7 @@ from .errors import (
     ParameterIncompatible,
     ValidationError,
 )
-from .orbits import enumerate_closed_orbits
+from .orbits import enumerate_closed_orbits, orbit_strata
 from .realform import CompactGrading, KWeylData, build_grading, weyl_k
 from .rootdata import Weight, build_root_system
 from .weyl import generate
@@ -68,6 +68,8 @@ class JobConfig(NamedTuple):
 
 
 def _fraction(value: object, what: str) -> Fraction:
+    if value is None or isinstance(value, bool):
+        raise ParameterIncompatible(f"{what} entry {value!r} is not an exact number")
     text = str(value)
     if len(text) > MAX_NUMBER_CHARS:
         raise ParameterIncompatible(
@@ -185,7 +187,8 @@ def _orbits(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
         u = orbit.u.word_str()
         signs = ["+" if orbit.positive_system[a] == 1 else "-" for a in rs.simple_roots]
         strata = [
-            {"w": s.w.word_str(), "cell": s.cell.word_str(), "dim": s.dim} for s in orbit.strata
+            {"w": s.w.word_str(), "cell": s.cell.word_str(), "dim": s.dim}
+            for s in orbit_strata(orbit)
         ]
         payload.append(
             {"u": u, "u_rho": Weight(orbit.u.rho_image).serialize(), "simple_signs": signs,

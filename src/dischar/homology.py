@@ -9,9 +9,10 @@ rule that recovers each table from its resolution one term at a time.
 The whole-group sweeps (Kostant table, BGG terms) take their weights from
 ``weyl.dot_orbit``, one simple reflection per element.  The W_K sweeps
 (Schmid table, Trauber terms) read the cells w*u and l_K(w) off the
-orbit's strata in ``kdata.elements`` order (``_cells``) rather than
-multiplying them out again, so the orbit must come from the same W_K; the
-weights w(u(lam)) come from one W_K sweep of u(lam) (``KWeylData.orbit``).
+orbit's strata, which are stored in ``kdata.elements`` order (``_cells``
+zips the two by position), rather than multiplying them out again, so the
+orbit must come from the same W_K; the weights w(u(lam)) come from one W_K
+sweep of u(lam) (``KWeylData.orbit``).
 
 The collapse normalization is: a term of internal degree d sitting at
 resolution position p ends up in homological degree d - p.  This is pinned
@@ -66,16 +67,15 @@ def _cells(grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit,
            lam: Weight) -> list[tuple[int, int, Weight]]:
     """(l(w*u), l_K(w), w*u(lam) + rho) for every w in W_K, in W_K order.
 
-    The cells come off the orbit's strata, which must be indexed by exactly
-    ``kdata.elements``: an orbit enumerated under another grading is
-    refused.  The weights come from one W_K sweep of u(lam).
+    The cells come off the orbit's strata, whose k-th entry must belong to
+    ``kdata.elements[k]`` (compared by w(rho)): an orbit enumerated under
+    another grading is refused.  The weights come from one W_K sweep of u(lam).
     """
-    cells = {s.w: (s.cell.length, s.dim) for s in orbit.strata}
-    if len(orbit.strata) != kdata.order or cells.keys() != set(kdata.elements):
+    if [s.w.rho_image for s in orbit.strata] != [w.rho_image for w in kdata.elements]:
         raise ParameterIncompatible("orbit strata are not indexed by the elements of W_K")
-    rho = grading.rs.rho
-    images = kdata.orbit(act(orbit.u, lam).twice)
-    return [(*cells[w], Weight.from_twice(v) + rho) for w, v in zip(kdata.elements, images)]
+    rho, images = grading.rs.rho, kdata.orbit(act(orbit.u, lam).twice)
+    return [(s.cell.length, s.dim, Weight.from_twice(v) + rho)
+            for s, v in zip(orbit.strata, images)]
 
 
 def schmid_table(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .realform import CompactGrading, KWeylData, weyl_k
+from .realform import CompactGrading, KWeylData
 from .rootdata import Root, RootSystem
 from .weyl import WeylElement, WeylGroup
 
@@ -22,7 +22,11 @@ class Stratum(NamedTuple):
 
 
 class ClosedOrbit(NamedTuple):
-    """One closed K-orbit: its positive system, chamber element and strata."""
+    """One closed K-orbit: its positive system, chamber element and strata.
+
+    ``strata[k]`` is the stratum of ``kdata.elements[k]`` for the W_K it was
+    enumerated under.
+    """
 
     positive_system: Mapping[Root, int]
     u: WeylElement
@@ -35,29 +39,23 @@ def _positive_system_of(rs: RootSystem, w: WeylElement) -> dict[Root, int]:
 
 
 def _strata_for(u: WeylElement, kdata: KWeylData) -> tuple[Stratum, ...]:
+    """The strata (w, w*u, l_K(w)) in ``kdata.elements`` order, from one W_K sweep of u(rho)."""
     by_rho = kdata.weyl.by_rho
-    strata = [
-        Stratum(w=w, cell=by_rho[image], dim=kdata.lengthK[w])
-        for w, image in zip(kdata.elements, kdata.orbit(u.rho_image))
-    ]
-    strata.sort(key=lambda s: (s.dim, s.cell.reduced_word))
-    return tuple(strata)
+    return tuple(
+        Stratum(w=w, cell=by_rho[image], dim=dim)
+        for w, image, dim in zip(kdata.elements, kdata.orbit(u.rho_image), kdata.lengthK)
+    )
 
 
-def orbit_strata(orbit: ClosedOrbit, kdata: KWeylData) -> tuple[Stratum, ...]:
+def orbit_strata(orbit: ClosedOrbit) -> tuple[Stratum, ...]:
     """The Bruhat strata (w, w*u, l_K(w)) sorted by dimension then cell word."""
-    return _strata_for(orbit.u, kdata)
+    return tuple(sorted(orbit.strata, key=lambda s: (s.dim, s.cell.reduced_word)))
 
 
 def enumerate_closed_orbits(
-    rs: RootSystem,
-    grading: CompactGrading,
-    group: WeylGroup,
-    kdata: KWeylData | None = None,
+    rs: RootSystem, grading: CompactGrading, group: WeylGroup, kdata: KWeylData
 ) -> list[ClosedOrbit]:
     """All closed orbits, canonically ordered by the reduced word of ``u``."""
-    if kdata is None:
-        kdata = weyl_k(rs, grading, group)
     orbits = [
         ClosedOrbit(positive_system=_positive_system_of(rs, w), u=w, strata=_strata_for(w, kdata))
         for w in group.elements

@@ -8,6 +8,8 @@ assignments can be screened with :func:`validate_grading`.
 W_K is closed on w(rho) by left multiplication with the simple compact
 reflections, recording each element as s_beta times an earlier one; every
 W_K sweep walks that tree (:meth:`KWeylData.orbit`), one reflection per element.
+The order of ``KWeylData.elements`` indexes all W_K data: ``lengthK``, the
+tree and every sweep are lists by position, so no lookup is keyed by an element.
 """
 
 from __future__ import annotations
@@ -49,14 +51,15 @@ class CompactGrading(NamedTuple):
 class KWeylData(NamedTuple):
     """The Weyl group of the compact roots inside the ambient group.
 
-    ``lengthK`` counts compact positive roots made negative; ``simpleK``
-    holds the simple roots of the compact positive system.  ``tree`` holds
-    (child, parent, j), parents first: elements[child] = s_{simpleK[j]} * elements[parent].
+    ``lengthK[k]`` counts the compact positive roots that ``elements[k]``
+    makes negative; ``simpleK`` holds the simple roots of the compact positive
+    system.  ``tree`` holds (child, parent, j), parents first:
+    elements[child] = s_{simpleK[j]} * elements[parent].
     """
 
     weyl: WeylGroup
     elements: tuple[WeylElement, ...]
-    lengthK: Mapping[WeylElement, int]
+    lengthK: tuple[int, ...]
     simpleK: tuple[Root, ...]
     tree: tuple[tuple[int, int, int], ...]
 
@@ -149,20 +152,20 @@ def weyl_k(rs: RootSystem, grading: CompactGrading, group: WeylGroup) -> KWeylDa
         raise InvariantViolation("W_K does not preserve the compact roots")
 
     found, seen, walk = [group.identity], {group.identity.rho_image}, []
-    for k, w in enumerate(found):  # the list grows while it is walked: breadth first
+    for w in found:  # the list grows while it is walked: breadth first
         for j, beta in enumerate(simple_k):
             image = _reflect(beta, w.rho_image)
             if image not in seen:
                 seen.add(image)
-                walk.append((len(found), k, j))
+                walk.append((image, w.rho_image, j))  # (child, parent, j) by w(rho)
                 found.append(group.by_rho[image])
 
     elements = tuple(sorted(found, key=lambda w: (w.length, w.reduced_word)))
-    index = {w: k for k, w in enumerate(elements)}
+    index = {w.rho_image: k for k, w in enumerate(elements)}
     return KWeylData(
         weyl=group,
         elements=elements,
-        lengthK={w: sum(w.rho_pairing(beta) < 0 for beta in compact) for w in elements},
+        lengthK=tuple(sum(w.rho_pairing(beta) < 0 for beta in compact) for w in elements),
         simpleK=simple_k,
-        tree=tuple((index[found[c]], index[found[p]], j) for c, p, j in walk),
+        tree=tuple((index[c], index[p], j) for c, p, j in walk),
     )

@@ -254,12 +254,15 @@ def build_root_system(cartan: Sequence[Sequence[int]], max_roots: int = 10_000) 
     """Enumerate the positive roots of a Cartan matrix by reflection closure.
 
     Starts from the simple roots and repeatedly applies simple reflections,
-    keeping every positive image.  Raises ``NotFiniteType`` when the closure
-    exceeds ``max_roots`` or a reflection produces a vector with mixed signs
-    (which can never be plus or minus a root).
+    keeping every positive image.  Raises ``NotFiniteType`` for a singular
+    matrix before the closure, and when the closure exceeds ``max_roots`` or
+    a reflection produces a vector with mixed signs (never plus or minus a root).
     """
     rows = _validate_cartan(cartan)
     rank = len(rows)
+    det = _det(rows)
+    if det == 0:
+        raise NotFiniteType("Cartan matrix is singular")
 
     # root_coords -> coroot_coords during the closure
     seen: dict[IntVec, IntVec] = {}
@@ -303,9 +306,6 @@ def build_root_system(cartan: Sequence[Sequence[int]], max_roots: int = 10_000) 
 
     if any(sum(r.fw_coords[i] for r in roots) != 2 for i in range(rank)):
         raise InvariantViolation("half sum of positive roots is not (1,...,1)")
-    det = _det(rows)
-    if det == 0:
-        raise NotFiniteType("Cartan matrix is singular")
 
     return RootSystem(
         rank=rank,

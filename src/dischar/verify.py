@@ -2,8 +2,8 @@
 
 Each section re-derives a family of identities and reports a single
 pass/fail line; the sections run one after another in a fixed order.  The
-root system, Weyl group, grading, W_K and closed orbits are built once and
-shared by every section.
+root system, Weyl group, grading, W_K, closed orbits and the blattner
+section's oracle table are built once, before any section runs, and shared.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from typing import Callable, NamedTuple, Sequence
 
-from .blattner import check_oracle_walk, filtration_table, ktype_table, partition, partition_p
+from .blattner import KTypeTable, filtration_table, ktype_table, partition, partition_p
 from .characters import (
     discrete_numerator,
     euler_character,
@@ -39,8 +39,8 @@ class VerifyContext(NamedTuple):
     grading: CompactGrading
     kdata: KWeylData
     orbits: list[ClosedOrbit]
-    # the blattner section's oracle level, computed when the walk was sized
-    blattner_level: int
+    # the blattner section's oracle table, walked before any section runs
+    blattner_oracle: KTypeTable
 
 
 def _check_root_system(ctx: VerifyContext) -> CheckResult:
@@ -89,10 +89,11 @@ def _check_weyl_group(ctx: VerifyContext) -> CheckResult:
         return CheckResult("weyl-group", False, "length generating function not palindromic")
     rng = random.Random(7)
     rho = ctx.rs.rho
+    inverses = [group.inverse(w) for w in group.elements]
     for _ in range(5):
         lam = Weight([rng.randint(-6, 6) for _ in range(group.rank)])
-        for w in group.elements:
-            if act(w, act(group.inverse(w), lam)) != lam:
+        for w, w_inv in zip(group.elements, inverses):
+            if act(w, act(w_inv, lam)) != lam:
                 return CheckResult("weyl-group", False, "inverse action roundtrip failed")
         if dot_orbit(ctx.rs, group, lam) != [act(w, lam - rho) + rho for w in group.elements]:
             return CheckResult("weyl-group", False, "dot orbit disagrees with the word action")
@@ -112,8 +113,8 @@ def _check_grading(ctx: VerifyContext) -> CheckResult:
     for alpha in kdata.simpleK:
         if coroot_pairing(alpha, grading.rho_c) != 1:
             return CheckResult("grading", False, "rho_c does not pair to 1 on simpleK")
-    for w in kdata.elements:
-        if (-1) ** w.length != (-1) ** kdata.lengthK[w]:
+    for w, length_k in zip(kdata.elements, kdata.lengthK):
+        if (-1) ** w.length != (-1) ** length_k:
             return CheckResult("grading", False, "sign restriction to W_K disagrees")
     return CheckResult("grading", True)
 
@@ -122,8 +123,8 @@ def _check_orbits(ctx: VerifyContext) -> CheckResult:
     grading, kdata, orbits = ctx.grading, ctx.kdata, ctx.orbits
     if len(orbits) * kdata.order != ctx.group.order:
         return CheckResult("orbits", False, "orbit count differs from |W|/|W_K|")
-    cells = [s.cell for orbit in orbits for s in orbit.strata]
-    if len(cells) != ctx.group.order or set(cells) != set(ctx.group.elements):
+    cells = [s.cell.rho_image for orbit in orbits for s in orbit.strata]
+    if len(cells) != ctx.group.order or set(cells) != ctx.group.by_rho.keys():
         return CheckResult("orbits", False, "strata cells do not partition W")
     for orbit in orbits:
         if any(orbit.positive_system[a] != 1 for a in grading.compact_positive):
@@ -244,10 +245,8 @@ def _blattner_case(rs: RootSystem) -> tuple[Weight, tuple[tuple[int, ...], tuple
 
 
 def _check_blattner(ctx: VerifyContext) -> CheckResult:
-    grading, kdata = ctx.grading, ctx.kdata
-    lam, box = _blattner_case(ctx.rs)
-    closed = ktype_table(grading, kdata, lam, box).entries
-    oracle = filtration_table(grading, kdata, lam, box, ctx.blattner_level).entries
+    closed = ktype_table(ctx.grading, ctx.kdata, *_blattner_case(ctx.rs)).entries
+    oracle = ctx.blattner_oracle.entries
     for nu in sorted(closed.keys() | oracle.keys()):
         value = closed.get(nu, 0)
         if value < 0:
@@ -276,17 +275,17 @@ def run_verify(
 ) -> list[CheckResult]:
     """Run every section for one configuration; order of results is fixed.
 
-    The blattner section's oracle walk is sized first, so a configuration
-    it would refuse (``TruncationTooLarge``) fails before any section runs;
-    the section then walks to the level found there.
+    The blattner section's oracle table is walked first, so a configuration
+    whose walk is refused (``TruncationTooLarge``) fails before any section
+    runs; the section then compares the closed formula with that table.
     """
     rs = build_root_system(cartan)
     grading = build_grading(rs, tuple(1 if c else -1 for c in compact_simple))
     group = generate(rs)
     kdata = weyl_k(rs, grading, group)
-    level = check_oracle_walk(grading, kdata, *_blattner_case(rs))
+    oracle = filtration_table(grading, kdata, *_blattner_case(rs))
     orbits = enumerate_closed_orbits(rs, grading, group, kdata)
     ctx = VerifyContext(
-        rs=rs, group=group, grading=grading, kdata=kdata, orbits=orbits, blattner_level=level
+        rs=rs, group=group, grading=grading, kdata=kdata, orbits=orbits, blattner_oracle=oracle
     )
     return [check(ctx) for _name, check in SECTIONS]

@@ -1,11 +1,12 @@
 """Weyl group generation by breadth-first closure over simple reflections.
 
 An element is identified by w(rho), which determines w because rho is
-regular; equality and hashing go through that integer vector alone.  Each
-element also carries its ShortLex reduced word (the lexicographically least
-of its shortest words) and one reference, shared by the whole group, to the
-simple roots, so :func:`act` and ``WeylGroup.multiply`` apply the word one
-simple reflection at a time.
+regular; equality and hashing go through that integer vector alone, and the
+group's lookups are keyed by the vector, never by an element.  Each element
+also carries its ShortLex reduced word (the lexicographically least of its
+shortest words) and one reference, shared by the whole group, to the simple
+roots, so :func:`act` and ``WeylGroup.multiply`` apply the word one simple
+reflection at a time.
 
 :func:`generate` closes W on y = w^-1(rho), where w*s_i is y -> s_i(y).  A
 suffix of a ShortLex word is ShortLex, so w = s_{word[0]} * (the element
@@ -51,7 +52,7 @@ def _apply_word(columns: tuple[Column, ...], word: tuple[int, ...], vec: IntVec,
 class WeylElement:
     """Group element: w(rho), one reduced word, length, and the group's simple roots."""
 
-    __slots__ = ("rho_image", "reduced_word", "length", "columns", "_hash")
+    __slots__ = ("rho_image", "reduced_word", "length", "columns")
 
     def __init__(self, rho_image: IntVec, reduced_word: tuple[int, ...],
                  columns: tuple[Column, ...]) -> None:
@@ -60,7 +61,6 @@ class WeylElement:
         self.length = len(reduced_word)
         # the simple roots, one tuple shared by every element of the group
         self.columns = columns
-        self._hash = hash(rho_image)
 
     def rho_pairing(self, alpha: Root) -> int:
         """<alpha-check, w rho>: positive exactly when w^-1 alpha is a positive root."""
@@ -76,7 +76,7 @@ class WeylElement:
         return isinstance(other, WeylElement) and self.rho_image == other.rho_image
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.rho_image)
 
     def __repr__(self) -> str:
         return f"WeylElement({self.word_str()})"
@@ -86,7 +86,8 @@ class WeylGroup(NamedTuple):
     """The full Weyl group, closed under composition, canonically ordered.
 
     ``tree`` holds (parent, i) for each of ``elements[1:]``: the element is
-    s_i * elements[parent], and the parent comes earlier.
+    s_i * elements[parent], and the parent comes earlier.  ``by_rho`` finds
+    an element from its w(rho).
     """
 
     rank: int
@@ -94,11 +95,10 @@ class WeylGroup(NamedTuple):
     order: int
     simple: tuple[WeylElement, ...]
     by_rho: Mapping[IntVec, WeylElement]
-    inverses: Mapping[WeylElement, WeylElement]
     tree: tuple[tuple[int, int], ...]
 
     def __repr__(self) -> str:
-        # the lookup maps and the tree stay out of the repr
+        # the lookup map and the tree stay out of the repr
         return (
             f"WeylGroup(rank={self.rank!r}, elements={self.elements!r}, "
             f"order={self.order!r}, simple={self.simple!r})"
@@ -125,10 +125,11 @@ class WeylGroup(NamedTuple):
             raise InvariantViolation("product is not an element of this Weyl group") from None
 
     def inverse(self, a: WeylElement) -> WeylElement:
-        try:
-            return self.inverses[a]
-        except KeyError:
-            raise InvariantViolation("element is not a member of this Weyl group") from None
+        """The element whose word is a's reversed: w^-1(rho) found in ``by_rho``."""
+        w = self.by_rho.get(a.rho_image)
+        if w is None:
+            raise InvariantViolation("element is not a member of this Weyl group")
+        return self.by_rho[_apply_word(w.columns, w.reduced_word[::-1], (1,) * self.rank)]
 
 
 def act(w: WeylElement, lam: Weight) -> Weight:
@@ -197,7 +198,7 @@ def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
     exactly when y_i > 0.  Walking the elements in the order found, each
     extended by its ascents, finds every element first by its ShortLex word,
     in (length, word) order.  The left tree gives every w(rho) and certifies
-    the lengths (:func:`_rho_images`); w^-1 is the element whose w(rho) is w's y.
+    the lengths (:func:`_rho_images`).
     """
     order = weyl_order(rs)
     if order > max_order:
@@ -235,14 +236,13 @@ def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
         order=order,
         simple=elements[1:n + 1],
         by_rho=by_rho,
-        inverses={w: by_rho[y] for w, y in zip(elements, words)},
         tree=tree,
     )
 
 
-def length_fiber(group: WeylGroup, p: int) -> frozenset[WeylElement]:
-    """All elements of the given length; empty outside [0, l(longest)]."""
-    return frozenset(w for w in group.elements if w.length == p)
+def length_fiber(group: WeylGroup, p: int) -> tuple[WeylElement, ...]:
+    """The elements of the given length in ``elements`` order; empty outside [0, l(longest)]."""
+    return tuple(w for w in group.elements if w.length == p)
 
 
 def sign(w: WeylElement) -> int:

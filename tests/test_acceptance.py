@@ -76,7 +76,7 @@ def test_criterion_1_weyl_character_identity(built):
     start = time.monotonic()
     for name, lams in SWEEP_LAMBDAS.items():
         rs, W = systems[name], groups[name]
-        den = weyl_denominator(rs)
+        den = weyl_denominator(rs, W)
         assert len(lams) >= 5
         for coords in lams:
             assert all(-4 <= c <= 0 for c in coords)

@@ -177,10 +177,10 @@ def bwb_by_scan(grading, kdata, eta):
     compact = grading.compact_positive
     if any(coroot_pairing(a, eta) == 0 for a in compact):
         return None
-    for w in kdata.elements:
+    for w, length_k in zip(kdata.elements, kdata.lengthK):
         candidate = act(kdata.weyl.inverse(w), eta)
         if all(coroot_pairing(a, candidate) < 0 for a in compact):
-            return kdata.lengthK[w], candidate + grading.rho_c
+            return length_k, candidate + grading.rho_c
     raise AssertionError("no W_K chamber representative for a regular weight")
 
 

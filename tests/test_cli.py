@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -230,6 +231,21 @@ def test_main_refuses_lambda_outside_half_integers(tmp_path, capsys, command, so
     }
 
 
+@pytest.mark.parametrize("entry", [None, True, False], ids=["null", "true", "false"])
+@pytest.mark.parametrize("field", ["lambda", "nu_box"])
+def test_main_refuses_json_literals_as_numbers(tmp_path, capsys, field, entry):
+    # str() of these reads "None", "True" and "False"; none is exponent notation
+    if field == "lambda":
+        overrides = {"lambda": [entry, "-1"]}
+    else:
+        overrides = {"nu_box": [[entry, "-8"], ["0", "0"]]}
+    path = write_config(tmp_path, dict(A2_MIXED, **overrides))
+    assert main(["blattner", "--config", path]) == 1
+    data = json.loads(capsys.readouterr().out.strip())
+    assert data["error"] == "ParameterIncompatible"
+    assert re.fullmatch(rf"{field} entry {entry!r} is not an exact number", data["message"])
+
+
 def _diagonal(n):
     return [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -285,14 +301,21 @@ def test_main_refuses_oversized_work(tmp_path, capsys, data, flags, error):
 
 def test_denominator_reuses_the_closed_group(tmp_path, capsys, monkeypatch):
     import dischar.characters
+    import dischar.cli
 
-    def refuse(rs):
-        raise AssertionError("the Weyl group was closed a second time")
+    # weyl_denominator takes the group as an argument and cannot close it again
+    assert not hasattr(dischar.characters, "generate")
+    closed = []
 
-    monkeypatch.setattr(dischar.characters, "generate", refuse)
+    def counted(rs):
+        closed.append(rs)
+        return generate(rs)
+
+    monkeypatch.setattr(dischar.cli, "generate", counted)
     path = write_config(tmp_path, A2_MIXED)
     assert main(["character", "--which", "denominator", "--config", path]) == 0
     assert json.loads(capsys.readouterr().out)["terms"]
+    assert len(closed) == 1
 
 
 @pytest.mark.parametrize(

@@ -140,8 +140,8 @@ def test_trauber_terms(systems, groups):
     positions2 = [p for p, _d, _mu in terms2]
     assert [positions2.count(p) for p in range(2)] == [1, 1]
     dim_q = len(grading2.compact_positive)
-    for w, (p, _d, _mu) in zip(kdata2.elements, terms2):
-        assert kdata2.lengthK[w] == dim_q - p
+    for length_k, (p, _d, _mu) in zip(kdata2.lengthK, terms2):
+        assert length_k == dim_q - p
 
     # all-compact degeneration has the BGG shape
     rs3, W3, grading3, kdata3, orbits3 = mixed_setup(systems, groups, "A2", (1, 1))
@@ -268,7 +268,7 @@ def test_whole_group_sweeps_make_no_dense_products(monkeypatch):
     # the wrappers do see calls: each W_K table applies u to lam once, and
     # sweeps W_K for the rest
     assert calls["act"] == 2
-    orbit_strata(orbits[1], kdata)
+    orbit_strata(orbits[1])
     discrete_numerator(grading, kdata, lam)
     assert calls == {"act": 2}
 

@@ -23,13 +23,14 @@ from tests.conftest import CARTAN, EXTRA_CARTAN
 def test_a1_noncompact_orbits(systems, groups):
     rs, W = systems["A1"], groups["A1"]
     grading = build_grading(rs, (-1,))
-    orbits = enumerate_closed_orbits(rs, grading, W)
+    orbits = enumerate_closed_orbits(rs, grading, W, weyl_k(rs, grading, W))
     assert [o.u.word_str() for o in orbits] == ["e", "s1"]
 
 
 def test_a2_mixed_orbit_count(systems, groups):
     rs, W = systems["A2"], groups["A2"]
-    orbits = enumerate_closed_orbits(rs, build_grading(rs, (1, -1)), W)
+    grading = build_grading(rs, (1, -1))
+    orbits = enumerate_closed_orbits(rs, grading, W, weyl_k(rs, grading, W))
     assert len(orbits) == 3
 
 
@@ -40,7 +41,7 @@ def test_all_compact_single_orbit(systems, groups):
     assert len(orbits) == 1
     assert orbits[0].u == W.identity
     # full Bruhat stratification
-    strata = orbit_strata(orbits[0], kdata)
+    strata = orbit_strata(orbits[0])
     assert [(s.w, s.cell, s.dim) for s in strata] == [
         (w, w, w.length) for w in sorted(W.elements, key=lambda w: (w.length, w.reduced_word))
     ]
@@ -87,7 +88,7 @@ def test_positive_system_contains_compact_positives(systems, groups):
         rs, W = systems[name], groups[name]
         for signs in itertools.product((1, -1), repeat=rs.rank):
             grading = build_grading(rs, signs)
-            for orbit in enumerate_closed_orbits(rs, grading, W):
+            for orbit in enumerate_closed_orbits(rs, grading, W, weyl_k(rs, grading, W)):
                 assert all(orbit.positive_system[a] == 1 for a in grading.compact_positive)
 
 
@@ -96,8 +97,8 @@ def test_strata_dims_are_k_lengths(systems, groups):
     grading = build_grading(rs, (1, -1))
     kdata = weyl_k(rs, grading, W)
     for orbit in enumerate_closed_orbits(rs, grading, W, kdata):
-        for stratum in orbit.strata:
-            assert stratum.dim == kdata.lengthK[stratum.w]
+        for stratum, w, length_k in zip(orbit.strata, kdata.elements, kdata.lengthK):
+            assert stratum.w == w and stratum.dim == length_k
             assert stratum.cell == kdata.weyl.multiply(stratum.w, orbit.u)
 
 

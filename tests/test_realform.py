@@ -106,16 +106,17 @@ def test_weyl_k_examples(systems, groups):
 
     k1 = weyl_k(a1, build_grading(a1, (-1,)), W1)
     assert k1.order == 1
-    assert k1.lengthK[W1.identity] == 0
+    assert k1.elements == (W1.identity,) and k1.lengthK == (0,)
 
     grading = build_grading(a2, (1, -1))
     k2 = weyl_k(a2, grading, W2)
     assert k2.order == 2
-    assert k2.lengthK[W2.simple[0]] == 1
+    assert k2.elements == (W2.identity, W2.simple[0]) and k2.lengthK == (0, 1)
 
     compact = weyl_k(a2, build_grading(a2, (1, 1)), W2)
     assert compact.order == W2.order
-    assert all(compact.lengthK[w] == w.length for w in W2.elements)
+    assert compact.elements == W2.elements
+    assert compact.lengthK == tuple(w.length for w in W2.elements)
 
 
 def test_sign_restriction_agreement(systems, groups):
@@ -125,8 +126,9 @@ def test_sign_restriction_agreement(systems, groups):
         rs, W = systems[name], groups[name]
         for signs in itertools.product((1, -1), repeat=rs.rank):
             kdata = weyl_k(rs, build_grading(rs, signs), W)
-            for w in kdata.elements:
-                assert (-1) ** w.length == (-1) ** kdata.lengthK[w]
+            assert len(kdata.lengthK) == kdata.order
+            for w, length_k in zip(kdata.elements, kdata.lengthK):
+                assert (-1) ** w.length == (-1) ** length_k
             assert W.order % kdata.order == 0
 
 

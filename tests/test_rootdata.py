@@ -96,6 +96,20 @@ def test_not_finite_type_rejected(cartan):
         build_root_system(cartan)
 
 
+def _affine_a(n):
+    """The cyclic Cartan matrix of affine A_{n-1}: singular, every row sums to 0."""
+    return [[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0 for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("cartan", [[[2, -2], [-2, 2]], _affine_a(16)], ids=["A1~", "A15~"])
+def test_singular_cartan_refused_before_the_closure(cartan):
+    # the root closure of a singular matrix never ends; it used to run to
+    # max_roots and abort with "more than 10000 positive roots"
+    with pytest.raises(NotFiniteType, match="^Cartan matrix is singular$"):
+        build_root_system(cartan)
+
+
 def test_fw_coords_are_cartan_columns(systems):
     for rs in systems.values():
         for j, alpha in enumerate(rs.simple_roots):

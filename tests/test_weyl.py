@@ -201,10 +201,10 @@ def test_e6_closes_with_certified_lengths():
 
 def test_length_fibers_a2(groups):
     W = groups["A2"]
-    assert length_fiber(W, 0) == frozenset({W.identity})
-    assert len(length_fiber(W, 1)) == 2
-    assert length_fiber(W, 4) == frozenset()
-    assert length_fiber(W, -1) == frozenset()
+    assert length_fiber(W, 0) == (W.identity,)
+    assert length_fiber(W, 1) == W.simple
+    assert length_fiber(W, 4) == ()
+    assert length_fiber(W, -1) == ()
 
 
 def test_sign_examples(groups):
