@@ -239,10 +239,13 @@ def _box_points(grading: CompactGrading, box: Box) -> list[Weight]:
     lo, hi = box
     if len(lo) != rs.rank or len(hi) != rs.rank:
         raise ParameterIncompatible("box endpoints must have one entry per rank")
-    axes = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
-    count = math.prod(len(axis) for axis in axes)
+    spans = [(math.ceil(a), math.floor(b)) for a, b in zip(lo, hi)]
+    count = math.prod(max(0, b - a + 1) for a, b in spans)
     if count > MAX_BOX_POINTS:
         raise BoxTooLarge(f"nu box spans {count} points; the limit is {MAX_BOX_POINTS}")
+    if not count:  # product() would still build every other axis in full
+        return []
+    axes = [range(a, b + 1) for a, b in spans]
     points = (Weight(coords) for coords in itertools.product(*axes))
     return [
         nu for nu in points

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from itertools import chain
-from operator import mul
+from operator import add, mul
 from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation
@@ -242,11 +242,11 @@ def discrete_numerator(
     grading: CompactGrading, kdata: KWeylData, lam: Weight
 ) -> FormalCharacter:
     """Elliptic numerator (-1)^q sum over W_K of (-1)^{l_K(w)} e^{w lam + rho}."""
-    rs = grading.rs
-    check_schmid_parameter(rs, lam)
+    check_schmid_parameter(grading.rs, lam)
     overall = -1 if grading.q % 2 else 1
+    rho2 = grading.rs.rho.twice
     return FormalCharacter(
-        (Weight.from_twice(image) + rs.rho, -overall if length_k % 2 else overall)
+        (Weight.from_twice(tuple(map(add, image, rho2))), -overall if length_k % 2 else overall)
         for length_k, image in zip(kdata.lengthK, kdata.orbit(lam.twice))
     )
 

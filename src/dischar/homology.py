@@ -22,6 +22,7 @@ same rule then drives the Trauber pipeline unchanged.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CollapseAmbiguous, InvariantViolation, ParameterIncompatible
@@ -73,8 +74,8 @@ def _cells(grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit,
     """
     if [s.w.rho_image for s in orbit.strata] != [w.rho_image for w in kdata.elements]:
         raise ParameterIncompatible("orbit strata are not indexed by the elements of W_K")
-    rho, images = grading.rs.rho, kdata.orbit(act(orbit.u, lam).twice)
-    return [(s.cell.length, s.dim, Weight.from_twice(v) + rho)
+    rho2, images = grading.rs.rho.twice, kdata.orbit(act(orbit.u, lam).twice)
+    return [(s.cell.length, s.dim, Weight.from_twice(tuple(map(add, v, rho2))))
             for s, v in zip(orbit.strata, images)]
 
 

@@ -53,15 +53,15 @@ class KWeylData(NamedTuple):
 
     ``lengthK[k]`` counts the compact positive roots that ``elements[k]``
     makes negative; ``simpleK`` holds the simple roots of the compact positive
-    system.  ``tree`` holds (child, parent, j), parents first:
-    elements[child] = s_{simpleK[j]} * elements[parent].
+    system.  ``tree`` holds (parent, j) for each of ``elements[1:]``: the
+    element is s_{simpleK[j]} * elements[parent], and the parent comes earlier.
     """
 
     weyl: WeylGroup
     elements: tuple[WeylElement, ...]
     lengthK: tuple[int, ...]
     simpleK: tuple[Root, ...]
-    tree: tuple[tuple[int, int, int], ...]
+    tree: tuple[tuple[int, int], ...]
 
     def __repr__(self) -> str:  # the tree stays out
         return (f"KWeylData(weyl={self.weyl!r}, elements={self.elements!r}, "
@@ -76,9 +76,9 @@ class KWeylData(NamedTuple):
 
         The action is linear, so ``vec`` may be a doubled vector.
         """
-        images = [vec] * len(self.elements)
-        for child, parent, j in self.tree:
-            images[child] = _reflect(self.simpleK[j], images[parent])
+        images = [vec]
+        for parent, j in self.tree:
+            images.append(_reflect(self.simpleK[j], images[parent]))
         return images
 
 
@@ -151,21 +151,22 @@ def weyl_k(rs: RootSystem, grading: CompactGrading, group: WeylGroup) -> KWeylDa
     if any(_reflect(beta, a.fw_coords) not in roots for beta in simple_k for a in compact):
         raise InvariantViolation("W_K does not preserve the compact roots")
 
-    found, seen, walk = [group.identity], {group.identity.rho_image}, []
+    # w(rho) -> (parent's w(rho), j); w^-1 beta > 0, so s_beta * w is longer in W too
+    found, edges = [group.identity], {group.identity.rho_image: None}
     for w in found:  # the list grows while it is walked: breadth first
         for j, beta in enumerate(simple_k):
             image = _reflect(beta, w.rho_image)
-            if image not in seen:
-                seen.add(image)
-                walk.append((image, w.rho_image, j))  # (child, parent, j) by w(rho)
+            if image not in edges:
+                edges[image] = (w.rho_image, j)
                 found.append(group.by_rho[image])
 
     elements = tuple(sorted(found, key=lambda w: (w.length, w.reduced_word)))
     index = {w.rho_image: k for k, w in enumerate(elements)}
+    parents = [edges[w.rho_image] for w in elements[1:]]
     return KWeylData(
         weyl=group,
         elements=elements,
         lengthK=tuple(sum(w.rho_pairing(beta) < 0 for beta in compact) for w in elements),
         simpleK=simple_k,
-        tree=tuple((index[c], index[p], j) for c, p, j in walk),
+        tree=tuple((index[p], j) for p, j in parents),
     )

@@ -37,6 +37,9 @@ from .errors import (
 IntVec = tuple[int, ...]
 Coords = tuple[int | Fraction, ...]
 
+# positive roots one closure may reach before it is aborted
+MAX_ROOTS = 10_000
+
 
 def _half(t: int) -> int | Fraction:
     """t / 2 as an ``int`` when t is even, else as a ``Fraction``."""
@@ -250,19 +253,21 @@ def _adjugate(m: tuple[IntVec, ...]) -> tuple[IntVec, ...]:
     )
 
 
-def build_root_system(cartan: Sequence[Sequence[int]], max_roots: int = 10_000) -> RootSystem:
+def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     """Enumerate the positive roots of a Cartan matrix by reflection closure.
 
     Starts from the simple roots and repeatedly applies simple reflections,
-    keeping every positive image.  Raises ``NotFiniteType`` for a singular
-    matrix before the closure, and when the closure exceeds ``max_roots`` or
-    a reflection produces a vector with mixed signs (never plus or minus a root).
+    keeping every positive image.  Raises ``NotFiniteType`` before the closure
+    when det(C) <= 0, and when the closure exceeds ``MAX_ROOTS`` or a
+    reflection produces a vector with mixed signs (never plus or minus a root).
     """
     rows = _validate_cartan(cartan)
     rank = len(rows)
     det = _det(rows)
     if det == 0:
         raise NotFiniteType("Cartan matrix is singular")
+    if det < 0:  # a finite-type Cartan matrix has positive determinant
+        raise NotFiniteType(f"Cartan matrix has determinant {det} < 0; not of finite type")
 
     # root_coords -> coroot_coords during the closure
     seen: dict[IntVec, IntVec] = {}
@@ -292,8 +297,8 @@ def build_root_system(cartan: Sequence[Sequence[int]], max_roots: int = 10_000) 
             co_image = tuple(m[j] - co_pairing * int(j == i) for j in range(rank))
             seen[image] = co_image
             queue.append(image)
-            if len(seen) > max_roots:
-                raise NotFiniteType(f"more than {max_roots} positive roots; closure aborted")
+            if len(seen) > MAX_ROOTS:
+                raise NotFiniteType(f"more than {MAX_ROOTS} positive roots; closure aborted")
 
     ordered = sorted(seen, key=lambda n: (sum(n), n))
     roots = []

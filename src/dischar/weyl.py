@@ -8,12 +8,13 @@ shortest words) and one reference, shared by the whole group, to the simple
 roots, so :func:`act` and ``WeylGroup.multiply`` apply the word one simple
 reflection at a time.
 
-:func:`generate` closes W on y = w^-1(rho), where w*s_i is y -> s_i(y).  A
-suffix of a ShortLex word is ShortLex, so w = s_{word[0]} * (the element
-whose word is word[1:]); these left parents form the group's ``tree``.  One
-pass down it gives every w(rho) and certifies l(w) = len(word), one ascent
-test per edge; the inversion count is the length oracle of ``verify``.
-Whole-group sweeps (:func:`dot_orbit`) walk the tree the same way.
+:func:`generate` closes W on w(rho) by left multiplication, one length at a
+time, and finds each element first by its ShortLex word; the element p whose
+word is the suffix word[1:] is its left parent, w = s_{word[0]} * p, and these
+edges form the group's ``tree``.  Every edge is an ascent, so an element's
+depth in the tree is its length; the inversion count is the length oracle of
+``verify``.  Whole-group sweeps (:func:`dot_orbit`) walk the tree one simple
+reflection per element.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .rootdata import Root, RootSystem, Weight
 
 IntVec = tuple[int, ...]
 Column = tuple[tuple[int, int], ...]  # the nonzero (k, alpha_i[k]) of a simple root
+
+# elements one closure may build; |W| >= 2^rank, so the CLI admits rank 16 at most
+MAX_WEYL_ORDER = 100_000
 
 
 def _columns(rs: RootSystem) -> tuple[Column, ...]:
@@ -157,21 +161,6 @@ def dot_orbit(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[Weight]:
     return [Weight.from_twice(v) for v in images]
 
 
-def _rho_images(columns: tuple[Column, ...], tree: tuple[tuple[int, int], ...]) -> list[IntVec]:
-    """w(rho) for every element down the left tree, each edge (p, i) an ascent.
-
-    l(s_i * p) = l(p) + 1 exactly when <alpha_i-check, p(rho)> > 0 (Humphreys,
-    *Reflection Groups and Coxeter Groups*, 1.6-1.7), so by induction from e
-    every element's length is its depth in the tree.
-    """
-    images = [(1,) * len(columns)]
-    for child, (parent, i) in enumerate(tree, start=1):
-        if images[parent][i] <= 0:
-            raise InvariantViolation(f"tree edge {parent} -> {child} by s{i + 1} is not an ascent")
-        images.append(_apply_word(columns, (i,), images[parent]))
-    return images
-
-
 def weyl_order(rs: RootSystem) -> int:
     """|W| = prod (m_i + 1) over the exponents m_i, read off the root heights.
 
@@ -189,54 +178,50 @@ def weyl_order(rs: RootSystem) -> int:
     return order
 
 
-def generate(rs: RootSystem, max_order: int = 100_000) -> WeylGroup:
-    """Breadth-first closure of the simple reflections.
+def generate(rs: RootSystem) -> WeylGroup:
+    """Breadth-first closure of the simple reflections, one length at a time.
 
     The order is predicted by :func:`weyl_order` and checked against
-    ``max_order`` before any element is built; the closure must reach it
-    exactly.  It runs on y = w^-1(rho): w*s_i is y -> s_i(y), longer than w
-    exactly when y_i > 0.  Walking the elements in the order found, each
-    extended by its ascents, finds every element first by its ShortLex word,
-    in (length, word) order.  The left tree gives every w(rho) and certifies
-    the lengths (:func:`_rho_images`).
+    ``MAX_WEYL_ORDER`` before any element is built; the closure must reach
+    it exactly.  It runs on w(rho) by left multiplication: s_i * p is longer
+    than p exactly when <alpha_i-check, p(rho)> > 0 (Humphreys, *Reflection
+    Groups and Coxeter Groups*, 1.6-1.7), so the depth of the search is the
+    length.  Each length is built letter by letter, i outer and the previous
+    length inner, so its words (i,) + word(p) come in lexicographic order and
+    each element is found first by its ShortLex word (Bjorner-Brenti,
+    *Combinatorics of Coxeter Groups*, ch. 3); (p, i) is its tree edge.
     """
     order = weyl_order(rs)
-    if order > max_order:
-        raise GroupTooLarge(f"Weyl group has {order} elements; the limit is {max_order}")
+    if order > MAX_WEYL_ORDER:
+        raise GroupTooLarge(f"Weyl group has {order} elements; the limit is {MAX_WEYL_ORDER}")
     n = rs.rank
     columns = _columns(rs)
-    rho = (1,) * n
-    words: dict[IntVec, tuple[int, ...]] = {rho: ()}  # w^-1(rho) -> word of w
-    found = [rho]
-    for y in found:  # the list grows while it is walked: breadth first
+    identity = WeylElement((1,) * n, (), columns)
+    elements, tree, by_rho = [identity], [], {identity.rho_image: identity}
+    start, end = 0, 1  # elements[start:end] have the previous length
+    while start < end:
         for i in range(n):
-            if y[i] > 0 and (key := _apply_word(columns, (i,), y)) not in words:
-                words[key] = words[y] + (i,)
-                found.append(key)
-                if len(found) > order:
-                    raise InvariantViolation(f"closure passes the predicted order {order}")
-    if len(words) != order:
-        raise InvariantViolation(f"closure has {len(words)} elements, predicted {order}")
-
-    ordered = list(words.values())
-    index = {word: k for k, word in enumerate(ordered)}
-    tree = tuple((index[word[1:]], word[0]) for word in ordered[1:])
-    images = _rho_images(columns, tree)
-    elements = tuple(WeylElement(image, word, columns) for image, word in zip(images, ordered))
-    by_rho = {w.rho_image: w for w in elements}
-    if by_rho.keys() != words.keys():
-        raise InvariantViolation("the images w(rho) and w^-1(rho) are different orbits")
-
-    if sum(w.length == elements[-1].length for w in elements) != 1:
-        raise InvariantViolation("longest element is not unique")
+            for p in range(start, end):
+                image = elements[p].rho_image
+                if image[i] > 0 and (key := _apply_word(columns, (i,), image)) not in by_rho:
+                    w = by_rho[key] = WeylElement(key, (i,) + elements[p].reduced_word, columns)
+                    elements.append(w)
+                    tree.append((p, i))
+                    if len(elements) > order:
+                        raise InvariantViolation(f"closure passes the predicted order {order}")
+        if len(elements) == end and end - start != 1:
+            raise InvariantViolation("longest element is not unique")
+        start, end = end, len(elements)
+    if len(elements) != order:
+        raise InvariantViolation(f"closure has {len(elements)} elements, predicted {order}")
 
     return WeylGroup(
         rank=n,
-        elements=elements,
+        elements=tuple(elements),
         order=order,
-        simple=elements[1:n + 1],
+        simple=tuple(elements[1:n + 1]),
         by_rho=by_rho,
-        tree=tree,
+        tree=tuple(tree),
     )
 
 

@@ -2,7 +2,7 @@
 
 The group is closed by BFS over products of the simple-reflection matrices
 on fundamental-weight coordinates, keyed by the matrix itself, so it shares
-no code with ``generate``'s closure on w^-1(rho).
+no code with ``generate``'s closure on w(rho).
 """
 
 from operator import mul

@@ -1,5 +1,4 @@
 import contextlib
-import inspect
 import io
 import json
 import re
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from dischar import generate
 from dischar.cli import COMMANDS, MAX_RANK, build_parser, main, parse_config, run
 from dischar.errors import GroupTooLarge, ParameterIncompatible
+from dischar.weyl import MAX_WEYL_ORDER
 from tests.conftest import E7
 
 
@@ -267,12 +267,22 @@ def test_main_refuses_oversized_groups_within_a_second(tmp_path, capsys, cartan)
 
 
 def test_rank_bound_matches_the_weyl_order_bound():
-    # |W| >= 2^rank, so MAX_RANK is the largest rank generate's default can admit
-    max_order = inspect.signature(generate).parameters["max_order"].default
-    assert 2 ** MAX_RANK <= max_order < 2 ** (MAX_RANK + 1)
+    # |W| >= 2^rank, so MAX_RANK is the largest rank generate's bound can admit
+    assert 2 ** MAX_RANK <= MAX_WEYL_ORDER < 2 ** (MAX_RANK + 1)
     assert len(parse_config({"cartan": _diagonal(MAX_RANK)}).cartan) == MAX_RANK
     with pytest.raises(GroupTooLarge, match=f"^rank {MAX_RANK + 1} gives"):
         parse_config({"cartan": _diagonal(MAX_RANK + 1)})
+
+
+HUGE = "-100000000000000000000000"  # an axis longer than sys.maxsize
+
+
+def test_an_empty_axis_beside_a_huge_one_is_an_empty_box(tmp_path, capsys):
+    path = write_config(tmp_path, A2_MIXED)
+    assert main(["blattner", "--config", path, f"--box=0..-1,{HUGE}..0"]) == 0
+    huge = capsys.readouterr().out
+    assert main(["blattner", "--config", path, "--box=0..-1,-1..0"]) == 0
+    assert huge == capsys.readouterr().out
 
 
 G2_MIXED = {"cartan": [[2, -1], [-3, 2]], "compact_simple": [True, False],
@@ -283,12 +293,16 @@ G2_MIXED = {"cartan": [[2, -1], [-3, 2]], "compact_simple": [True, False],
     "data,flags,error",
     [
         (A2_MIXED, ["--box=-1000..0,-1000..0"], "BoxTooLarge"),
+        # len() of a range this long overflows; the axes are counted without one
+        (A1_NC, [f"--box={HUGE}..0"], "BoxTooLarge"),
+        (dict(A1_NC, nu_box=[[HUGE], ["0"]]), [], "BoxTooLarge"),
         (A1_NC, ["--box=-20000001..-20000001"], "PartitionTableTooLarge"),
         # the closed formula needs a small table here; the oracle would walk
         # 57 M multisets up to level 190
         (G2_MIXED, ["--box=-1..-1,-100..-100", "--verify"], "TruncationTooLarge"),
     ],
-    ids=["box-points", "partition-table", "oracle-level"],
+    ids=["box-points", "huge-axis-flag", "huge-axis-config", "partition-table",
+         "oracle-level"],
 )
 def test_main_refuses_oversized_work(tmp_path, capsys, data, flags, error):
     path = write_config(tmp_path, data)

@@ -175,18 +175,19 @@ def test_w_k_orbit_matches_act_elementwise(name, kernel_cases, data):
     assert [Weight.from_twice(v) for v in images] == [act(w, mu) for w in kdata.elements]
 
 
+def _reflection(rs, W, beta):
+    # s_beta is the element with s_beta(rho) = rho - <beta-check, rho> beta
+    value = coroot_pairing(beta, rs.rho)
+    return W.by_rho[tuple(1 - value * c for c in beta.fw_coords)]
+
+
 @pytest.mark.parametrize("name", KERNEL_TYPES)
 def test_weyl_k_is_the_closure_of_the_compact_reflections(name, kernel_cases):
     rs, W, by_signs = kernel_cases[name]
-
-    def reflection(beta):
-        # s_beta is the element with s_beta(rho) = rho - <beta-check, rho> beta
-        value = coroot_pairing(beta, rs.rho)
-        return W.by_rho[tuple(1 - value * c for c in beta.fw_coords)]
-
     for signs, kdata in by_signs.items():
         # the closure under right multiplication by every compact positive reflection
-        generators = [reflection(beta) for beta in build_grading(rs, signs).compact_positive]
+        generators = [_reflection(rs, W, beta)
+                      for beta in build_grading(rs, signs).compact_positive]
         members = {W.identity}
         frontier = [W.identity]
         while frontier:
@@ -200,11 +201,15 @@ def test_weyl_k_is_the_closure_of_the_compact_reflections(name, kernel_cases):
             frontier = new_frontier
         assert set(kdata.elements) == members
         assert list(kdata.elements) == sorted(members, key=lambda w: (w.length, w.reduced_word))
-        # the tree: elements[child] = s_beta * elements[parent], parents walked first
-        assert sorted(child for child, _p, _j in kdata.tree) == list(range(1, kdata.order))
-        reached = {0}
-        for child, parent, j in kdata.tree:
-            assert parent in reached
-            reached.add(child)
-            simple = reflection(kdata.simpleK[j])
-            assert W.multiply(simple, kdata.elements[parent]) is kdata.elements[child]
+
+
+@pytest.mark.parametrize("name", KERNEL_TYPES)
+def test_k_tree_parents_come_first(name, kernel_cases):
+    # the format of W.tree: elements[k] = s_{simpleK[j]} * elements[parent], parent < k
+    rs, W, by_signs = kernel_cases[name]
+    for kdata in by_signs.values():
+        assert len(kdata.tree) == kdata.order - 1
+        for k, (w, (parent, j)) in enumerate(zip(kdata.elements[1:], kdata.tree), start=1):
+            assert parent < k and kdata.elements[parent].length < w.length
+            simple = _reflection(rs, W, kdata.simpleK[j])
+            assert W.multiply(simple, kdata.elements[parent]) is w

@@ -105,8 +105,30 @@ def _affine_a(n):
 @pytest.mark.parametrize("cartan", [[[2, -2], [-2, 2]], _affine_a(16)], ids=["A1~", "A15~"])
 def test_singular_cartan_refused_before_the_closure(cartan):
     # the root closure of a singular matrix never ends; it used to run to
-    # max_roots and abort with "more than 10000 positive roots"
+    # MAX_ROOTS and abort with "more than 10000 positive roots"
     with pytest.raises(NotFiniteType, match="^Cartan matrix is singular$"):
+        build_root_system(cartan)
+
+
+def _cycle_with_one_double_bond(n):
+    """Affine A_{n-1} with one -1 made -2: nonsingular, determinant -n."""
+    cartan = _affine_a(n)
+    cartan[0][1] = -2
+    return cartan
+
+
+@pytest.mark.parametrize(
+    "cartan,det",
+    [([[2, -3], [-2, 2]], -2), ([[2, -1, 0], [-1, 2, -2], [0, -2, 2]], -2),
+     (_cycle_with_one_double_bond(16), -16)],
+    ids=["rank2", "rank3", "rank16"],
+)
+def test_negative_determinant_refused_before_the_closure(cartan, det):
+    # a finite-type Cartan matrix has positive determinant; these used to run
+    # the closure to MAX_ROOTS and abort with "more than 10000 positive roots"
+    with pytest.raises(
+        NotFiniteType, match=rf"^Cartan matrix has determinant {det} < 0; not of finite type$"
+    ):
         build_root_system(cartan)
 
 

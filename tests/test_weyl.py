@@ -20,7 +20,6 @@ from dischar import (
     weyl_order,
 )
 from dischar.rootdata import _det
-from dischar.weyl import _columns, _rho_images
 from tests.conftest import CARTAN, E7, EXTRA_CARTAN
 from tests.matrix_oracle import (
     apply,
@@ -39,11 +38,6 @@ from tests.matrix_oracle import (
 )
 def test_group_orders(name, order, groups):
     assert groups[name].order == order
-
-
-def test_group_too_large(systems):
-    with pytest.raises(GroupTooLarge):
-        generate(systems["B3"], max_order=10)
 
 
 ORDERS = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12, "A3": 24, "B3": 48, "C3": 48,
@@ -149,26 +143,6 @@ def test_tree_parents_are_the_word_suffixes(groups):
             assert parent < k and i == w.reduced_word[0]
             assert W.elements[parent].reduced_word == w.reduced_word[1:]
             assert W.multiply(W.simple[i], W.elements[parent]) is w
-
-
-@pytest.mark.parametrize("name", ["B3", "F4"])
-def test_rho_images_along_the_tree_are_the_elements_images(name):
-    rs = build_root_system({**CARTAN, **EXTRA_CARTAN}[name])
-    W = generate(rs)
-    assert _rho_images(_columns(rs), W.tree) == [w.rho_image for w in W.elements]
-
-
-def test_a_descent_in_the_tree_is_refused(systems, groups):
-    # the first letter j of p's word is a left descent: s_j * p is shorter than p
-    rs, W = systems["B3"], groups["B3"]
-    parent, _i = W.tree[-1]
-    j = W.elements[parent].reduced_word[0]
-    tree = W.tree[:-1] + ((parent, j),)
-    with pytest.raises(
-        InvariantViolation,
-        match=rf"^tree edge {parent} -> {W.order - 1} by s{j + 1} is not an ascent$",
-    ):
-        _rho_images(_columns(rs), tree)
 
 
 def test_e6_closes_with_certified_lengths():
