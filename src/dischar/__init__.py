@@ -48,7 +48,6 @@ _EXPORTS = {
         "ParameterIncompatible",
         "PartitionTableTooLarge",
         "TruncationTooLarge",
-        "TruncationTooSmall",
         "ValidationError",
     ),
     "homology": (

@@ -30,8 +30,8 @@ by its lowest K-weight and so serves the whole box.
 
 Sizes the caller controls are bounded before the work they size: the number
 of box points (``MAX_BOX_POINTS``), the entries of the partition table
-(``MAX_TABLE_ENTRIES``) and the multisets the oracle walks at its level
-p_max (``MAX_ORACLE_MULTISETS``).  Each bound raises a ``ValidationError``.
+(``MAX_TABLE_ENTRIES``) and the multisets the oracle walks up to its level
+(``MAX_ORACLE_MULTISETS``).  Each bound raises a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .errors import (
     ParameterIncompatible,
     PartitionTableTooLarge,
     TruncationTooLarge,
-    TruncationTooSmall,
 )
 from .realform import CompactGrading, KWeylData
 from .rootdata import Weight, classify_weight, coroot_pairing
@@ -62,7 +61,7 @@ MAX_BOX_POINTS = 100_000
 # entries of one partition table; F4 (+,+,+,-) at lam = -2 rho, nu = (-6)^4
 # needs 4.86 M (about 5 s and 60 MB peak RSS)
 MAX_TABLE_ENTRIES = 5_000_000
-# multisets of at most p_max noncompact roots the filtration oracle may walk
+# multisets of noncompact roots the filtration oracle may walk, up to its level
 MAX_ORACLE_MULTISETS = 2_000_000
 
 
@@ -80,6 +79,14 @@ def _as_root_lattice(grading: CompactGrading, mu: Weight) -> IntVec | None:
     coords = grading.rs.to_root_coords(mu)
     if any(type(c) is not int for c in coords):
         return None
+    return coords
+
+
+def _root_coords(grading: CompactGrading, mu: Weight) -> IntVec:
+    """mu in simple-root coordinates, for a mu that must lie in the lattice."""
+    coords = _as_root_lattice(grading, mu)
+    if coords is None:
+        raise InvariantViolation("a W_K difference left the root lattice")
     return coords
 
 
@@ -262,13 +269,6 @@ def _alternating_terms(
     computes every argument of a nu.
     """
     rs = grading.rs
-
-    def root_coords(mu: Weight) -> IntVec:
-        coords = _as_root_lattice(grading, mu)
-        if coords is None:
-            raise InvariantViolation("a W_K difference left the root lattice")
-        return coords
-
     units = [Weight(tuple(int(i == j) for i in range(rs.rank))) for j in range(rs.rank)]
     # w(e_j) and w(rho_c) for every w: one W_K sweep per vector
     moved = [kdata.orbit(e.twice) for e in units]
@@ -276,8 +276,8 @@ def _alternating_terms(
     for k, (length_k, image) in enumerate(zip(kdata.lengthK, kdata.orbit(grading.rho_c.twice))):
         signs.append(-1 if length_k % 2 else 1)
         columns = [e - Weight.from_twice(orbit[k]) for e, orbit in zip(units, moved)]
-        rows.extend(zip(*map(root_coords, columns)))
-        offsets.extend(root_coords(Weight.from_twice(image) - grading.rho_c))
+        rows.extend(zip(*(_root_coords(grading, c) for c in columns)))
+        offsets.extend(_root_coords(grading, Weight.from_twice(image) - grading.rho_c))
     return signs, rows, offsets
 
 
@@ -353,19 +353,6 @@ def _multiset_sums(roots: Sequence[Weight], rank: int, max_size: int) -> Iterato
     yield from rec(0, 0, Weight.zero(rank))
 
 
-def _max_parts_bound(grading: CompactGrading, mu: Weight) -> int | None:
-    """Largest possible multiset size for mu, from its noncompact simple coordinates.
-
-    The grading is multiplicative, so the coordinates of a noncompact root on
-    the noncompact simple roots have an odd, hence positive, sum; a multiset
-    of s parts summing to mu makes mu's sum at least s.
-    """
-    target = _as_root_lattice(grading, mu)
-    if target is None or any(c < 0 for c in target):
-        return None
-    return sum(c for c, s in zip(target, grading.simple_signs) if s == -1)
-
-
 def _filtration_level(
     grading: CompactGrading, kdata: KWeylData, lam: Weight, points: Sequence[Weight]
 ) -> int:
@@ -375,18 +362,22 @@ def _filtration_level(
     differ from lam - rho_n + rho_c - nu by nu - w nu and w rho_c - rho_c,
     which lie in the root lattice (nu pairs integrally with the compact
     coroots), so one lattice test per nu serves every w.  The part
-    (lam - rho_n) + w rho_c is computed once per w.
+    (lam - rho_n) + w rho_c is computed once per w.  A mu in the cone is a
+    sum of at most as many noncompact roots as its coordinates on the
+    noncompact simple roots add up to: the grading is multiplicative, so
+    each noncompact root has an odd, hence positive, sum there.
     """
     shifted = lam - grading.rho_n
     anchors = [shifted + Weight.from_twice(v) for v in kdata.orbit(grading.rho_c.twice)]
+    noncompact = [i for i, s in enumerate(grading.simple_signs) if s == -1]
     needed = 0
     for nu in points:
         if _as_root_lattice(grading, shifted + grading.rho_c - nu) is None:
             continue
         for anchor, image in zip(anchors, kdata.orbit(nu.twice)):
-            bound = _max_parts_bound(grading, anchor - Weight.from_twice(image))
-            if bound is not None:
-                needed = max(needed, bound)
+            coords = _root_coords(grading, anchor - Weight.from_twice(image))
+            if min(coords, default=0) >= 0:
+                needed = max(needed, sum(coords[i] for i in noncompact))
     return needed
 
 
@@ -421,28 +412,17 @@ def _filtration_walk(
 
 
 def filtration_oracle(
-    grading: CompactGrading,
-    kdata: KWeylData,
-    lam: Weight,
-    nu: Weight,
-    p_max: int | None = None,
+    grading: CompactGrading, kdata: KWeylData, lam: Weight, nu: Weight
 ) -> int:
     """Re-derive the multiplicity by walking the normal-degree filtration.
 
     Independent of the closed formula: no partition function is consulted.
-    ``p_max`` truncates the walk; a level below the one nu needs raises
-    ``TruncationTooSmall``.
+    The walk goes up to the level nu needs.
     """
     _check_lambda(grading, lam)
     _check_nu(grading, nu)
-    needed = _filtration_level(grading, kdata, lam, [nu])
-    if p_max is None:
-        p_max = needed
-    elif p_max < needed:
-        raise TruncationTooSmall(
-            f"p_max={p_max} but contributions can occur up to level {needed}"
-        )
-    return _filtration_walk(grading, kdata, lam, p_max).get(nu, 0)
+    level = _filtration_level(grading, kdata, lam, [nu])
+    return _filtration_walk(grading, kdata, lam, level).get(nu, 0)
 
 
 def filtration_table(

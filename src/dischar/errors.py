@@ -55,10 +55,6 @@ class ParameterIncompatible(ValidationError):
     """Multiplicity parameters lie outside the required lattices or chambers."""
 
 
-class TruncationTooSmall(ValidationError):
-    """Filtration truncation bound proven insufficient for the requested weight."""
-
-
 class TruncationTooLarge(ValidationError):
     """Filtration truncation would walk more multisets than the configured bound."""
 

@@ -76,6 +76,10 @@ class KWeylData(NamedTuple):
 
         The action is linear, so ``vec`` may be a doubled vector.
         """
+        if len(vec) != self.weyl.rank:
+            raise DimensionMismatch(
+                f"rank {self.weyl.rank} group applied to rank {len(vec)} vector"
+            )
         images = [vec]
         for parent, j in self.tree:
             images.append(_reflect(self.simpleK[j], images[parent]))

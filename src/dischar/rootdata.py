@@ -376,6 +376,8 @@ def dominant_representative(rs: RootSystem, lam: Weight) -> Weight:
     Repeatedly reflects at a negative coordinate; each step moves up in the
     dominance order, so this terminates.
     """
+    if lam.rank != rs.rank:
+        raise DimensionMismatch(f"rank {lam.rank} weight in rank {rs.rank} system")
     coords = list(lam.twice)
     while True:
         i = next((j for j, c in enumerate(coords) if c < 0), None)

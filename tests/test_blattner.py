@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from dischar import (
     BoxTooLarge,
+    DimensionMismatch,
     ParameterIncompatible,
     PartitionTableTooLarge,
     TruncationTooLarge,
-    TruncationTooSmall,
     Weight,
     act,
     blattner,
@@ -20,6 +20,7 @@ from dischar import (
     build_root_system,
     bwb_cohomology,
     coroot_pairing,
+    dominant_representative,
     filtration_oracle,
     filtration_table,
     generate,
@@ -28,7 +29,7 @@ from dischar import (
     partition_p,
     weyl_k,
 )
-from dischar.blattner import _PartitionTable
+from dischar.blattner import _filtration_level, _PartitionTable
 from tests.conftest import CARTAN, EXTRA_CARTAN
 
 
@@ -252,10 +253,39 @@ def test_filtration_oracle_examples(systems, groups):
     assert filtration_oracle(grading, kdata, lam, Weight((-4,))) == 0
 
 
-def test_filtration_truncation_too_small(systems, groups):
-    _, grading, kdata = setup(systems, groups, "A1", (-1,))
-    with pytest.raises(TruncationTooSmall):
-        filtration_oracle(grading, kdata, Weight((-2,)), Weight((-9,)), p_max=1)
+def brute_force_level(rs, grading, kdata, lam, nu):
+    """The largest noncompact simple coordinate sum of an in-cone argument for nu."""
+    level = 0
+    for w in kdata.elements:
+        coords = rs.to_root_coords(lam - grading.rho_n - act(w, nu - grading.rho_c))
+        if all(Fraction(c).denominator == 1 and c >= 0 for c in coords):
+            level = max(level, sum(c for c, s in zip(coords, grading.simple_signs) if s == -1))
+    return level
+
+
+def test_filtration_level_matches_brute_force(systems, groups):
+    # the walk's depth, per nu and for a whole set, on every grading, over a
+    # box around the lowest K-type; the half-integral nu lie off the lattice
+    # and need no level
+    positive = 0
+    half = Fraction(1, 2)
+    for name, rs in systems.items():
+        lam = rs.rho.scale(-2)
+        for signs in itertools.product((1, -1), repeat=rs.rank):
+            grading = build_grading(rs, signs)
+            kdata = weyl_k(rs, grading, groups[name])
+            lowest = lam - grading.rho_n + grading.rho_c
+            offsets = [*itertools.product(range(-2, 2), repeat=rs.rank),
+                       (-half,) * rs.rank, (half,) + (-1,) * (rs.rank - 1)]
+            points = [lowest + Weight(d) for d in offsets]
+            levels = [brute_force_level(rs, grading, kdata, lam, nu) for nu in points]
+            for nu, level in zip(points, levels):
+                assert _filtration_level(grading, kdata, lam, [nu]) == level, (name, signs, nu)
+            assert _filtration_level(grading, kdata, lam, points) == max(levels)
+            assert levels[-2:] == [0, 0]
+            positive += sum(level > 0 for level in levels)
+    # 474 of the 1,884 points need a walk
+    assert positive > 400
 
 
 def test_blattner_equals_oracle_a1(systems, groups):
@@ -417,11 +447,43 @@ def test_size_limits_admit_their_bound(monkeypatch, systems, groups):
     with pytest.raises(BoxTooLarge):
         filtration_table(grading, kdata, lam, ((-10,), (0,)))
 
-    # A1 has one noncompact root, so level p walks p + 1 multisets
+    # A1 has one noncompact root, so level p walks p + 1 multisets; at
+    # lam = -2 the K-type nu = -3 - 2p needs level p
     monkeypatch.setattr(blattner, "MAX_ORACLE_MULTISETS", 4)
-    assert filtration_oracle(grading, kdata, lam, Weight((-9,)), p_max=3) == 1
-    with pytest.raises(TruncationTooLarge):
-        filtration_oracle(grading, kdata, lam, Weight((-9,)), p_max=4)
+    assert filtration_oracle(grading, kdata, lam, Weight((-9,))) == 1
+    with pytest.raises(TruncationTooLarge, match="^p_max=4 walks 5 multisets; the limit is 4$"):
+        filtration_oracle(grading, kdata, lam, Weight((-11,)))
+
+
+WRONG_RANK = {
+    "dominant_representative rank 1": (
+        lambda rs, grading, kdata: dominant_representative(rs, Weight((-1,))),
+        "^rank 1 weight in rank 2 system$",
+    ),
+    "dominant_representative rank 3": (
+        lambda rs, grading, kdata: dominant_representative(rs, Weight((-1, 0, 5))),
+        "^rank 3 weight in rank 2 system$",
+    ),
+    "KWeylData.orbit": (
+        lambda rs, grading, kdata: kdata.orbit((1, 2, 3)),
+        "^rank 2 group applied to rank 3 vector$",
+    ),
+    "partition": (
+        lambda rs, grading, kdata: partition(grading, Weight((1, 0, 5))),
+        "^rank 3 weight in rank 2 system$",
+    ),
+    "partition_p": (
+        lambda rs, grading, kdata: partition_p(grading, Weight((1,)), 1),
+        "^rank 1 weight in rank 2 system$",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,message", WRONG_RANK.values(), ids=WRONG_RANK.keys())
+def test_wrong_rank_weight_is_refused(systems, groups, call, message):
+    rs, grading, kdata = setup(systems, groups, "A2", (1, -1))
+    with pytest.raises(DimensionMismatch, match=message):
+        call(rs, grading, kdata)
 
 
 def test_partition_p_table_is_bounded(monkeypatch, systems, groups):

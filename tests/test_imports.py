@@ -15,8 +15,8 @@ EXPORTS = (
     "HomologyTable", "IncompleteAssignment", "InvariantViolation", "KTypeTable",
     "KWeylData", "NotAntidominant", "NotCompatible", "NotFiniteType", "NotIntegral",
     "NotStronglyAntidominant", "ParameterIncompatible", "PartitionTableTooLarge",
-    "Root", "RootSystem", "Stratum", "TruncationTooLarge", "TruncationTooSmall",
-    "ValidationError", "Weight", "WeightFlags", "WeylElement", "WeylGroup", "act",
+    "Root", "RootSystem", "Stratum", "TruncationTooLarge", "ValidationError",
+    "Weight", "WeightFlags", "WeylElement", "WeylGroup", "act",
     "bgg_terms", "blattner_multiplicity", "build_grading", "build_root_system",
     "bwb_cohomology", "classify_weight", "collapse", "coroot_pairing",
     "discrete_numerator", "dominant_representative", "enumerate_closed_orbits",

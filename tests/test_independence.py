@@ -1,0 +1,117 @@
+"""Each oracle reaches none of the code it checks, by a static call graph.
+
+The graph is built with ``ast`` over ``src/dischar``.  Its nodes are the
+module-level functions and classes, named ``module.name``; a class stands
+for its whole body, methods included.  An edge is an ``ast.Call`` anywhere
+inside a node whose callee is a bare name that resolves through the calling
+module's own namespace: its module-level defs and its ``from .x import y``
+lines, followed to the module that defines the name.  Method calls
+(``obj.f()``), operators and functions passed as values are not followed, so
+the graph can miss an edge.  A local name that shadows an imported or
+module-level one can only add edges, which makes the pins below stricter.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import dischar
+
+SOURCE = Path(dischar.__file__).parent
+
+
+def _call_graph():
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    defs = {
+        name: {
+            node.name: node
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        for name, tree in modules.items()
+    }
+    imports = {name: {} for name in modules}
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    imports[name][alias.asname or alias.name] = (node.module, alias.name)
+
+    def resolve(module, name):
+        while name not in defs[module]:
+            if name not in imports[module]:
+                return None
+            module, name = imports[module][name]
+        return f"{module}.{name}"
+
+    graph = {}
+    for module, named in defs.items():
+        for name, node in named.items():
+            graph[f"{module}.{name}"] = {
+                target
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                for target in [resolve(module, call.func.id)]
+                if target is not None
+            }
+    return graph
+
+
+GRAPH = _call_graph()
+
+
+def reach(*starts):
+    seen, stack = set(), list(starts)
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(GRAPH[node])
+    return seen
+
+
+def blattner(*names):
+    return {f"blattner.{name}" for name in names}
+
+
+ORACLE_ENTRIES = blattner("filtration_oracle", "filtration_table")
+CLOSED_ENTRIES = blattner("ktype_table", "blattner_multiplicity")
+PINS = [
+    (ORACLE_ENTRIES, blattner("_PartitionTable", "_closed_formula", "_alternating_terms",
+                            "partition", "partition_p")),
+    (CLOSED_ENTRIES, blattner("bwb_cohomology", "_filtration_walk", "_multiset_sums",
+                            "_filtration_level")),
+    ({"characters.freudenthal_character"},
+     {"weyl.generate", "weyl.dot_orbit", "characters.weyl_numerator"}),
+]
+
+# what the two Blattner paths share on purpose: the lattice test and its
+# raising form, the parameter checks, the box and the result record
+SHARED = [
+    (("filtration_table", "ktype_table"),
+     blattner("_as_root_lattice", "_root_coords", "_check_lambda", "_box_points", "KTypeTable")),
+    (("filtration_oracle", "blattner_multiplicity"),
+     blattner("_as_root_lattice", "_root_coords", "_check_lambda", "_check_nu")),
+]
+
+
+@pytest.mark.parametrize("starts,forbidden", PINS, ids=[" ".join(sorted(s)) for s, _ in PINS])
+def test_oracle_never_reaches_what_it_checks(starts, forbidden):
+    for start in starts:
+        assert start in GRAPH
+        assert not reach(start) & forbidden, start
+
+
+@pytest.mark.parametrize("pair,shared", SHARED, ids=[" ".join(p) for p, _ in SHARED])
+def test_blattner_paths_share_only_the_listed_helpers(pair, shared):
+    oracle, closed = (reach(*blattner(name)) for name in pair)
+    assert {n for n in oracle & closed if n.startswith("blattner.")} == shared
+
+
+def test_graph_follows_imports_and_only_calls():
+    # module-level and function-local ``from .blattner`` lines are both followed
+    assert "blattner._filtration_walk" in reach("verify.run_verify")
+    assert {"blattner._closed_formula", "blattner._filtration_walk"} <= reach("cli._blattner")
+    # _PartitionTable's local variable ``run`` is not a call, so not cli.run
+    assert "cli.run" not in reach("blattner._PartitionTable")
