@@ -78,8 +78,6 @@ _EXPORTS = {
         "act",
         "dot_orbit",
         "generate",
-        "length_fiber",
-        "sign",
         "weyl_order",
     ),
 }

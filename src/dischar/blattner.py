@@ -381,28 +381,28 @@ def _filtration_level(
     return needed
 
 
-def _check_walk_size(grading: CompactGrading, p_max: int) -> None:
-    walked = math.comb(grading.q + p_max, p_max)
+def _check_walk_size(grading: CompactGrading, level: int) -> None:
+    walked = math.comb(grading.q + level, level)
     if walked > MAX_ORACLE_MULTISETS:
         raise TruncationTooLarge(
-            f"p_max={p_max} walks {walked} multisets; the limit is {MAX_ORACLE_MULTISETS}"
+            f"walk level {level} needs {walked} multisets; the limit is {MAX_ORACLE_MULTISETS}"
         )
 
 
 def _filtration_walk(
-    grading: CompactGrading, kdata: KWeylData, lam: Weight, p_max: int
+    grading: CompactGrading, kdata: KWeylData, lam: Weight, level: int
 ) -> dict[Weight, int]:
-    """Signed BWB contributions of every multiset up to level p_max, by lowest weight.
+    """Signed BWB contributions of every multiset up to ``level``, by lowest weight.
 
     Level s contributes one line-bundle twist per multiset of s noncompact
     positive roots; each twist is resolved with :func:`bwb_cohomology` and
     counted at its lowest K-weight with sign (-1)^degree.
     """
-    _check_walk_size(grading, p_max)
+    _check_walk_size(grading, level)
     shifted = lam - grading.rho_n
     buckets: dict[Weight, int] = {}
     kappa_roots = [r.weight() for r in grading.noncompact_positive]
-    for kappa in _multiset_sums(kappa_roots, grading.rs.rank, p_max):
+    for kappa in _multiset_sums(kappa_roots, grading.rs.rank, level):
         result = bwb_cohomology(grading, kdata, shifted - kappa)
         if result is None:
             continue

@@ -2,8 +2,8 @@
 
 A formal character is a finitely supported integer combination of lattice
 exponentials e^mu, stored as a sparse map keyed by exact fundamental-weight
-coordinates.  One constructor merges coefficients, and every operation and
-numerator builds its result there in one pass.  The module provides the Weyl
+coordinates.  One constructor merges coefficients, and the product and every
+numerator build their result there in one pass.  The module provides the Weyl
 denominator (computed two ways and compared), the alternating Weyl
 numerator, a Freudenthal-recursion character that serves as an independent
 oracle, the elliptic numerator of a discrete series, and Euler
@@ -43,12 +43,10 @@ class FormalCharacter:
 
     __slots__ = ("terms",)
 
-    def __init__(
-        self, terms: Mapping[Weight, int] | Iterable[tuple[Weight, int]] | None = None
-    ) -> None:
+    def __init__(self, terms: Mapping[Weight, int] | Iterable[tuple[Weight, int]]) -> None:
         """Sum ``terms``, a mapping or (weight, coeff) pairs, dropping zero sums."""
         out: dict[Weight, int] = {}
-        for w, c in terms.items() if isinstance(terms, Mapping) else terms or ():
+        for w, c in terms.items() if isinstance(terms, Mapping) else terms:
             value = out.get(w, 0) + c
             if value:
                 out[w] = value
@@ -57,55 +55,20 @@ class FormalCharacter:
         self.terms = out
 
     @classmethod
-    def zero(cls) -> "FormalCharacter":
-        return cls()
-
-    @classmethod
-    def exponential(cls, mu: Weight, coeff: int = 1) -> "FormalCharacter":
-        return cls({mu: coeff})
-
-    @classmethod
     def one(cls, rank: int) -> "FormalCharacter":
         return cls({Weight.zero(rank): 1})
 
-    def __add__(self, other: "FormalCharacter") -> "FormalCharacter":
-        return FormalCharacter(chain(self.terms.items(), other.terms.items()))
-
-    def __neg__(self) -> "FormalCharacter":
-        return FormalCharacter((w, -c) for w, c in self.terms.items())
-
-    def __sub__(self, other: "FormalCharacter") -> "FormalCharacter":
-        return FormalCharacter(
-            chain(self.terms.items(), ((w, -c) for w, c in other.terms.items()))
-        )
-
-    def __mul__(self, other: "FormalCharacter | int") -> "FormalCharacter":
-        if isinstance(other, int):
-            return FormalCharacter((w, c * other) for w, c in self.terms.items())
+    def __mul__(self, other: "FormalCharacter") -> "FormalCharacter":
         small, large = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         return FormalCharacter((w1 + w2, c1 * c2) for w1, c1 in small.terms.items()
                                for w2, c2 in large.terms.items())
 
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FormalCharacter) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def coefficient(self, mu: Weight) -> int:
-        return self.terms.get(mu, 0)
 
     def sorted_terms(self) -> list[tuple[Weight, int]]:
         """Terms in lexicographic coordinate order (deterministic output)."""
         return sorted(self.terms.items(), key=lambda item: item[0].twice)
-
-    def dimension(self) -> int:
-        return sum(self.terms.values())
 
     def __repr__(self) -> str:
         inner = " + ".join(f"{c}*e^{w.coords}" for w, c in self.sorted_terms())

@@ -42,29 +42,13 @@ MAX_RANK = 16
 
 
 class JobConfig(NamedTuple):
-    """One run's inputs; round-trips through its canonical JSON form."""
+    """One run's inputs, as ``parse_config`` reads them."""
 
     cartan: tuple[tuple[int, ...], ...]
     compact_simple: tuple[bool, ...]
     lam: Weight | None = None
     nu_box: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None = None
     orbit_index: int | None = None
-
-    def canonical_dict(self) -> dict:
-        data: dict = {
-            "cartan": [list(row) for row in self.cartan],
-            "compact_simple": list(self.compact_simple),
-        }
-        if self.lam is not None:
-            data["lambda"] = self.lam.serialize()
-        if self.nu_box is not None:
-            data["nu_box"] = [
-                [str(c) for c in self.nu_box[0]],
-                [str(c) for c in self.nu_box[1]],
-            ]
-        if self.orbit_index is not None:
-            data["orbit_index"] = self.orbit_index
-        return data
 
 
 def _fraction(value: object, what: str) -> Fraction:

@@ -44,9 +44,6 @@ class CompactGrading(NamedTuple):
     rho_n: Weight
     q: int
 
-    def sign_of(self, root: Root) -> int:
-        return self.sign_by_root[root]
-
 
 class KWeylData(NamedTuple):
     """The Weyl group of the compact roots inside the ambient group.

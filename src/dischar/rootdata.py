@@ -101,9 +101,6 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight.from_twice(tuple(map(neg, self.twice)))
 
-    def scale(self, factor: Fraction | int) -> "Weight":
-        return Weight([a * factor for a in self.coords])
-
     def _check_rank(self, other: "Weight") -> None:
         if len(self.twice) != len(other.twice):
             raise DimensionMismatch(

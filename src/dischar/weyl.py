@@ -1,12 +1,13 @@
 """Weyl group generation by breadth-first closure over simple reflections.
 
 An element is identified by w(rho), which determines w because rho is
-regular; equality and hashing go through that integer vector alone, and the
-group's lookups are keyed by the vector, never by an element.  Each element
-also carries its ShortLex reduced word (the lexicographically least of its
-shortest words) and one reference, shared by the whole group, to the simple
-roots, so :func:`act` and ``WeylGroup.multiply`` apply the word one simple
-reflection at a time.
+regular, and the group's lookups are keyed by that integer vector, never by
+an element.  A group hands out one instance per element, so elements of one
+group compare by identity; elements of two groups compare by ``rho_image``.
+Each element also carries its ShortLex reduced word (the lexicographically
+least of its shortest words) and one reference, shared by the whole group,
+to the simple roots, so :func:`act` applies the word one simple reflection
+at a time.
 
 :func:`generate` closes W on w(rho) by left multiplication, one length at a
 time, and finds each element first by its ShortLex word; the element p whose
@@ -76,12 +77,6 @@ class WeylElement:
             return "e"
         return "*".join(f"s{i + 1}" for i in self.reduced_word)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.rho_image == other.rho_image
-
-    def __hash__(self) -> int:
-        return hash(self.rho_image)
-
     def __repr__(self) -> str:
         return f"WeylElement({self.word_str()})"
 
@@ -97,7 +92,6 @@ class WeylGroup(NamedTuple):
     rank: int
     elements: tuple[WeylElement, ...]
     order: int
-    simple: tuple[WeylElement, ...]
     by_rho: Mapping[IntVec, WeylElement]
     tree: tuple[tuple[int, int], ...]
 
@@ -105,7 +99,7 @@ class WeylGroup(NamedTuple):
         # the lookup map and the tree stay out of the repr
         return (
             f"WeylGroup(rank={self.rank!r}, elements={self.elements!r}, "
-            f"order={self.order!r}, simple={self.simple!r})"
+            f"order={self.order!r})"
         )
 
     @property
@@ -115,18 +109,6 @@ class WeylGroup(NamedTuple):
     @property
     def longest(self) -> WeylElement:
         return self.elements[-1]
-
-    def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        """The canonical element equal to the composition a after b."""
-        for w in (a, b):
-            if len(w.rho_image) != self.rank:
-                raise DimensionMismatch(
-                    f"rank {len(w.rho_image)} element in a rank {self.rank} group"
-                )
-        try:
-            return self.by_rho[_apply_word(a.columns, a.reduced_word, b.rho_image)]
-        except KeyError:
-            raise InvariantViolation("product is not an element of this Weyl group") from None
 
     def inverse(self, a: WeylElement) -> WeylElement:
         """The element whose word is a's reversed: w^-1(rho) found in ``by_rho``."""
@@ -219,17 +201,7 @@ def generate(rs: RootSystem) -> WeylGroup:
         rank=n,
         elements=tuple(elements),
         order=order,
-        simple=tuple(elements[1:n + 1]),
         by_rho=by_rho,
         tree=tuple(tree),
     )
 
-
-def length_fiber(group: WeylGroup, p: int) -> tuple[WeylElement, ...]:
-    """The elements of the given length in ``elements`` order; empty outside [0, l(longest)]."""
-    return tuple(w for w in group.elements if w.length == p)
-
-
-def sign(w: WeylElement) -> int:
-    """(-1)**length, the determinant of w."""
-    return -1 if w.length % 2 else 1

@@ -30,7 +30,6 @@ from dischar import (
     kostant_table,
     kostant_via_bgg,
     ktype_table,
-    length_fiber,
     partition,
     partition_p,
     schmid_table,
@@ -41,6 +40,7 @@ from dischar import (
     weyl_numerator,
 )
 from tests.conftest import CARTAN
+from tests.helpers import length_fiber, scaled
 
 SWEEP_LAMBDAS = {
     "A1": [(0,), (-1,), (-2,), (-3,), (-4,)],
@@ -200,7 +200,7 @@ def test_criterion_6_blattner_equivalence(built):
         expected = {}
         k = 0
         while True:
-            nu = lam - grading.rho_n - alpha.scale(k)
+            nu = lam - grading.rho_n - scaled(alpha, k)
             if nu.coords[0] < -12:
                 break
             expected[nu] = 1
@@ -281,7 +281,7 @@ def test_criterion_8_grading_validity(built):
             assignment = {r: rng.choice((1, -1)) for r in rs.positive_roots}
             derived = build_grading(rs, tuple(assignment[a] for a in rs.simple_roots))
             multiplicative = all(
-                assignment[r] == derived.sign_of(r) for r in rs.positive_roots
+                assignment[r] == derived.sign_by_root[r] for r in rs.positive_roots
             )
             assert validate_grading(rs, assignment) is multiplicative
     report(8, "grading validation accepts exactly the multiplicative assignments")

@@ -28,21 +28,17 @@ from dischar import (
 def test_ring_basics():
     x = FormalCharacter({Weight((1,)): 2, Weight((0,)): -1})
     y = FormalCharacter({Weight((1,)): -2})
-    assert (x + y).terms == {Weight((0,)): -1}
-    assert (x - x) == FormalCharacter.zero()
-    assert not (x - x)
     product = x * y
     assert product.terms == {Weight((2,)): -4, Weight((1,)): 2}
-    assert 3 * y == FormalCharacter({Weight((1,)): -6})
+    assert y * x == product
     assert FormalCharacter.one(1) * x == x
-    assert x * 0 == FormalCharacter.zero()
-    assert -x == x * -1 == FormalCharacter.zero() - x
+    assert (FormalCharacter([]) * x).terms == {}
     # (weight, coeff) pairs: repeated weights add up, cancelling pairs drop out
     a, b = Weight((1,)), Weight((0,))
     pairs = [(a, 2), (b, 1), (a, -2), (b, 3), (Weight((5,)), 0), (a, 1), (a, -1)]
     assert FormalCharacter(pairs).terms == {b: 4}
     assert FormalCharacter(iter(pairs)) == FormalCharacter({b: 4})
-    assert FormalCharacter([(a, 1), (a, -1)]) == FormalCharacter.zero()
+    assert FormalCharacter([(a, 1), (a, -1)]).terms == {}
 
 
 WEIGHTS = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(Weight)
@@ -57,8 +53,9 @@ def test_formal_character_sums_like_a_counter(pairs, cut):
     char = FormalCharacter(pairs)
     assert char.terms == {mu: c for mu, c in reference.items() if c}
     head, tail = FormalCharacter(pairs[:cut]), FormalCharacter(pairs[cut:])
-    assert head + tail == char
-    assert char - tail == head
+    assert FormalCharacter([*head.terms.items(), *tail.terms.items()]) == char
+    negated_tail = ((mu, -c) for mu, c in tail.terms.items())
+    assert FormalCharacter([*char.terms.items(), *negated_tail]) == head
 
 
 def test_no_zero_coefficients_stored():
@@ -75,8 +72,8 @@ def test_weyl_denominator_a2_support(systems, groups):
     # the subsets {a1, a2} and {a1+a2} carry the same exponent with opposite
     # signs, so 8 subset terms merge into 6 surviving weights
     den = weyl_denominator(systems["A2"], groups["A2"])
-    assert len(den) == 6
-    assert den.coefficient(systems["A2"].root_with_coords((1, 1)).weight()) == 0
+    assert len(den.terms) == 6
+    assert den.terms.get(systems["A2"].root_with_coords((1, 1)).weight(), 0) == 0
 
 
 def test_weyl_denominator_rank_zero():
@@ -105,9 +102,9 @@ def test_weyl_denominator_matches_subset_expansion(name, systems):
     den = weyl_denominator(rs, W)
     assert den == FormalCharacter(subsets)
     # one term e^{rho - w rho} with coefficient (-1)^l(w) per Weyl element
-    assert len(den) == W.order
+    assert len(den.terms) == W.order
     for w in W.elements:
-        assert den.coefficient(rs.rho - act(w, rs.rho)) == (-1) ** w.length
+        assert den.terms.get(rs.rho - act(w, rs.rho), 0) == (-1) ** w.length
 
 
 def test_weyl_numerator_a1(systems, groups):
@@ -124,7 +121,7 @@ def test_weyl_numerator_a1(systems, groups):
 
 def test_weyl_numerator_a2_six_distinct_terms(systems, groups):
     num = weyl_numerator(systems["A2"], groups["A2"], Weight((-1, -1)))
-    assert len(num) == 6
+    assert len(num.terms) == 6
     assert all(c in (1, -1) for c in num.terms.values())
 
 
@@ -157,20 +154,20 @@ def test_freudenthal_trivial(systems):
 
 def test_freudenthal_a2_adjoint(systems):
     char = freudenthal_character(systems["A2"], Weight((-1, -1)))
-    assert char.dimension() == 8
-    assert char.coefficient(Weight.zero(2)) == 2
-    assert len(char) == 7
+    assert sum(char.terms.values()) == 8
+    assert char.terms.get(Weight.zero(2), 0) == 2
+    assert len(char.terms) == 7
 
 
 def test_freudenthal_b2_small(systems):
     # with this Cartan convention omega_1 is the 4-dim spinor of so(5)
     # and omega_2 the 5-dim vector representation
     spinor = freudenthal_character(systems["B2"], Weight((-1, 0)))
-    assert spinor.dimension() == 4
-    assert spinor.coefficient(Weight.zero(2)) == 0
+    assert sum(spinor.terms.values()) == 4
+    assert spinor.terms.get(Weight.zero(2), 0) == 0
     vector = freudenthal_character(systems["B2"], Weight((0, -1)))
-    assert vector.dimension() == 5
-    assert vector.coefficient(Weight.zero(2)) == 1
+    assert sum(vector.terms.values()) == 5
+    assert vector.terms.get(Weight.zero(2), 0) == 1
 
 
 def test_freudenthal_dimension_against_weyl_dim_formula(systems):
@@ -192,7 +189,7 @@ def test_freudenthal_dimension_against_weyl_dim_formula(systems):
             (-2,) + (0,) * (rs.rank - 1),
         ]:
             char = freudenthal_character(rs, Weight(coords))
-            assert char.dimension() == weyl_dim(rs, Weight(coords))
+            assert sum(char.terms.values()) == weyl_dim(rs, Weight(coords))
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
@@ -230,7 +227,7 @@ def test_discrete_numerator_a2_mixed(systems, groups):
     grading = build_grading(rs, (1, -1))
     kdata = weyl_k(rs, grading, W)
     num = discrete_numerator(grading, kdata, Weight((-2, -1)))
-    assert len(num) == 2
+    assert len(num.terms) == 2
     assert sorted(num.terms.values()) == [-1, 1]
 
 
@@ -245,14 +242,14 @@ def test_discrete_numerator_rejects_bad_parameters(systems, groups):
 
 
 def test_euler_character():
-    assert euler_character(HomologyTable(rows={})) == FormalCharacter.zero()
+    assert euler_character(HomologyTable(rows={})).terms == {}
     single = HomologyTable.from_entries([(0, Weight((5,)))])
-    assert euler_character(single) == FormalCharacter.exponential(Weight((5,)))
+    assert euler_character(single).terms == {Weight((5,)): 1}
     # one weight in two degrees: same parity adds up, opposite parity cancels
     mu, nu = Weight((5,)), Weight((-1,))
     assert euler_character(HomologyTable(rows={0: (mu,), 2: (mu,)})).terms == {mu: 2}
     assert euler_character(HomologyTable(rows={1: (mu,), 3: (mu,)})).terms == {mu: -2}
-    assert euler_character(HomologyTable(rows={1: (mu,), 2: (mu,)})) == FormalCharacter.zero()
+    assert euler_character(HomologyTable(rows={1: (mu,), 2: (mu,)})).terms == {}
     mixed = HomologyTable(rows={0: (mu, nu), 1: (mu,), 2: (nu, nu)})
     assert euler_character(mixed).terms == {nu: 3}
 

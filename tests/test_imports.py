@@ -22,8 +22,8 @@ EXPORTS = (
     "discrete_numerator", "dominant_representative", "enumerate_closed_orbits",
     "euler_character", "filtration_oracle", "filtration_table",
     "freudenthal_character", "generate", "kostant_table", "kostant_via_bgg",
-    "ktype_table", "length_fiber", "orbit_strata", "partition", "partition_p",
-    "schmid_table", "schmid_via_trauber", "sign", "trauber_terms",
+    "ktype_table", "orbit_strata", "partition", "partition_p",
+    "schmid_table", "schmid_via_trauber", "trauber_terms",
     "validate_grading", "weyl_denominator", "weyl_k", "weyl_numerator",
 )
 

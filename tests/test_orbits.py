@@ -18,6 +18,7 @@ from dischar import (
     weyl_k,
 )
 from tests.conftest import CARTAN, EXTRA_CARTAN
+from tests.helpers import compose
 
 
 def test_a1_noncompact_orbits(systems, groups):
@@ -99,7 +100,7 @@ def test_strata_dims_are_k_lengths(systems, groups):
     for orbit in enumerate_closed_orbits(rs, grading, W, kdata):
         for stratum, w, length_k in zip(orbit.strata, kdata.elements, kdata.lengthK):
             assert stratum.w == w and stratum.dim == length_k
-            assert stratum.cell == kdata.weyl.multiply(stratum.w, orbit.u)
+            assert stratum.cell is compose(kdata.weyl, stratum.w, orbit.u)
 
 
 def _classical(kind, n):

@@ -17,6 +17,7 @@ from dischar import (
     weyl_k,
 )
 from tests.conftest import CARTAN, EXTRA_CARTAN
+from tests.helpers import compose, simple_reflections
 
 
 def test_a1_noncompact():
@@ -52,7 +53,7 @@ def test_sign_multiplicativity(systems):
         rs = systems[name]
         for signs in itertools.product((1, -1), repeat=rs.rank):
             grading = build_grading(rs, signs)
-            by_coords = {r.root_coords: grading.sign_of(r) for r in rs.positive_roots}
+            by_coords = {r.root_coords: grading.sign_by_root[r] for r in rs.positive_roots}
             for a, sa in by_coords.items():
                 for b, sb in by_coords.items():
                     total = tuple(x + y for x, y in zip(a, b))
@@ -95,7 +96,7 @@ def test_validate_grading_fuzz(systems):
                 rs, tuple(assignment[a] for a in rs.simple_roots)
             )
             expected = all(
-                assignment[r] == derived.sign_of(r) for r in rs.positive_roots
+                assignment[r] == derived.sign_by_root[r] for r in rs.positive_roots
             )
             assert validate_grading(rs, assignment) is expected
 
@@ -111,7 +112,7 @@ def test_weyl_k_examples(systems, groups):
     grading = build_grading(a2, (1, -1))
     k2 = weyl_k(a2, grading, W2)
     assert k2.order == 2
-    assert k2.elements == (W2.identity, W2.simple[0]) and k2.lengthK == (0, 1)
+    assert k2.elements == (W2.identity, simple_reflections(W2)[0]) and k2.lengthK == (0, 1)
 
     compact = weyl_k(a2, build_grading(a2, (1, 1)), W2)
     assert compact.order == W2.order
@@ -194,7 +195,7 @@ def test_weyl_k_is_the_closure_of_the_compact_reflections(name, kernel_cases):
             new_frontier = []
             for w in frontier:
                 for g in generators:
-                    product = W.multiply(w, g)
+                    product = compose(W, w, g)
                     if product not in members:
                         members.add(product)
                         new_frontier.append(product)
@@ -212,4 +213,4 @@ def test_k_tree_parents_come_first(name, kernel_cases):
         for k, (w, (parent, j)) in enumerate(zip(kdata.elements[1:], kdata.tree), start=1):
             assert parent < k and kdata.elements[parent].length < w.length
             simple = _reflection(rs, W, kdata.simpleK[j])
-            assert W.multiply(simple, kdata.elements[parent]) is w
+            assert compose(W, simple, kdata.elements[parent]) is w

@@ -27,7 +27,7 @@ def test_root_hashes_and_compares_by_its_coordinates(systems):
         copy = Root(alpha.root_coords, alpha.fw_coords, alpha.coroot_coords)
         assert copy is not alpha
         assert copy == alpha and hash(copy) == hash(alpha)
-        assert grading.sign_by_root[copy] == grading.sign_of(alpha)
+        assert grading.sign_by_root[copy] == grading.sign_by_root[alpha]
         flipped = tuple(-c for c in alpha.coroot_coords)
         assert Root(alpha.root_coords, alpha.fw_coords, flipped) != alpha
     assert len(set(rs.positive_roots)) == len(rs.positive_roots)
