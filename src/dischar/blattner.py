@@ -12,14 +12,21 @@ coordinates every argument is an integer vector
 
 with base(nu) the root coordinates of lam - rho_n + rho_c - nu,
 N_w = C^-1 (I - M_w) an integer matrix and c_w the root coordinates of
-w rho_c - rho_c; N_w and c_w are computed once per call.  An argument lies
-in the root lattice exactly when base(nu) does (for integral nu the other
-two terms are integral; a non-integral nu leaves both off the lattice), so
-that test runs once per nu.  A first pass over the arguments that lie in
-the cone finds their maximum; one flat integer table of P over
-0 <= m <= max(arguments) is filled coin-change style (P[m] += P[m - beta]
-for each noncompact root beta in turn), and a second pass reads every term
-from it.  The table belongs to the call: the grading keeps no memo.
+w rho_c - rho_c.  An argument lies in the root lattice exactly when base(nu)
+does (for integral nu the other two terms are integral; a non-integral nu
+leaves both off the lattice), so that test runs once per nu.  Once per call,
+in integers with the adjugate of C, each w is pruned: every coordinate of
+its argument is affine in nu, so its maximum over the box the lattice nu
+span is a sum of one end per axis, and a w with a negative maximum never
+reaches the cone and is dropped.  The N_w nu + c_w of the kept w are one
+stacked list, stepped from one nu to the next by one add per changed axis.
+A first pass over the arguments that lie in the cone finds their maximum;
+one flat integer table of P over 0 <= m <= max(arguments) is filled
+coin-change style (P[m] += P[m - beta] for each noncompact root beta in
+turn), and a second pass reads every term from it.  Each root's update is
+one slice per slab of the table, the rows of the fastest axis padded with
+zeros so that a slice can run across them.  The table belongs to the call:
+the grading keeps no memo.
 
 The ``filtration_oracle``/``filtration_table`` pair re-derives the same
 numbers on an independent code path, by walking the symmetric powers of the
@@ -39,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from numbers import Rational
-from operator import add, mul
+from operator import add, le, mul, sub
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -59,7 +66,7 @@ Box = tuple[Sequence[Rational], Sequence[Rational]]
 # nu points one box may span (before the R_c+ antidominance filter)
 MAX_BOX_POINTS = 100_000
 # entries of one partition table; F4 (+,+,+,-) at lam = -2 rho, nu = (-6)^4
-# needs 4.86 M (about 5 s and 60 MB peak RSS)
+# needs 4.86 M (about 2.3 s and 63 MB peak RSS)
 MAX_TABLE_ENTRIES = 5_000_000
 # multisets of noncompact roots the filtration oracle may walk, up to its level
 MAX_ORACLE_MULTISETS = 2_000_000
@@ -97,8 +104,12 @@ def _noncompact_root_coords(grading: CompactGrading) -> tuple[IntVec, ...]:
 class _PartitionTable:
     """Multisets of ``roots`` summing to m, for every 0 <= m <= extent, as one flat list.
 
-    The axes are laid out by increasing extent, so the longest axis runs
-    fastest and the DP sweeps fewer, longer runs.
+    The axes are laid out by increasing extent, so the longest axis, the row
+    axis, runs fastest and the sweep makes fewer, longer slices.  Each row
+    starts with ``pad`` zero cells, pad the largest row coordinate of a root
+    that fits, so that a read of m - beta that falls below its row lands on
+    a zero.  That costs at most pad / (extent of the row axis + 1) more
+    entries than the table holds; ``MAX_TABLE_ENTRIES`` counts the entries.
     """
 
     def __init__(self, roots: Sequence[IntVec], extent: IntVec) -> None:
@@ -109,52 +120,74 @@ class _PartitionTable:
                 f"partition table over 0..{list(extent)} has {volume} entries; "
                 f"the limit is {MAX_TABLE_ENTRIES}"
             )
+        roots = [beta for beta in roots if all(map(le, beta, extent))]
         # axes from slowest to fastest
         order = sorted(range(len(dims)), key=lambda i: dims[i])
+        pad = max((beta[order[-1]] for beta in roots), default=0)
+        sizes = list(dims)
+        if order:
+            sizes[order[-1]] += pad
         strides = [0] * len(dims)
         step = 1
         for i in reversed(order):
             strides[i] = step
-            step *= dims[i]
+            step *= sizes[i]
         self.strides: IntVec = tuple(strides)
-        table = [0] * volume
-        table[0] = 1
+        self.origin = pad
+        table = [0] * step
+        table[pad] = 1
         for beta in roots:
-            if any(b > e for b, e in zip(beta, extent)):
-                continue
-            self._add_root(table, dims, order, beta)
+            _add_root(table, dims, self.strides, order, pad, beta)
         self.values = table
 
-    def _add_root(
-        self, table: list[int], dims: list[int], order: list[int], beta: IntVec
-    ) -> None:
-        """P[m] += P[m - beta] for every m >= beta, in increasing order of m.
-
-        With k the fastest axis where beta is nonzero, the m >= beta that
-        share their coordinates on the axes slower than k form one
-        contiguous run.  If beta is also nonzero on a slower axis, its flat
-        offset exceeds the run and the run reads only earlier, finished
-        runs; otherwise the run is swept in chunks of the offset, each
-        reading the chunk before it.
-        """
-        strides = self.strides
-        pos = max(p for p, i in enumerate(order) if beta[i])
-        k = order[pos]
-        offset = sum(map(mul, beta, strides))
-        run = (dims[k] - beta[k]) * strides[k]
-        slower = order[:pos]
-        outer_ranges = [range(beta[i], dims[i]) for i in slower]
-        outer_strides = [strides[i] for i in slower]
-        for outer in itertools.product(*outer_ranges):
-            start = sum(map(mul, outer, outer_strides)) + beta[k] * strides[k]
-            end = start + run
-            step = run if offset >= run else offset
-            for lo in range(start, end, step):
-                hi = min(lo + step, end)
-                table[lo:hi] = map(add, table[lo:hi], table[lo - offset:hi - offset])
-
     def __getitem__(self, m: IntVec) -> int:
-        return self.values[sum(map(mul, m, self.strides))]
+        return self.values[self.origin + sum(map(mul, m, self.strides))]
+
+
+def _add_root(
+    table: list[int], dims: list[int], strides: IntVec, order: list[int], pad: int, beta: IntVec
+) -> None:
+    """P[m] += P[m - beta] for every m >= beta, in increasing order of m, a slab at a time.
+
+    The slab axes run from the row axis up to the fastest other axis k on
+    which beta is nonzero.  For fixed coordinates on the axes slower than
+    k, the m >= beta of a slab, taken with every cell of each of its rows,
+    form one contiguous slice: an m below beta on the row axis reads a pad
+    cell, so it gains zero.  If beta is also nonzero on an axis slower than
+    k, its flat offset exceeds the slice, which reads only earlier, finished
+    slabs; otherwise the slice is swept in chunks of the offset, each
+    reading the chunk before it.  A slice spans rows, so it also writes
+    their pad cells, which are set back to zero before anything reads them.
+
+    A beta on the row axis alone is added one column of the row axis at a
+    time instead, in increasing order: each column is one extended slice
+    across every row and reads the column beta before it, already done.
+    """
+    row = dims[order[-1]] + pad
+    pos = max((p for p, i in enumerate(order[:-1]) if beta[i]), default=None)
+    if pos is None:
+        shift = beta[order[-1]]
+        for c in range(pad + shift, row):
+            table[c::row] = map(add, table[c::row], table[c - shift::row])
+        return
+    slab = order[pos:]
+    offset = sum(map(mul, beta, strides))
+    first = pad + sum(beta[i] * strides[i] for i in slab)
+    end = pad + sum((dims[i] - 1) * strides[i] for i in slab) + 1
+    run = end - first
+    step = run if offset >= run else offset
+    slower = order[:pos]
+    outer_ranges = [range(beta[i], dims[i]) for i in slower]
+    outer_strides = [strides[i] for i in slower]
+    for outer in itertools.product(*outer_ranges):
+        start = sum(map(mul, outer, outer_strides))
+        stop = start + end
+        for lo in range(start + first, stop, step):
+            hi = min(lo + step, stop)
+            table[lo:hi] = map(add, table[lo:hi], table[lo - offset:hi - offset])
+            for j in range(pad):
+                cell = lo + (j - lo) % row
+                table[cell:hi:row] = [0] * len(range(cell, hi, row))
 
 
 def partition_p(grading: CompactGrading, mu: Weight, p: int) -> int:
@@ -260,25 +293,87 @@ def _box_points(grading: CompactGrading, box: Box) -> list[Weight]:
     ]
 
 
-def _alternating_terms(
-    grading: CompactGrading, kdata: KWeylData
-) -> tuple[list[int], list[IntVec], list[int]]:
-    """(-1)^{l_K(w)}, the rows of N_w = C^-1 (I - M_w) and c_w, over w in W_K.
+Terms = tuple[list[int], list[list[int]], list[int]]
 
-    The rows and the c_w of all w are stacked in W_K order, so one pass
-    computes every argument of a nu.
+
+def _alternating_terms(
+    grading: CompactGrading, kdata: KWeylData, lam: Weight, lo: IntVec, hi: IntVec
+) -> Terms:
+    """(-1)^{l_K(w)}, the columns of N_w = C^-1 (I - M_w) and c_w, for the w that reach the cone.
+
+    A w is kept when :func:`_reaches_cone` holds for it over the box
+    lo <= nu <= hi.  The columns and the c_w of the kept w are stacked in
+    W_K order, so one add per axis moves every argument.  All of it is
+    integer arithmetic with the adjugate adj = det(C) C^-1.
     """
     rs = grading.rs
-    units = [Weight(tuple(int(i == j) for i in range(rs.rank))) for j in range(rs.rank)]
-    # w(e_j) and w(rho_c) for every w: one W_K sweep per vector
-    moved = [kdata.orbit(e.twice) for e in units]
-    signs, rows, offsets = [], [], []
+    rank, adj, det = rs.rank, rs.cartan_adj, rs.cartan_det
+
+    def times_adj(vec: IntVec) -> list[int]:
+        return [sum(map(mul, row, vec)) for row in adj]
+
+    # w(e_j) and w(2 rho_c) for every w: one W_K sweep per vector
+    moved = [kdata.orbit(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
+    anchor = times_adj((lam - grading.rho_n).twice)
+    adj_rho_c = times_adj(grading.rho_c.twice)
+    signs: list[int] = []
+    columns: list[list[int]] = [[] for _ in range(rank)]
+    offsets: list[int] = []
     for k, (length_k, image) in enumerate(zip(kdata.lengthK, kdata.orbit(grading.rho_c.twice))):
+        turned = [times_adj(orbit[k]) for orbit in moved]  # adj w(e_j)
+        lifted = times_adj(image)  # adj w(2 rho_c)
+        if not _reaches_cone(list(map(add, anchor, lifted)), turned, lo, hi):
+            continue
         signs.append(-1 if length_k % 2 else 1)
-        columns = [e - Weight.from_twice(orbit[k]) for e, orbit in zip(units, moved)]
-        rows.extend(zip(*(_root_coords(grading, c) for c in columns)))
-        offsets.extend(_root_coords(grading, Weight.from_twice(image) - grading.rho_c))
-    return signs, rows, offsets
+        for j, column in enumerate(turned):
+            columns[j].extend(row[j] - c for row, c in zip(adj, column))
+        offsets.extend(map(sub, lifted, adj_rho_c))
+    if any(c % det for column in columns for c in column) or any(c % (2 * det) for c in offsets):
+        raise InvariantViolation("a W_K difference left the root lattice")
+    return signs, [[c // det for c in column] for column in columns], [c // (2 * det) for c in offsets]
+
+
+def _reaches_cone(
+    anchor: Sequence[int], turned: Sequence[Sequence[int]], lo: IntVec, hi: IntVec
+) -> bool:
+    """Whether no coordinate of anchor - 2 sum_j nu_j turned[j] is negative all over lo <= nu <= hi.
+
+    That vector is 2 det(C) times the root coordinates of the argument
+    lam - rho_n - w(nu - rho_c).  Each coordinate is affine in nu, so its
+    maximum over the box takes, on each axis, the end where its term is
+    largest; if that maximum is negative, the argument is off the cone at
+    every nu of the box.
+    """
+    return all(
+        a - 2 * sum(min(t * low, t * high) for t, low, high in zip(row, lo, hi)) >= 0
+        for a, row in zip(anchor, zip(*turned))
+    )
+
+
+def _stepped_arguments(
+    terms: Terms, lattice: Sequence[tuple[IntVec, IntVec]]
+) -> Iterator[list[tuple[int, IntVec]]]:
+    """The in-cone arguments, as (sign, root coordinates), of each (nu, base(nu)) in turn.
+
+    N_w nu + c_w of every kept w is one stacked list, moved from one nu to
+    the next by one add of a column per axis that changes.
+    """
+    signs, columns, offsets = terms
+    rank = len(columns)
+    cuts = [(i * rank, (i + 1) * rank) for i in range(len(signs))]
+    moved, at = offsets, (0,) * rank
+    for coords, base in lattice:
+        for column, old, new in zip(columns, at, coords):
+            if new != old:
+                moved = [m + (new - old) * c for m, c in zip(moved, column)]
+        at = coords
+        flat = list(map(add, moved, base * len(signs)))
+        found = []
+        for sign, (a, b) in zip(signs, cuts):
+            target = tuple(flat[a:b])
+            if min(target, default=0) >= 0:
+                found.append((sign, target))
+        yield found
 
 
 def _closed_formula(
@@ -287,33 +382,32 @@ def _closed_formula(
     """Blattner multiplicities of every nu in ``points``, from one partition table.
 
     The caller checks lam and the points (box points are antidominant for
-    R_c+ by construction).  The arguments are generated twice, once for the
-    table's extent and once to read it, so memory stays that of the table for
-    any number of points.
+    R_c+ by construction).  Only a nu with base(nu) in the root lattice has
+    arguments there, and W_K is pruned once against the box those nu span.
+    The arguments are generated twice, once for the table's extent and once
+    to read it, so memory stays that of the table for any number of points.
     """
-    signs, rows, offsets = _alternating_terms(grading, kdata)
     rank = grading.rs.rank
     shift = lam - grading.rho_n + grading.rho_c
-
-    def arguments(nu: Weight) -> Iterator[tuple[int, IntVec]]:
-        """(sign, root coordinates) of every in-cone argument for nu."""
+    index, lattice = [], []
+    for k, nu in enumerate(points):
         base = _as_root_lattice(grading, shift - nu)
-        if base is None:
-            return
-        coords = nu.coords
-        moved = [sum(map(mul, row, coords)) for row in rows]
-        flat = list(map(add, map(add, moved, offsets), base * len(signs)))
-        for i, sign in enumerate(signs):
-            target = tuple(flat[i * rank:(i + 1) * rank])
-            if min(target, default=0) >= 0:
-                yield sign, target
-
+        if base is not None:
+            index.append(k)
+            lattice.append((nu.coords, base))
+    values = [0] * len(points)
+    if not lattice:
+        return values
+    axes = list(zip(*(coords for coords, _base in lattice)))
+    terms = _alternating_terms(grading, kdata, lam, tuple(map(min, axes)), tuple(map(max, axes)))
     extent = (0,) * rank
-    for nu in points:
-        for _sign, target in arguments(nu):
+    for found in _stepped_arguments(terms, lattice):
+        for _sign, target in found:
             extent = tuple(map(max, extent, target))
     table = _PartitionTable(_noncompact_root_coords(grading), extent)
-    return [sum(sign * table[t] for sign, t in arguments(nu)) for nu in points]
+    for k, found in zip(index, _stepped_arguments(terms, lattice)):
+        values[k] = sum(sign * table[t] for sign, t in found)
+    return values
 
 
 def blattner_multiplicity(

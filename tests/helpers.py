@@ -2,10 +2,17 @@
 
 The library keeps what its commands, ``verify`` and the benchmark call.
 These rebuild the rest from its public names, the way ``matrix_oracle``
-rebuilds the dense closure.
+rebuilds the dense closure.  ``reference_closed_formula`` and
+``RowPartitionTable`` keep the plain Blattner closed formula, with no
+pruning, stepping or padding, as the reference for the fast one.
 """
 
+import itertools
+import math
+from operator import add, mul
+
 from dischar import Weight, act
+from dischar.blattner import _as_root_lattice, _root_coords
 
 
 def compose(group, a, b):
@@ -26,3 +33,104 @@ def length_fiber(group, p):
 def scaled(weight, factor):
     """factor * weight, for an int or Fraction factor."""
     return Weight([c * factor for c in weight.coords])
+
+
+class RowPartitionTable:
+    """The partition table filled one row of the fastest axis at a time.
+
+    The reference for ``dischar.blattner._PartitionTable``: the same
+    entries, from the plain coin-change sweep on an unpadded layout.
+    """
+
+    def __init__(self, roots, extent):
+        dims = [e + 1 for e in extent]
+        # axes from slowest to fastest
+        order = sorted(range(len(dims)), key=lambda i: dims[i])
+        strides = [0] * len(dims)
+        step = 1
+        for i in reversed(order):
+            strides[i] = step
+            step *= dims[i]
+        self.strides = tuple(strides)
+        table = [0] * math.prod(dims)
+        table[0] = 1
+        for beta in roots:
+            if any(b > e for b, e in zip(beta, extent)):
+                continue
+            self._add_root(table, dims, order, beta)
+        self.values = table
+
+    def _add_root(self, table, dims, order, beta):
+        """P[m] += P[m - beta] for every m >= beta, in increasing order of m.
+
+        With k the fastest axis where beta is nonzero, the m >= beta that
+        share their coordinates on the axes slower than k form one
+        contiguous run.  If beta is also nonzero on a slower axis, its flat
+        offset exceeds the run and the run reads only earlier, finished
+        runs; otherwise the run is swept in chunks of the offset, each
+        reading the chunk before it.
+        """
+        strides = self.strides
+        pos = max(p for p, i in enumerate(order) if beta[i])
+        k = order[pos]
+        offset = sum(map(mul, beta, strides))
+        run = (dims[k] - beta[k]) * strides[k]
+        slower = order[:pos]
+        outer_ranges = [range(beta[i], dims[i]) for i in slower]
+        outer_strides = [strides[i] for i in slower]
+        for outer in itertools.product(*outer_ranges):
+            start = sum(map(mul, outer, outer_strides)) + beta[k] * strides[k]
+            end = start + run
+            step = run if offset >= run else offset
+            for lo in range(start, end, step):
+                hi = min(lo + step, end)
+                table[lo:hi] = map(add, table[lo:hi], table[lo - offset:hi - offset])
+
+    def __getitem__(self, m):
+        return self.values[sum(map(mul, m, self.strides))]
+
+
+def _reference_terms(grading, kdata):
+    """(-1)^{l_K(w)}, the rows of N_w = C^-1 (I - M_w) and c_w, over all of W_K."""
+    rs = grading.rs
+    units = [Weight(tuple(int(i == j) for i in range(rs.rank))) for j in range(rs.rank)]
+    moved = [kdata.orbit(e.twice) for e in units]
+    signs, rows, offsets = [], [], []
+    for k, (length_k, image) in enumerate(zip(kdata.lengthK, kdata.orbit(grading.rho_c.twice))):
+        signs.append(-1 if length_k % 2 else 1)
+        columns = [e - Weight.from_twice(orbit[k]) for e, orbit in zip(units, moved)]
+        rows.extend(zip(*(_root_coords(grading, c) for c in columns)))
+        offsets.extend(_root_coords(grading, Weight.from_twice(image) - grading.rho_c))
+    return signs, rows, offsets
+
+
+def reference_closed_formula(grading, kdata, lam, points):
+    """Blattner multiplicities of ``points`` with every w in W_K and the row-at-a-time table.
+
+    The reference for ``dischar.blattner._closed_formula``: each argument
+    is a fresh matrix product per nu, nothing is pruned, and the table is a
+    ``RowPartitionTable``.  Returns the values and the table's extent.
+    """
+    signs, rows, offsets = _reference_terms(grading, kdata)
+    rank = grading.rs.rank
+    shift = lam - grading.rho_n + grading.rho_c
+
+    def arguments(nu):
+        base = _as_root_lattice(grading, shift - nu)
+        if base is None:
+            return
+        coords = nu.coords
+        moved = [sum(map(mul, row, coords)) for row in rows]
+        flat = list(map(add, map(add, moved, offsets), base * len(signs)))
+        for i, sign in enumerate(signs):
+            target = tuple(flat[i * rank:(i + 1) * rank])
+            if min(target, default=0) >= 0:
+                yield sign, target
+
+    extent = (0,) * rank
+    for nu in points:
+        for _sign, target in arguments(nu):
+            extent = tuple(map(max, extent, target))
+    roots = [r.root_coords for r in grading.noncompact_positive]
+    table = RowPartitionTable(roots, extent)
+    return [sum(sign * table[t] for sign, t in arguments(nu)) for nu in points], extent

@@ -78,7 +78,8 @@ def blattner(*names):
 ORACLE_ENTRIES = blattner("filtration_oracle", "filtration_table")
 CLOSED_ENTRIES = blattner("ktype_table", "blattner_multiplicity")
 PINS = [
-    (ORACLE_ENTRIES, blattner("_PartitionTable", "_closed_formula", "_alternating_terms",
+    (ORACLE_ENTRIES, blattner("_PartitionTable", "_add_root", "_closed_formula",
+                            "_alternating_terms", "_reaches_cone", "_stepped_arguments",
                             "partition", "partition_p")),
     (CLOSED_ENTRIES, blattner("bwb_cohomology", "_filtration_walk", "_multiset_sums",
                             "_filtration_level")),
@@ -86,13 +87,13 @@ PINS = [
      {"weyl.generate", "weyl.dot_orbit", "characters.weyl_numerator"}),
 ]
 
-# what the two Blattner paths share on purpose: the lattice test and its
-# raising form, the parameter checks, the box and the result record
+# what the two Blattner paths share on purpose: the lattice test, the
+# parameter checks, the box and the result record
 SHARED = [
     (("filtration_table", "ktype_table"),
-     blattner("_as_root_lattice", "_root_coords", "_check_lambda", "_box_points", "KTypeTable")),
+     blattner("_as_root_lattice", "_check_lambda", "_box_points", "KTypeTable")),
     (("filtration_oracle", "blattner_multiplicity"),
-     blattner("_as_root_lattice", "_root_coords", "_check_lambda", "_check_nu")),
+     blattner("_as_root_lattice", "_check_lambda", "_check_nu")),
 ]
 
 
@@ -113,5 +114,5 @@ def test_graph_follows_imports_and_only_calls():
     # module-level and function-local ``from .blattner`` lines are both followed
     assert "blattner._filtration_walk" in reach("verify.run_verify")
     assert {"blattner._closed_formula", "blattner._filtration_walk"} <= reach("cli._blattner")
-    # _PartitionTable's local variable ``run`` is not a call, so not cli.run
-    assert "cli.run" not in reach("blattner._PartitionTable")
+    # _add_root's local variable ``run`` is not a call, so not cli.run
+    assert "cli.run" not in reach("blattner._add_root")
