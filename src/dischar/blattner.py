@@ -286,10 +286,11 @@ def _box_points(grading: CompactGrading, box: Box) -> list[Weight]:
     if not count:  # product() would still build every other axis in full
         return []
     axes = [range(a, b + 1) for a, b in spans]
-    points = (Weight(coords) for coords in itertools.product(*axes))
+    coroots = [a.coroot_coords for a in grading.compact_positive]
+    # the integer box coordinates are paired directly; only the points kept become weights
     return [
-        nu for nu in points
-        if not any(coroot_pairing(a, nu) > 0 for a in grading.compact_positive)
+        Weight(coords) for coords in itertools.product(*axes)
+        if not any(sum(map(mul, coroot, coords)) > 0 for coroot in coroots)
     ]
 
 

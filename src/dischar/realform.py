@@ -5,27 +5,22 @@ A real form enters as a vector of signs on the simple roots (+1 compact,
 coordinates, which is automatically multiplicative.  Hand-entered full
 assignments can be screened with :func:`validate_grading`.
 
-W_K is closed on w(rho) by left multiplication with the simple compact
-reflections, recording each element as s_beta times an earlier one; every
-W_K sweep walks that tree (:meth:`KWeylData.orbit`), one reflection per element.
-The order of ``KWeylData.elements`` indexes all W_K data: ``lengthK``, the
-tree and every sweep are lists by position, so no lookup is keyed by an element.
+W_K runs on W's reflection kernel: ``weyl.close`` of the simple compact
+reflections, and :meth:`KWeylData.orbit` is one ``weyl.sweep`` of its tree.
+``KWeylData.elements`` comes in the closure's order, by l_K and then ShortLex
+in ``simpleK`` letters; ``lengthK``, the tree and every sweep are lists in
+that order, so no lookup is keyed by an element.
 """
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, IncompleteAssignment, InvariantViolation
 from .rootdata import Root, RootSystem, Weight
-from .weyl import IntVec, WeylElement, WeylGroup
-
-
-def _reflect(beta: Root, v: IntVec) -> IntVec:
-    # s_beta(v) = v - <beta-check, v> beta, on fw coordinates
-    value = sum(map(mul, beta.coroot_coords, v))
-    return tuple([x - value * a for x, a in zip(v, beta.fw_coords)])
+from .weyl import (IntVec, Reflection, Tree, WeylElement, WeylGroup, close, reflect, reflection,
+                   sweep)
 
 
 class CompactGrading(NamedTuple):
@@ -48,19 +43,20 @@ class CompactGrading(NamedTuple):
 class KWeylData(NamedTuple):
     """The Weyl group of the compact roots inside the ambient group.
 
-    ``lengthK[k]`` counts the compact positive roots that ``elements[k]``
-    makes negative; ``simpleK`` holds the simple roots of the compact positive
-    system.  ``tree`` holds (parent, j) for each of ``elements[1:]``: the
-    element is s_{simpleK[j]} * elements[parent], and the parent comes earlier.
+    ``simpleK`` holds the simple roots of the compact positive system and
+    ``reflections`` their records.  ``tree`` holds (parent, j) for each of
+    ``elements[1:]``: the element is s_{simpleK[j]} * elements[parent], one
+    longer in W_K.  ``lengthK[k]`` is the depth of ``elements[k]``: l_K.
     """
 
     weyl: WeylGroup
     elements: tuple[WeylElement, ...]
     lengthK: tuple[int, ...]
     simpleK: tuple[Root, ...]
-    tree: tuple[tuple[int, int], ...]
+    tree: Tree
+    reflections: tuple[Reflection, ...]
 
-    def __repr__(self) -> str:  # the tree stays out
+    def __repr__(self) -> str:  # the tree and the records stay out
         return (f"KWeylData(weyl={self.weyl!r}, elements={self.elements!r}, "
                 f"lengthK={self.lengthK!r}, simpleK={self.simpleK!r})")
 
@@ -77,10 +73,7 @@ class KWeylData(NamedTuple):
             raise DimensionMismatch(
                 f"rank {self.weyl.rank} group applied to rank {len(vec)} vector"
             )
-        images = [vec]
-        for parent, j in self.tree:
-            images.append(_reflect(self.simpleK[j], images[parent]))
-        return images
+        return sweep(self.reflections, self.tree, vec)
 
 
 def build_grading(rs: RootSystem, simple_signs: Sequence[int]) -> CompactGrading:
@@ -138,36 +131,21 @@ def validate_grading(rs: RootSystem, assignment: Mapping[Root, int]) -> bool:
 
 
 def weyl_k(rs: RootSystem, grading: CompactGrading, group: WeylGroup) -> KWeylData:
-    """Close the simple compact reflections into W_K and compute its lengths.
+    """W_K as the ``weyl.close`` of the simple compact reflections, found in W by w(rho).
 
-    Each generator s_beta is checked once to permute the compact roots, and
-    s_beta * w is found from w(rho) by one reflection.  l_K(w) counts the
-    compact positive roots beta with <beta-check, w rho> < 0, which are
-    exactly those that w^-1 makes negative.
+    Each generator s_beta is checked once to permute the compact roots.
     """
     compact = grading.compact_positive
     sums = {tuple(map(add, a.root_coords, b.root_coords)) for a in compact for b in compact}
     simple_k = tuple(r for r in compact if r.root_coords not in sums)
+    records = tuple(reflection(beta) for beta in simple_k)
     roots = {r.fw_coords for r in compact} | {tuple(-c for c in r.fw_coords) for r in compact}
-    if any(_reflect(beta, a.fw_coords) not in roots for beta in simple_k for a in compact):
+    if any(reflect(r, a.fw_coords) not in roots for r in records for a in compact):
         raise InvariantViolation("W_K does not preserve the compact roots")
 
-    # w(rho) -> (parent's w(rho), j); w^-1 beta > 0, so s_beta * w is longer in W too
-    found, edges = [group.identity], {group.identity.rho_image: None}
-    for w in found:  # the list grows while it is walked: breadth first
-        for j, beta in enumerate(simple_k):
-            image = _reflect(beta, w.rho_image)
-            if image not in edges:
-                edges[image] = (w.rho_image, j)
-                found.append(group.by_rho[image])
-
-    elements = tuple(sorted(found, key=lambda w: (w.length, w.reduced_word)))
-    index = {w.rho_image: k for k, w in enumerate(elements)}
-    parents = [edges[w.rho_image] for w in elements[1:]]
-    return KWeylData(
-        weyl=group,
-        elements=elements,
-        lengthK=tuple(sum(w.rho_pairing(beta) < 0 for beta in compact) for w in elements),
-        simpleK=simple_k,
-        tree=tuple((index[p], j) for p, j in parents),
-    )
+    images, words, tree = close(records, rs.rank, group.order)
+    elements = tuple([group.by_rho.get(image) for image in images])
+    if None in elements:
+        raise InvariantViolation("W_K has an element outside the Weyl group")
+    return KWeylData(weyl=group, elements=elements, lengthK=tuple(map(len, words)),
+                     simpleK=simple_k, tree=tree, reflections=records)

@@ -114,6 +114,10 @@ def _check_grading(ctx: VerifyContext) -> CheckResult:
         if coroot_pairing(alpha, grading.rho_c) != 1:
             return CheckResult("grading", False, "rho_c does not pair to 1 on simpleK")
     for w, length_k in zip(kdata.elements, kdata.lengthK):
+        # l_K(w) = #{beta in R_c+ : <beta-check, w rho> < 0}
+        if sum(w.rho_pairing(beta) < 0 for beta in grading.compact_positive) != length_k:
+            detail = f"l_K of {w.word_str()} disagrees with its compact inversion count"
+            return CheckResult("grading", False, detail)
         if (-1) ** w.length != (-1) ** length_k:
             return CheckResult("grading", False, "sign restriction to W_K disagrees")
     return CheckResult("grading", True)

@@ -1,71 +1,119 @@
-"""Weyl group generation by breadth-first closure over simple reflections.
+"""W and W_K on one reflection kernel: one record, one closure, one tree sweep.
 
-An element is identified by w(rho), which determines w because rho is
-regular, and the group's lookups are keyed by that integer vector, never by
-an element.  A group hands out one instance per element, so elements of one
-group compare by identity; elements of two groups compare by ``rho_image``.
-Each element also carries its ShortLex reduced word (the lexicographically
-least of its shortest words) and one reference, shared by the whole group,
-to the simple roots, so :func:`act` applies the word one simple reflection
-at a time.
+A reflecting root is one record, its coroot and its root as sparse (k, value)
+pairs on fundamental-weight coordinates, and :func:`reflect` is the one
+function that moves a vector of W or W_K.  :func:`close` builds a group from
+its simple reflections on w(rho), one length at a time along ascents, into
+ShortLex order and a (parent, letter) tree whose depth is the length: W from
+the simple roots (:func:`generate`), W_K from the simple compact roots
+(``realform.weyl_k``).  :func:`sweep` walks such a tree, one reflection per
+element: :func:`dot_orbit` with shift 2, ``KWeylData.orbit`` with shift 0.
 
-:func:`generate` closes W on w(rho) by left multiplication, one length at a
-time, and finds each element first by its ShortLex word; the element p whose
-word is the suffix word[1:] is its left parent, w = s_{word[0]} * p, and these
-edges form the group's ``tree``.  Every edge is an ascent, so an element's
-depth in the tree is its length; the inversion count is the length oracle of
-``verify``.  Whole-group sweeps (:func:`dot_orbit`) walk the tree one simple
-reflection per element.
+An element is its w(rho), which determines it because rho is regular, so
+every lookup is keyed by that integer vector, never by an element.  A group
+hands out one instance per element, so elements of one group compare by
+identity; elements of two groups compare by ``rho_image``.  Each element also
+carries its ShortLex word and the group's simple reflections, so :func:`act`
+and :meth:`WeylGroup.inverse` apply a word one :func:`reflect` per letter.
+The inversion counts are the length oracles of ``verify``.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, GroupTooLarge, InvariantViolation
 from .rootdata import Root, RootSystem, Weight
 
 IntVec = tuple[int, ...]
-Column = tuple[tuple[int, int], ...]  # the nonzero (k, alpha_i[k]) of a simple root
+Sparse = tuple[tuple[int, int], ...]  # the nonzero (k, v[k]) of an fw-coordinate vector
+Reflection = tuple[Sparse, Sparse]  # s_beta as the (coroot, root) of beta
+Tree = tuple[tuple[int, int], ...]  # (parent, letter) for each element after the first
 
 # elements one closure may build; |W| >= 2^rank, so the CLI admits rank 16 at most
 MAX_WEYL_ORDER = 100_000
 
 
-def _columns(rs: RootSystem) -> tuple[Column, ...]:
-    # alpha_i on fw coordinates is column i of the Cartan matrix
-    return tuple(
-        tuple((k, a) for k, a in enumerate(alpha.fw_coords) if a) for alpha in rs.simple_roots
-    )
+def reflection(beta: Root) -> Reflection:
+    """The record of s_beta: the nonzero entries of beta's coroot and root."""
+    return (tuple((k, c) for k, c in enumerate(beta.coroot_coords) if c),
+            tuple((k, a) for k, a in enumerate(beta.fw_coords) if a))
 
 
-def _apply_word(columns: tuple[Column, ...], word: tuple[int, ...], vec: IntVec,
-                shift: int = 0) -> IntVec:
-    """Letters of ``word`` applied to vec, last first, each v -> v - (v_i - shift) alpha_i.
+def reflect(r: Reflection, vec: IntVec, shift: int = 0) -> IntVec:
+    """vec - (<beta-check, vec> - shift) beta: s_beta for shift 0.
 
-    That is s_i for shift 0, and the dot action on doubled coordinates for 2.
+    For a simple root and shift 2 on doubled coordinates 2 lam it is the dot
+    action s(lam - rho) + rho, since <alpha_i-check, 2 rho> = 2.
     """
+    coroot, root = r
+    value = -shift
+    for k, c in coroot:
+        value += c * vec[k]
     v = list(vec)
-    for i in reversed(word):
-        value = v[i] - shift
-        for k, a in columns[i]:
-            v[k] -= value * a
+    for k, a in root:
+        v[k] -= value * a
     return tuple(v)
 
 
+def close(reflections: Sequence[Reflection], rank: int,
+          limit: int) -> tuple[list[IntVec], list[IntVec], Tree]:
+    """The w(rho), ShortLex words and tree of the group the simple ``reflections`` generate.
+
+    s_j * p is longer than p exactly when <beta_j-check, p(rho)> > 0
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 1.6-1.7); only these
+    ascents are followed, one length at a time, so depth is length.  Letters
+    go outer and the previous length inner, so the words (j,) + word(p) come
+    in lexicographic order and each element is found first by its ShortLex
+    word (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 3).  More
+    than ``limit`` elements, or two longest, raise :class:`InvariantViolation`.
+    """
+    images, words, tree = [(1,) * rank], [()], []
+    seen = set(images)
+    start, end = 0, 1  # images[start:end] have the previous length
+    while start < end:
+        for j, r in enumerate(reflections):
+            coroot = r[0]
+            for p in range(start, end):
+                image = images[p]
+                value = 0
+                for k, c in coroot:
+                    value += c * image[k]
+                if value > 0 and (key := reflect(r, image)) not in seen:
+                    seen.add(key)
+                    images.append(key)
+                    words.append((j,) + words[p])
+                    tree.append((p, j))
+        if len(images) > limit:
+            raise InvariantViolation(f"closure passes {limit} elements")
+        if len(images) == end and end - start != 1:
+            raise InvariantViolation("longest element is not unique")
+        start, end = end, len(images)
+    return images, words, tuple(tree)
+
+
+def sweep(reflections: Sequence[Reflection], tree: Tree, vec: IntVec,
+          shift: int = 0) -> list[IntVec]:
+    """vec moved by each element of a :func:`close` tree, in its order, one reflection each."""
+    images = [vec]
+    for parent, j in tree:
+        images.append(reflect(reflections[j], images[parent], shift))
+    return images
+
+
 class WeylElement:
-    """Group element: w(rho), one reduced word, length, and the group's simple roots."""
+    """Group element: w(rho), one reduced word, length, and the group's simple reflections."""
 
-    __slots__ = ("rho_image", "reduced_word", "length", "columns")
+    __slots__ = ("rho_image", "reduced_word", "length", "reflections")
 
-    def __init__(self, rho_image: IntVec, reduced_word: tuple[int, ...],
-                 columns: tuple[Column, ...]) -> None:
+    def __init__(self, rho_image: IntVec, reduced_word: IntVec,
+                 reflections: tuple[Reflection, ...]) -> None:
         self.rho_image = rho_image
         self.reduced_word = reduced_word
         self.length = len(reduced_word)
-        # the simple roots, one tuple shared by every element of the group
-        self.columns = columns
+        # one tuple shared by every element of the group
+        self.reflections = reflections
 
     def rho_pairing(self, alpha: Root) -> int:
         """<alpha-check, w rho>: positive exactly when w^-1 alpha is a positive root."""
@@ -85,15 +133,14 @@ class WeylGroup(NamedTuple):
     """The full Weyl group, closed under composition, canonically ordered.
 
     ``tree`` holds (parent, i) for each of ``elements[1:]``: the element is
-    s_i * elements[parent], and the parent comes earlier.  ``by_rho`` finds
-    an element from its w(rho).
+    s_i * elements[parent], one longer.  ``by_rho`` finds an element from its w(rho).
     """
 
     rank: int
     elements: tuple[WeylElement, ...]
     order: int
     by_rho: Mapping[IntVec, WeylElement]
-    tree: tuple[tuple[int, int], ...]
+    tree: Tree
 
     def __repr__(self) -> str:
         # the lookup map and the tree stay out of the repr
@@ -101,10 +148,6 @@ class WeylGroup(NamedTuple):
             f"WeylGroup(rank={self.rank!r}, elements={self.elements!r}, "
             f"order={self.order!r})"
         )
-
-    @property
-    def identity(self) -> WeylElement:
-        return self.elements[0]
 
     @property
     def longest(self) -> WeylElement:
@@ -115,32 +158,30 @@ class WeylGroup(NamedTuple):
         w = self.by_rho.get(a.rho_image)
         if w is None:
             raise InvariantViolation("element is not a member of this Weyl group")
-        return self.by_rho[_apply_word(w.columns, w.reduced_word[::-1], (1,) * self.rank)]
+        vec = (1,) * self.rank
+        for j in w.reduced_word:  # the reversed word, applied last letter first
+            vec = reflect(w.reflections[j], vec)
+        return self.by_rho[vec]
 
 
 def act(w: WeylElement, lam: Weight) -> Weight:
-    """Apply a Weyl element to a weight, one simple reflection per letter of its word."""
+    """Apply a Weyl element to a weight, one :func:`reflect` per letter of its word."""
     if lam.rank != len(w.rho_image):
         raise DimensionMismatch(
             f"rank {len(w.rho_image)} element applied to rank {lam.rank} weight"
         )
-    return Weight.from_twice(_apply_word(w.columns, w.reduced_word, lam.twice))
+    vec = lam.twice
+    for j in reversed(w.reduced_word):
+        vec = reflect(w.reflections[j], vec)
+    return Weight.from_twice(vec)
 
 
 def dot_orbit(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[Weight]:
-    """w(lam - rho) + rho for every w, in ``group.elements`` order.
-
-    Walks the group's tree: w = s_i*p gives w.lam = s_i.(p.lam), and
-    s_i.v = v - (v_i - 2) alpha_i on the doubled coordinates v = 2 lam, so
-    each element costs one simple reflection.
-    """
+    """w(lam - rho) + rho for every w, in ``group.elements`` order: one :func:`sweep`, shift 2."""
     if lam.rank != group.rank:
         raise DimensionMismatch(f"rank {group.rank} group applied to rank {lam.rank} weight")
-    columns = _columns(rs)
-    images = [lam.twice]
-    for parent, i in group.tree:
-        images.append(_apply_word(columns, (i,), images[parent], 2))
-    return [Weight.from_twice(v) for v in images]
+    simple = [reflection(alpha) for alpha in rs.simple_roots]
+    return [Weight.from_twice(v) for v in sweep(simple, group.tree, lam.twice, 2)]
 
 
 def weyl_order(rs: RootSystem) -> int:
@@ -161,47 +202,19 @@ def weyl_order(rs: RootSystem) -> int:
 
 
 def generate(rs: RootSystem) -> WeylGroup:
-    """Breadth-first closure of the simple reflections, one length at a time.
+    """W as the :func:`close` of the simple reflections.
 
     The order is predicted by :func:`weyl_order` and checked against
     ``MAX_WEYL_ORDER`` before any element is built; the closure must reach
-    it exactly.  It runs on w(rho) by left multiplication: s_i * p is longer
-    than p exactly when <alpha_i-check, p(rho)> > 0 (Humphreys, *Reflection
-    Groups and Coxeter Groups*, 1.6-1.7), so the depth of the search is the
-    length.  Each length is built letter by letter, i outer and the previous
-    length inner, so its words (i,) + word(p) come in lexicographic order and
-    each element is found first by its ShortLex word (Bjorner-Brenti,
-    *Combinatorics of Coxeter Groups*, ch. 3); (p, i) is its tree edge.
+    it exactly.
     """
     order = weyl_order(rs)
     if order > MAX_WEYL_ORDER:
         raise GroupTooLarge(f"Weyl group has {order} elements; the limit is {MAX_WEYL_ORDER}")
-    n = rs.rank
-    columns = _columns(rs)
-    identity = WeylElement((1,) * n, (), columns)
-    elements, tree, by_rho = [identity], [], {identity.rho_image: identity}
-    start, end = 0, 1  # elements[start:end] have the previous length
-    while start < end:
-        for i in range(n):
-            for p in range(start, end):
-                image = elements[p].rho_image
-                if image[i] > 0 and (key := _apply_word(columns, (i,), image)) not in by_rho:
-                    w = by_rho[key] = WeylElement(key, (i,) + elements[p].reduced_word, columns)
-                    elements.append(w)
-                    tree.append((p, i))
-                    if len(elements) > order:
-                        raise InvariantViolation(f"closure passes the predicted order {order}")
-        if len(elements) == end and end - start != 1:
-            raise InvariantViolation("longest element is not unique")
-        start, end = end, len(elements)
-    if len(elements) != order:
-        raise InvariantViolation(f"closure has {len(elements)} elements, predicted {order}")
-
-    return WeylGroup(
-        rank=n,
-        elements=tuple(elements),
-        order=order,
-        by_rho=by_rho,
-        tree=tuple(tree),
-    )
-
+    simple = tuple(reflection(alpha) for alpha in rs.simple_roots)
+    images, words, tree = close(simple, rs.rank, order)
+    if len(images) != order:
+        raise InvariantViolation(f"closure has {len(images)} elements, predicted {order}")
+    elements = tuple([WeylElement(image, word, simple) for image, word in zip(images, words)])
+    return WeylGroup(rank=rs.rank, elements=elements, order=order,
+                     by_rho=dict(zip(images, elements)), tree=tree)

@@ -68,3 +68,16 @@ def word_matrix(cartan, word):
     for i in word:
         product = matmul(product, gens[i])
     return product
+
+
+def word_matrices(cartan, words):
+    """word -> :func:`word_matrix` for each of ``words``, each its prefix's times one generator."""
+    gens = simple_reflection_matrices(cartan)
+    matrices = {(): identity(len(cartan))}
+
+    def matrix_of(word):
+        if word not in matrices:
+            matrices[word] = matmul(matrix_of(word[:-1]), gens[word[-1]])
+        return matrices[word]
+
+    return {word: matrix_of(word) for word in words}

@@ -97,7 +97,7 @@ def unhashable(monkeypatch):
     def patch():
         monkeypatch.setattr(WeylElement, "__hash__", refuse)
         with pytest.raises(AssertionError, match="was hashed"):
-            hash(generate(build_root_system([[2]])).identity)
+            hash(generate(build_root_system([[2]])).elements[0])
 
     return patch
 

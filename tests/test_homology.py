@@ -171,7 +171,7 @@ def test_trauber_term_degree(systems, groups):
     terms2 = trauber_terms(grading2, kdata2, orbits2[0], Weight((-2, -1)))
     degree2 = dict(zip(kdata2.elements, terms2))[s1][1]
     # dim X - l(s1 u) + l_K(s1) with u = e
-    assert orbits2[0].u == W2.identity
+    assert orbits2[0].u == W2.elements[0]
     assert degree2 == 3 - 1 + 1
 
 

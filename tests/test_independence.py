@@ -9,6 +9,13 @@ lines, followed to the module that defines the name.  Method calls
 (``obj.f()``), operators and functions passed as values are not followed, so
 the graph can miss an edge.  A local name that shadows an imported or
 module-level one can only add edges, which makes the pins below stricter.
+
+``weyl.dot_orbit``, ``KWeylData.orbit`` and ``weyl.act`` share one reflection
+kernel (``weyl.reflect``, ``weyl.close``, ``weyl.sweep``) on purpose, so none
+of them checks another; their oracle is the dense-matrix closure of
+``tests/matrix_oracle.py``.  The two oracles that keep reflection arithmetic
+of their own, Freudenthal's formula and the Borel-Weil-Bott chamber walk, are
+pinned below to reach none of that kernel.
 """
 
 import ast
@@ -85,6 +92,8 @@ PINS = [
                             "_filtration_level")),
     ({"characters.freudenthal_character"},
      {"weyl.generate", "weyl.dot_orbit", "characters.weyl_numerator"}),
+    ({"characters.freudenthal_character", "blattner.bwb_cohomology"},
+     {"weyl.reflection", "weyl.reflect", "weyl.close", "weyl.sweep"}),
 ]
 
 # what the two Blattner paths share on purpose: the lattice test, the
@@ -108,6 +117,14 @@ def test_oracle_never_reaches_what_it_checks(starts, forbidden):
 def test_blattner_paths_share_only_the_listed_helpers(pair, shared):
     oracle, closed = (reach(*blattner(name)) for name in pair)
     assert {n for n in oracle & closed if n.startswith("blattner.")} == shared
+
+
+def test_graph_reaches_the_kernel_from_its_users():
+    # the pins above are not vacuous: the library's own sweeps do reach it
+    assert {"weyl.close", "weyl.reflect"} <= reach("weyl.generate")
+    assert {"weyl.close", "weyl.sweep", "weyl.reflect"} <= reach("realform.weyl_k",
+                                                                  "weyl.dot_orbit")
+    assert "weyl.reflect" in reach("weyl.act")
 
 
 def test_graph_follows_imports_and_only_calls():

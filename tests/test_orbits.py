@@ -40,7 +40,7 @@ def test_all_compact_single_orbit(systems, groups):
     kdata = weyl_k(rs, build_grading(rs, (1, 1)), W)
     orbits = enumerate_closed_orbits(rs, build_grading(rs, (1, 1)), W, kdata)
     assert len(orbits) == 1
-    assert orbits[0].u == W.identity
+    assert orbits[0].u == W.elements[0]
     # full Bruhat stratification
     strata = orbit_strata(orbits[0])
     assert [(s.w, s.cell, s.dim) for s in strata] == [
@@ -62,7 +62,7 @@ def test_strata_examples(systems, groups):
     kdata2 = weyl_k(rs2, grading2, W2)
     orbits2 = enumerate_closed_orbits(rs2, grading2, W2, kdata2)
     first = orbits2[0]
-    assert first.u == W2.identity
+    assert first.u == W2.elements[0]
     assert [(s.w.word_str(), s.cell.word_str(), s.dim) for s in first.strata] == [
         ("e", "e", 0),
         ("s1", "s1", 1),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dischar import (
     IncompleteAssignment,
+    InvariantViolation,
     Weight,
     act,
     build_grading,
@@ -16,8 +17,10 @@ from dischar import (
     validate_grading,
     weyl_k,
 )
+from dischar.verify import VerifyContext, _check_grading
 from tests.conftest import CARTAN, EXTRA_CARTAN
 from tests.helpers import compose, simple_reflections
+from tests.matrix_oracle import apply, word_matrices
 
 
 def test_a1_noncompact():
@@ -107,17 +110,32 @@ def test_weyl_k_examples(systems, groups):
 
     k1 = weyl_k(a1, build_grading(a1, (-1,)), W1)
     assert k1.order == 1
-    assert k1.elements == (W1.identity,) and k1.lengthK == (0,)
+    assert k1.elements == (W1.elements[0],) and k1.lengthK == (0,)
 
     grading = build_grading(a2, (1, -1))
     k2 = weyl_k(a2, grading, W2)
     assert k2.order == 2
-    assert k2.elements == (W2.identity, simple_reflections(W2)[0]) and k2.lengthK == (0, 1)
+    assert k2.elements == (W2.elements[0], simple_reflections(W2)[0]) and k2.lengthK == (0, 1)
 
+    # simpleK is (alpha2, alpha1), so W_K = W as a set, in the closure's order:
+    # l_K first, then ShortLex in simpleK letters: e, s2, s1, s2*s1, s1*s2, w0
     compact = weyl_k(a2, build_grading(a2, (1, 1)), W2)
+    assert [r.root_coords for r in compact.simpleK] == [(0, 1), (1, 0)]
     assert compact.order == W2.order
-    assert compact.elements == W2.elements
-    assert compact.lengthK == tuple(w.length for w in W2.elements)
+    assert compact.elements == tuple(W2.elements[k] for k in (0, 2, 1, 4, 3, 5))
+    assert [w.word_str() for w in compact.elements] == [
+        "e", "s2", "s1", "s2*s1", "s1*s2", "s1*s2*s1"]
+    assert compact.lengthK == (0, 1, 1, 2, 2, 3)
+
+
+def test_weyl_k_refuses_an_image_outside_the_weyl_group(systems, groups):
+    # the W_K closure finds each element in W by its w(rho); a group missing
+    # one is refused as an invariant violation (exit 2), not a KeyError
+    rs, W = systems["A2"], groups["A2"]
+    s1 = simple_reflections(W)[0]
+    partial = W._replace(by_rho={k: w for k, w in W.by_rho.items() if w is not s1})
+    with pytest.raises(InvariantViolation, match="outside the Weyl group"):
+        weyl_k(rs, build_grading(rs, (1, -1)), partial)
 
 
 def test_sign_restriction_agreement(systems, groups):
@@ -176,6 +194,34 @@ def test_w_k_orbit_matches_act_elementwise(name, kernel_cases, data):
     assert [Weight.from_twice(v) for v in images] == [act(w, mu) for w in kdata.elements]
 
 
+@pytest.mark.parametrize("name", KERNEL_TYPES)
+def test_w_k_orbit_matches_the_matrix_oracle(name, kernel_cases):
+    # KWeylData.orbit and act share the reflection kernel, so the independent
+    # check is the matrix of each element's W word
+    rs, W, by_signs = kernel_cases[name]
+    matrices = word_matrices({**CARTAN, **EXTRA_CARTAN}[name],
+                             [w.reduced_word for w in W.elements])
+    rng = random.Random(3)
+    for kdata in by_signs.values():
+        vec = tuple(rng.randint(-15, 15) for _ in range(rs.rank))
+        assert kdata.orbit(vec) == [apply(matrices[w.reduced_word], vec) for w in kdata.elements]
+
+
+@pytest.mark.parametrize("name", KERNEL_TYPES)
+def test_length_k_is_the_compact_inversion_count(name, kernel_cases):
+    # l_K is the depth in the W_K tree; verify's grading section counts the
+    # compact positive roots each element makes negative
+    rs, W, by_signs = kernel_cases[name]
+    for signs, kdata in by_signs.items():
+        grading = build_grading(rs, signs)
+        assert kdata.lengthK == tuple(
+            sum(w.rho_pairing(beta) < 0 for beta in grading.compact_positive)
+            for w in kdata.elements
+        )
+        ctx = VerifyContext(rs, W, grading, kdata, orbits=[], blattner_oracle=None)
+        assert _check_grading(ctx).passed
+
+
 def _reflection(rs, W, beta):
     # s_beta is the element with s_beta(rho) = rho - <beta-check, rho> beta
     value = coroot_pairing(beta, rs.rho)
@@ -189,8 +235,8 @@ def test_weyl_k_is_the_closure_of_the_compact_reflections(name, kernel_cases):
         # the closure under right multiplication by every compact positive reflection
         generators = [_reflection(rs, W, beta)
                       for beta in build_grading(rs, signs).compact_positive]
-        members = {W.identity}
-        frontier = [W.identity]
+        members = {W.elements[0]}
+        frontier = [W.elements[0]]
         while frontier:
             new_frontier = []
             for w in frontier:
@@ -201,7 +247,19 @@ def test_weyl_k_is_the_closure_of_the_compact_reflections(name, kernel_cases):
                         new_frontier.append(product)
             frontier = new_frontier
         assert set(kdata.elements) == members
-        assert list(kdata.elements) == sorted(members, key=lambda w: (w.length, w.reduced_word))
+        # the closure's order: each element's word in simpleK letters, read off
+        # the tree, comes by length, then lexicographically, and spells it
+        words = [()]
+        for parent, j in kdata.tree:
+            words.append((j,) + words[parent])
+        assert words == sorted(set(words), key=lambda word: (len(word), word))
+        assert kdata.lengthK == tuple(map(len, words))
+        simple = [_reflection(rs, W, beta) for beta in kdata.simpleK]
+        for w, word in zip(kdata.elements, words):
+            product = W.elements[0]
+            for j in word:
+                product = compose(W, product, simple[j])
+            assert product is w
 
 
 @pytest.mark.parametrize("name", KERNEL_TYPES)

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from dischar import TruncationTooLarge, generate, verify
+from dischar import TruncationTooLarge, generate, verify, weyl_k
 from dischar.cli import parse_config, run
 from dischar.verify import SECTIONS, run_verify
 
@@ -72,4 +72,18 @@ def test_weyl_group_section_counts_inversions(monkeypatch):
     assert code == 2
     assert re.search(
         r"^FAIL weyl-group: word length of s1\*s2 disagrees with its inversion count$", out, re.M
+    )
+
+
+def test_grading_section_counts_compact_inversions(monkeypatch):
+    def corrupted(rs, grading, group):
+        kdata = weyl_k(rs, grading, group)
+        return kdata._replace(lengthK=(0, 3))  # s1 in A2 with alpha1 compact, parity kept
+
+    monkeypatch.setattr(verify, "weyl_k", corrupted)
+    code, out = run("verify", parse_config({"cartan": [[2, -1], [-1, 2]],
+                                            "compact_simple": [True, False]}))
+    assert code == 2
+    assert re.search(
+        r"^FAIL grading: l_K of s1 disagrees with its compact inversion count$", out, re.M
     )

@@ -27,6 +27,7 @@ from tests.matrix_oracle import (
     matrix_closure,
     matrix_inversion_count,
     simple_reflection_matrices,
+    word_matrices,
     word_matrix,
 )
 
@@ -78,14 +79,14 @@ def test_act_examples(systems, groups):
     a1, a2 = systems["A1"], systems["A2"]
     W1, W2 = groups["A1"], groups["A2"]
     lam = Weight((-2,))
-    assert act(W1.identity, lam) == lam
+    assert act(W1.elements[0], lam) == lam
     assert act(W1.elements[1], lam) == Weight((2,))
     assert act(simple_reflections(W2)[0], a2.rho) == Weight((-1, 2))
 
 
 def test_act_dimension_mismatch(groups):
     with pytest.raises(DimensionMismatch):
-        act(groups["A2"].identity, Weight((1,)))
+        act(groups["A2"].elements[0], Weight((1,)))
 
 
 @pytest.mark.parametrize("ours,theirs", [("A2", "A3"), ("A3", "A2"), ("A1", "A2"), ("A2", "A1")])
@@ -128,6 +129,22 @@ def test_dot_orbit_matches_act_elementwise(name, dot_cases, data):
     assert len(images) == W.order
     for w, image in zip(W.elements, images):
         assert image == act(w, lam - rs.rho) + rs.rho
+
+
+@pytest.mark.parametrize("name", DOT_TYPES)
+def test_dot_orbit_matches_the_matrix_oracle(name, dot_cases):
+    # dot_orbit and act share the reflection kernel, so the independent
+    # check is the matrix of each element's word: w(lam - rho) + rho
+    rs, W = dot_cases[name]
+    matrices = word_matrices({**CARTAN, **EXTRA_CARTAN, "rank0": []}[name],
+                             [w.reduced_word for w in W.elements])
+    rng = random.Random(5)
+    for _ in range(3):
+        twice = tuple(rng.randint(-15, 15) for _ in range(rs.rank))
+        shifted = tuple(c - 2 for c in twice)  # 2 (lam - rho)
+        images = [apply(matrices[w.reduced_word], shifted) for w in W.elements]
+        expected = [Weight.from_twice(tuple(c + 2 for c in v)) for v in images]
+        assert dot_orbit(rs, W, Weight.from_twice(twice)) == expected
 
 
 def test_dot_orbit_dimension_mismatch(systems, groups):
@@ -175,7 +192,7 @@ def test_e6_closes_with_certified_lengths():
 
 def test_length_fibers_a2(groups):
     W = groups["A2"]
-    assert length_fiber(W, 0) == (W.identity,)
+    assert length_fiber(W, 0) == (W.elements[0],)
     assert length_fiber(W, 1) == simple_reflections(W)
     assert length_fiber(W, 4) == ()
     assert length_fiber(W, -1) == ()
@@ -183,7 +200,7 @@ def test_length_fibers_a2(groups):
 
 def test_sign_examples(groups):
     W = groups["A2"]
-    assert (-1) ** W.identity.length == 1
+    assert (-1) ** W.elements[0].length == 1
     assert all((-1) ** s.length == -1 for s in simple_reflections(W))
     assert W.longest.length == 3
     assert (-1) ** W.longest.length == -1
@@ -216,7 +233,7 @@ def test_reduced_words_compose_to_matrix(groups):
     for name, W in groups.items():
         simple = simple_reflections(W)
         for w in W.elements:
-            product = W.identity
+            product = W.elements[0]
             for i in w.reduced_word:
                 product = compose(W, product, simple[i])
             assert product is w
@@ -235,7 +252,7 @@ def test_equality_is_by_matrix(groups):
 
 def test_word_rendering(groups):
     W = groups["A2"]
-    assert W.identity.word_str() == "e"
+    assert W.elements[0].word_str() == "e"
     assert W.elements[1].word_str() == "s1"
     assert W.longest.word_str().count("*") == 2
 
