@@ -14,26 +14,27 @@ with base(nu) the root coordinates of lam - rho_n + rho_c - nu,
 N_w = C^-1 (I - M_w) an integer matrix and c_w the root coordinates of
 w rho_c - rho_c.  An argument lies in the root lattice exactly when base(nu)
 does (for integral nu the other two terms are integral; a non-integral nu
-leaves both off the lattice), so that test runs once per nu.  Once per call,
-in integers with the adjugate of C, each w is pruned: every coordinate of
-its argument is affine in nu, so its maximum over the box the lattice nu
-span is a sum of one end per axis, and a w with a negative maximum never
-reaches the cone and is dropped.  The N_w nu + c_w of the kept w are one
-stacked list, stepped from one nu to the next by one add per changed axis.
-A first pass over the arguments that lie in the cone finds their maximum;
-one flat integer table of P over 0 <= m <= max(arguments) is filled
-coin-change style (P[m] += P[m - beta] for each noncompact root beta in
-turn), and a second pass reads every term from it.  Each root's update is
-one slice per slab of the table, the rows of the fastest axis padded with
-zeros so that a slice can run across them.  The table belongs to the call:
-the grading keeps no memo.
+leaves both off the lattice), so ``RootSystem.root_coords`` tests it once
+per nu.  Once per call, in integers with the adjugate of C, each w is
+pruned: every coordinate of its argument is affine in nu, so its maximum
+over the box the lattice nu span is a sum of one end per axis, and a w with
+a negative maximum never reaches the cone and is dropped.  The N_w nu + c_w
+of the kept w are one stacked list, stepped from one nu to the next by one
+add per changed axis.  A first pass over the arguments that lie in the cone
+finds their maximum; one flat integer table of P over 0 <= m <= max(arguments)
+is filled coin-change style (P[m] += P[m - beta] for each noncompact root
+beta in turn), and a second pass reads every term from it.  Each root's
+update is one slice per slab of the table, the rows of the fastest axis
+padded with zeros so that a slice can run across them.  The table belongs
+to the call: the grading keeps no memo.
 
 The ``filtration_oracle``/``filtration_table`` pair re-derives the same
 numbers on an independent code path, by walking the symmetric powers of the
 normal bundle level by level and resolving each line-bundle twist with the
 Borel-Weil-Bott step for K; it never consults the partition function.  One
 walk, up to the largest level any nu of the box needs, buckets every result
-by its lowest K-weight and so serves the whole box.
+by its lowest K-weight and so serves the whole box; its level is read off
+the arguments' root coordinates, computed on doubled integer vectors.
 
 Sizes the caller controls are bounded before the work they size: the number
 of box points (``MAX_BOX_POINTS``), the entries of the partition table
@@ -58,7 +59,7 @@ from .errors import (
     TruncationTooLarge,
 )
 from .realform import CompactGrading, KWeylData
-from .rootdata import Weight, classify_weight, coroot_pairing
+from .rootdata import Weight, classify_weight
 
 IntVec = tuple[int, ...]
 Box = tuple[Sequence[Rational], Sequence[Rational]]
@@ -79,22 +80,6 @@ class KTypeTable(NamedTuple):
 
     def sorted_entries(self) -> list[tuple[Weight, int]]:
         return sorted(self.entries.items(), key=lambda item: item[0].twice)
-
-
-def _as_root_lattice(grading: CompactGrading, mu: Weight) -> IntVec | None:
-    """mu in simple-root coordinates if it lies in the lattice, else None."""
-    coords = grading.rs.to_root_coords(mu)
-    if any(type(c) is not int for c in coords):
-        return None
-    return coords
-
-
-def _root_coords(grading: CompactGrading, mu: Weight) -> IntVec:
-    """mu in simple-root coordinates, for a mu that must lie in the lattice."""
-    coords = _as_root_lattice(grading, mu)
-    if coords is None:
-        raise InvariantViolation("a W_K difference left the root lattice")
-    return coords
 
 
 def _noncompact_root_coords(grading: CompactGrading) -> tuple[IntVec, ...]:
@@ -198,7 +183,7 @@ def partition_p(grading: CompactGrading, mu: Weight, p: int) -> int:
     """
     if p < 0:
         return 0
-    target = _as_root_lattice(grading, mu)
+    target = grading.rs.root_coords(mu.twice)
     if target is None or any(c < 0 for c in target):
         return 0
     counted = [beta + (1,) for beta in _noncompact_root_coords(grading)]
@@ -211,7 +196,7 @@ def partition(grading: CompactGrading, mu: Weight) -> int:
     Finite because the noncompact positives lie in an open half space;
     zero off the cone, and 1 for mu = 0 (the empty sum).
     """
-    target = _as_root_lattice(grading, mu)
+    target = grading.rs.root_coords(mu.twice)
     if target is None or any(c < 0 for c in target):
         return 0
     return _PartitionTable(_noncompact_root_coords(grading), target)[target]
@@ -265,11 +250,13 @@ def _check_lambda(grading: CompactGrading, lam: Weight) -> None:
 
 
 def _check_nu(grading: CompactGrading, nu: Weight) -> None:
+    if nu.rank != grading.rs.rank:
+        raise DimensionMismatch(f"rank {nu.rank} weight in rank {grading.rs.rank} system")
     for alpha in grading.compact_positive:
-        value = coroot_pairing(alpha, nu)
-        if value.denominator != 1:
+        twice = sum(map(mul, alpha.coroot_coords, nu.twice))  # 2 <alpha-check, nu>
+        if twice & 1:
             raise ParameterIncompatible("nu must pair integrally with compact coroots")
-        if value > 0:
+        if twice > 0:
             raise ParameterIncompatible("nu must be antidominant for R_c+")
 
 
@@ -388,11 +375,11 @@ def _closed_formula(
     The arguments are generated twice, once for the table's extent and once
     to read it, so memory stays that of the table for any number of points.
     """
-    rank = grading.rs.rank
-    shift = lam - grading.rho_n + grading.rho_c
+    rs = grading.rs
+    shift = (lam - grading.rho_n + grading.rho_c).twice
     index, lattice = [], []
     for k, nu in enumerate(points):
-        base = _as_root_lattice(grading, shift - nu)
+        base = rs.root_coords(tuple(map(sub, shift, nu.twice)))
         if base is not None:
             index.append(k)
             lattice.append((nu.coords, base))
@@ -401,7 +388,7 @@ def _closed_formula(
         return values
     axes = list(zip(*(coords for coords, _base in lattice)))
     terms = _alternating_terms(grading, kdata, lam, tuple(map(min, axes)), tuple(map(max, axes)))
-    extent = (0,) * rank
+    extent = (0,) * rs.rank
     for found in _stepped_arguments(terms, lattice):
         for _sign, target in found:
             extent = tuple(map(max, extent, target))
@@ -462,15 +449,19 @@ def _filtration_level(
     noncompact simple roots add up to: the grading is multiplicative, so
     each noncompact root has an odd, hence positive, sum there.
     """
-    shifted = lam - grading.rho_n
-    anchors = [shifted + Weight.from_twice(v) for v in kdata.orbit(grading.rho_c.twice)]
+    root_coords = grading.rs.root_coords
+    shifted = (lam - grading.rho_n).twice
+    # doubled (lam - rho_n) + w rho_c; the first, at w = 1, is lam - rho_n + rho_c
+    anchors = [tuple(map(add, shifted, v)) for v in kdata.orbit(grading.rho_c.twice)]
     noncompact = [i for i, s in enumerate(grading.simple_signs) if s == -1]
     needed = 0
     for nu in points:
-        if _as_root_lattice(grading, shifted + grading.rho_c - nu) is None:
+        if root_coords(tuple(map(sub, anchors[0], nu.twice))) is None:
             continue
         for anchor, image in zip(anchors, kdata.orbit(nu.twice)):
-            coords = _root_coords(grading, anchor - Weight.from_twice(image))
+            coords = root_coords(tuple(map(sub, anchor, image)))
+            if coords is None:
+                raise InvariantViolation("a W_K difference left the root lattice")
             if min(coords, default=0) >= 0:
                 needed = max(needed, sum(coords[i] for i in noncompact))
     return needed

@@ -7,7 +7,8 @@ numerator build their result there in one pass.  The module provides the Weyl
 denominator (computed two ways and compared), the alternating Weyl
 numerator, a Freudenthal-recursion character that serves as an independent
 oracle, the elliptic numerator of a discrete series, and Euler
-characteristics of homology tables.
+characteristics of homology tables.  Freudenthal's recursion runs in integers,
+with ``RootSystem.root_coords`` and the coroot form of :func:`_gram`.
 """
 
 from __future__ import annotations
@@ -108,35 +109,26 @@ def weyl_numerator(rs: RootSystem, group: WeylGroup, lam: Weight) -> FormalChara
 
 
 def _gram(rs: RootSystem) -> Matrix:
-    """G = D adj(C), so that (2a)^T G (2b) = 4 det(C) (a, b) for weights a, b.
+    """G = sum over beta > 0 of beta-check beta-check^T, on simple-coroot coordinates.
 
-    (omega_i, alpha_j) = delta_ij d_j with the symmetrizer d_i C_ij = d_j C_ji;
-    squared root lengths differ by 1, 2 or 3, so d starting at 6 stays integral.
+    a^T G b = sum_beta <beta-check, a> <beta-check, b> for weights a, b: W permutes
+    the coroots up to sign, so the form is W-invariant, hence on each simple
+    factor a positive multiple of the Killing form's.  Freudenthal's recursion
+    (Humphreys, *Introduction to Lie Algebras and Representation Theory*, §22)
+    needs no more: it is exact and its denominators positive for such a form.
     """
-    d = [0] * rs.rank
-    for start in range(rs.rank):
-        if d[start]:
-            continue
-        d[start] = 6
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(rs.rank):
-                if i == j or rs.cartan[i][j] == 0 or d[j]:
-                    continue
-                d[j] = d[i] * rs.cartan[i][j] // rs.cartan[j][i]
-                queue.append(j)
-    assert all(d[i] * rs.cartan[i][j] == d[j] * rs.cartan[j][i]
-               for i in range(rs.rank) for j in range(rs.rank))
-    return tuple(tuple(d_i * x for x in row) for d_i, row in zip(d, rs.cartan_adj))
+    coroots = [alpha.coroot_coords for alpha in rs.positive_roots]
+    return tuple(
+        tuple(sum(c[i] * c[j] for c in coroots) for j in range(rs.rank)) for i in range(rs.rank)
+    )
 
 
 def _weight_support(rs: RootSystem, high: Weight) -> set[Weight]:
     # all weights of the irreducible module: mu with dom(mu) <= high in the
     # root-lattice partial order; closed under single simple-root descents
     def member(candidate: Weight) -> bool:
-        diff = rs.to_root_coords(high - dominant_representative(rs, candidate))
-        return all(c.denominator == 1 and c >= 0 for c in diff)
+        diff = rs.root_coords((high - dominant_representative(rs, candidate)).twice)
+        return diff is not None and min(diff, default=0) >= 0
 
     support = {high}
     frontier = [high]
@@ -167,13 +159,13 @@ def freudenthal_character(rs: RootSystem, lam_lowest: Weight) -> FormalCharacter
     support = _weight_support(rs, high)
     gram = _gram(rs)
 
-    def norm(mu: Weight) -> int:  # 4 det(C) (mu + rho, mu + rho)
+    def norm(mu: Weight) -> int:  # 4 (mu + rho, mu + rho)
         shifted = (mu + rs.rho).twice
         return sum(map(mul, shifted, _apply(gram, shifted)))
 
     dominants = sorted(
         (mu for mu in support if all(t >= 0 for t in mu.twice)),
-        key=lambda mu: sum(rs.to_root_coords(high - mu)),
+        key=lambda mu: sum(rs.root_coords((high - mu).twice)),
     )
     roots = [(alpha.weight(), _apply(gram, alpha.weight().twice)) for alpha in rs.positive_roots]
     norm_high = norm(high)

@@ -153,7 +153,8 @@ def _describe(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
         "weyl_order": kdata.weyl.order,
         "wk_order": kdata.order,
         "q": grading.q,
-        "closed_orbits": len(enumerate_closed_orbits(rs, grading, kdata.weyl, kdata)),
+        # one closed orbit per coset of W_K in W
+        "closed_orbits": kdata.weyl.order // kdata.order,
         "rho": rs.rho.serialize(),
         "rho_c": grading.rho_c.serialize(),
         "rho_n": grading.rho_n.serialize(),
@@ -169,7 +170,7 @@ def _orbits(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
     payload, rows = [], []
     for i, orbit in enumerate(enumerate_closed_orbits(rs, grading, kdata.weyl, kdata)):
         u = orbit.u.word_str()
-        signs = ["+" if orbit.positive_system[a] == 1 else "-" for a in rs.simple_roots]
+        signs = ["+" if orbit.u.rho_pairing(a) > 0 else "-" for a in rs.simple_roots]
         strata = [
             {"w": s.w.word_str(), "cell": s.cell.word_str(), "dim": s.dim}
             for s in orbit_strata(orbit)

@@ -3,15 +3,17 @@
 Each closed orbit corresponds to exactly one positive system of the full
 root system that contains R_c+; the element ``u`` with ``u(Sigma+) = that
 system`` labels the orbit, and the orbit decomposes into |W_K| Bruhat
-strata with cells w*u of dimension l_K(w).
+strata with cells w*u of dimension l_K(w).  A positive root beta lies in
+that system exactly when ``u.rho_pairing(beta) > 0``, so the orbit stores
+``u`` and not the system.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .realform import CompactGrading, KWeylData
-from .rootdata import Root, RootSystem
+from .rootdata import RootSystem
 from .weyl import WeylElement, WeylGroup
 
 
@@ -22,20 +24,14 @@ class Stratum(NamedTuple):
 
 
 class ClosedOrbit(NamedTuple):
-    """One closed K-orbit: its positive system, chamber element and strata.
+    """One closed K-orbit: its chamber element and strata.
 
     ``strata[k]`` is the stratum of ``kdata.elements[k]`` for the W_K it was
     enumerated under.
     """
 
-    positive_system: Mapping[Root, int]
     u: WeylElement
     strata: tuple[Stratum, ...]
-
-
-def _positive_system_of(rs: RootSystem, w: WeylElement) -> dict[Root, int]:
-    # +1 on the positive roots beta lying in w(Sigma+), i.e. with w^-1 beta > 0
-    return {beta: (1 if w.rho_pairing(beta) > 0 else -1) for beta in rs.positive_roots}
 
 
 def _strata_for(u: WeylElement, kdata: KWeylData) -> tuple[Stratum, ...]:
@@ -57,7 +53,7 @@ def enumerate_closed_orbits(
 ) -> list[ClosedOrbit]:
     """All closed orbits, canonically ordered by the reduced word of ``u``."""
     orbits = [
-        ClosedOrbit(positive_system=_positive_system_of(rs, w), u=w, strata=_strata_for(w, kdata))
+        ClosedOrbit(u=w, strata=_strata_for(w, kdata))
         for w in group.elements
         if all(w.rho_pairing(alpha) > 0 for alpha in grading.compact_positive)
     ]

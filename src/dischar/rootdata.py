@@ -7,6 +7,7 @@ arithmetic; there is no floating point anywhere.  In fundamental-weight
 coordinates rho is (1,...,1), and rho_c and rho_n are half sums of roots,
 so every weight lies in (1/2)Z^rank: a ``Weight`` stores 2 lambda as a tuple
 of ``int``, and ``Fraction`` appears only where coordinates are parsed or read.
+The one root-lattice test is ``RootSystem.root_coords``, in integers on 2 lambda.
 
 Conventions, fixed once:
 
@@ -155,7 +156,7 @@ class RootSystem(NamedTuple):
     cartan: tuple[IntVec, ...]
     positive_roots: tuple[Root, ...]
     rho: Weight
-    # det(C) and the integer adjugate det(C) * C^-1, for to_root_coords
+    # det(C) and the integer adjugate det(C) * C^-1, for root_coords
     cartan_det: int
     cartan_adj: tuple[IntVec, ...]
     by_root_coords: Mapping[IntVec, Root]
@@ -178,16 +179,17 @@ class RootSystem(NamedTuple):
     def root_with_coords(self, root_coords: Sequence[int]) -> Root | None:
         return self.by_root_coords.get(tuple(root_coords))
 
-    def to_root_coords(self, lam: Weight) -> Coords:
-        """Express a weight in the simple-root basis (rational in general)."""
-        if lam.rank != self.rank:
-            raise DimensionMismatch(f"rank {lam.rank} weight in rank {self.rank} system")
-        # C^-1 lambda = adj(C) (2 lambda) / (2 det C)
+    def root_coords(self, twice: IntVec) -> IntVec | None:
+        """Root coordinates adj(C) twice / (2 det C) of ``twice`` = 2 lambda; None off lattice."""
+        if len(twice) != self.rank:
+            raise DimensionMismatch(f"rank {len(twice)} weight in rank {self.rank} system")
         denom = 2 * self.cartan_det
         out = []
         for row in self.cartan_adj:
-            value = sum(map(mul, row, lam.twice))
-            out.append(Fraction(value, denom) if value % denom else value // denom)
+            value, remainder = divmod(sum(map(mul, row, twice)), denom)
+            if remainder:
+                return None
+            out.append(value)
         return tuple(out)
 
 
@@ -330,22 +332,18 @@ def coroot_pairing(alpha: Root, lam: Weight) -> int | Fraction:
 
 
 def classify_weight(rs: RootSystem, lam: Weight) -> WeightFlags:
-    """Regularity, (strong) antidominance and integrality of a weight."""
-    regular = True
-    antidominant = True
-    strongly = True
-    for alpha in rs.positive_roots:
-        value = coroot_pairing(alpha, lam)
-        if value == 0:
-            regular = False
-        if value >= 1 and value.denominator == 1:
-            antidominant = False
-        if value >= 0:
-            strongly = False
+    """Regularity, (strong) antidominance and integrality of a weight.
+
+    Read off twice each coroot pairing, an integer: antidominance forbids a
+    positive integer pairing, that is an even twice of at least 2.
+    """
+    if lam.rank != rs.rank:
+        raise DimensionMismatch(f"rank {lam.rank} weight in rank {rs.rank} system")
+    twice = [sum(map(mul, alpha.coroot_coords, lam.twice)) for alpha in rs.positive_roots]
     return WeightFlags(
-        regular=regular,
-        antidominant=antidominant,
-        strongly_antidominant=strongly,
+        regular=0 not in twice,
+        antidominant=not any(t >= 2 and not t & 1 for t in twice),
+        strongly_antidominant=all(t < 0 for t in twice),
         integral=lam.is_integral(),
     )
 

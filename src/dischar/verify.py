@@ -131,7 +131,7 @@ def _check_orbits(ctx: VerifyContext) -> CheckResult:
     if len(cells) != ctx.group.order or set(cells) != ctx.group.by_rho.keys():
         return CheckResult("orbits", False, "strata cells do not partition W")
     for orbit in orbits:
-        if any(orbit.positive_system[a] != 1 for a in grading.compact_positive):
+        if not all(orbit.u.rho_pairing(a) > 0 for a in grading.compact_positive):
             return CheckResult("orbits", False, "positive system misses R_c+")
     return CheckResult("orbits", True)
 

@@ -1,11 +1,12 @@
 """W and W_K on one reflection kernel: one record, one closure, one tree sweep.
 
 A reflecting root is one record, its coroot and its root as sparse (k, value)
-pairs on fundamental-weight coordinates, and :func:`reflect` is the one
-function that moves a vector of W or W_K.  :func:`close` builds a group from
-its simple reflections on w(rho), one length at a time along ascents, into
-ShortLex order and a (parent, letter) tree whose depth is the length: W from
-the simple roots (:func:`generate`), W_K from the simple compact roots
+pairs on fundamental-weight coordinates; :func:`move` is the one function
+that moves a vector of W or W_K, by a pairing that :func:`reflect` and
+:func:`sweep` compute and :func:`close` takes from its ascent test.
+:func:`close` builds a group on w(rho), one length at a time along ascents,
+into ShortLex order and a (parent, letter) tree whose depth is the length: W
+from the simple roots (:func:`generate`), W_K from the simple compact roots
 (``realform.weyl_k``).  :func:`sweep` walks such a tree, one reflection per
 element: :func:`dot_orbit` with shift 2, ``KWeylData.orbit`` with shift 0.
 
@@ -41,20 +42,24 @@ def reflection(beta: Root) -> Reflection:
             tuple((k, a) for k, a in enumerate(beta.fw_coords) if a))
 
 
+def move(r: Reflection, vec: IntVec, value: int) -> IntVec:
+    """vec - value * beta, for the beta of the record ``r``."""
+    v = list(vec)
+    for k, a in r[1]:
+        v[k] -= value * a
+    return tuple(v)
+
+
 def reflect(r: Reflection, vec: IntVec, shift: int = 0) -> IntVec:
     """vec - (<beta-check, vec> - shift) beta: s_beta for shift 0.
 
     For a simple root and shift 2 on doubled coordinates 2 lam it is the dot
     action s(lam - rho) + rho, since <alpha_i-check, 2 rho> = 2.
     """
-    coroot, root = r
     value = -shift
-    for k, c in coroot:
+    for k, c in r[0]:
         value += c * vec[k]
-    v = list(vec)
-    for k, a in root:
-        v[k] -= value * a
-    return tuple(v)
+    return move(r, vec, value)
 
 
 def close(reflections: Sequence[Reflection], rank: int,
@@ -80,7 +85,7 @@ def close(reflections: Sequence[Reflection], rank: int,
                 value = 0
                 for k, c in coroot:
                     value += c * image[k]
-                if value > 0 and (key := reflect(r, image)) not in seen:
+                if value > 0 and (key := move(r, image, value)) not in seen:
                     seen.add(key)
                     images.append(key)
                     words.append((j,) + words[p])
@@ -98,7 +103,12 @@ def sweep(reflections: Sequence[Reflection], tree: Tree, vec: IntVec,
     """vec moved by each element of a :func:`close` tree, in its order, one reflection each."""
     images = [vec]
     for parent, j in tree:
-        images.append(reflect(reflections[j], images[parent], shift))
+        # the pairing inline, so one call per element, as in close
+        r, v = reflections[j], images[parent]
+        value = -shift
+        for k, c in r[0]:
+            value += c * v[k]
+        images.append(move(r, v, value))
     return images
 
 

@@ -5,14 +5,15 @@ These rebuild the rest from its public names, the way ``matrix_oracle``
 rebuilds the dense closure.  ``reference_closed_formula`` and
 ``RowPartitionTable`` keep the plain Blattner closed formula, with no
 pruning, stepping or padding, as the reference for the fast one.
+``solve_root_coords`` is the rational reference for ``RootSystem.root_coords``.
 """
 
 import itertools
 import math
+from fractions import Fraction
 from operator import add, mul
 
 from dischar import Weight, act
-from dischar.blattner import _as_root_lattice, _root_coords
 
 
 def compose(group, a, b):
@@ -28,6 +29,32 @@ def simple_reflections(group):
 def length_fiber(group, p):
     """The elements of length p in ``elements`` order."""
     return tuple(w for w in group.elements if w.length == p)
+
+
+def solve_root_coords(rs, lam):
+    """The n with C n = lam, by Fraction elimination: lam's simple-root coordinates.
+
+    A root sum(n_j alpha_j) has fw coordinates C n, so this inverts that
+    map with no adjugate and no integer shortcut.
+    """
+    rank = rs.rank
+    rows = [[Fraction(x) for x in row] + [Fraction(c)] for row, c in zip(rs.cartan, lam.coords)]
+    for col in range(rank):
+        pivot = next(r for r in range(col, rank) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(rank):
+            if r != col and rows[r][col]:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return tuple(rows[i][rank] / rows[i][i] for i in range(rank))
+
+
+def lattice_coords(rs, lam):
+    """``solve_root_coords`` as ints, or None when a coordinate is not an integer."""
+    n = solve_root_coords(rs, lam)
+    if any(c.denominator != 1 for c in n):
+        return None
+    return tuple(int(c) for c in n)
 
 
 def scaled(weight, factor):
@@ -99,8 +126,8 @@ def _reference_terms(grading, kdata):
     for k, (length_k, image) in enumerate(zip(kdata.lengthK, kdata.orbit(grading.rho_c.twice))):
         signs.append(-1 if length_k % 2 else 1)
         columns = [e - Weight.from_twice(orbit[k]) for e, orbit in zip(units, moved)]
-        rows.extend(zip(*(_root_coords(grading, c) for c in columns)))
-        offsets.extend(_root_coords(grading, Weight.from_twice(image) - grading.rho_c))
+        rows.extend(zip(*(lattice_coords(rs, c) for c in columns)))
+        offsets.extend(lattice_coords(rs, Weight.from_twice(image) - grading.rho_c))
     return signs, rows, offsets
 
 
@@ -116,7 +143,7 @@ def reference_closed_formula(grading, kdata, lam, points):
     shift = lam - grading.rho_n + grading.rho_c
 
     def arguments(nu):
-        base = _as_root_lattice(grading, shift - nu)
+        base = lattice_coords(grading.rs, shift - nu)
         if base is None:
             return
         coords = nu.coords

@@ -19,6 +19,7 @@ from dischar import (
     build_grading,
     build_root_system,
     bwb_cohomology,
+    classify_weight,
     coroot_pairing,
     dominant_representative,
     filtration_oracle,
@@ -29,9 +30,9 @@ from dischar import (
     partition_p,
     weyl_k,
 )
-from dischar.blattner import _filtration_level, _PartitionTable
+from dischar.blattner import _check_nu, _filtration_level, _PartitionTable
 from tests.conftest import CARTAN, EXTRA_CARTAN
-from tests.helpers import scaled, simple_reflections
+from tests.helpers import lattice_coords, scaled, simple_reflections
 
 
 def setup(systems, groups, name, signs):
@@ -258,8 +259,8 @@ def brute_force_level(rs, grading, kdata, lam, nu):
     """The largest noncompact simple coordinate sum of an in-cone argument for nu."""
     level = 0
     for w in kdata.elements:
-        coords = rs.to_root_coords(lam - grading.rho_n - act(w, nu - grading.rho_c))
-        if all(Fraction(c).denominator == 1 and c >= 0 for c in coords):
+        coords = lattice_coords(rs, lam - grading.rho_n - act(w, nu - grading.rho_c))
+        if coords is not None and min(coords, default=0) >= 0:
             level = max(level, sum(c for c, s in zip(coords, grading.simple_signs) if s == -1))
     return level
 
@@ -319,14 +320,15 @@ def test_parameter_incompatible(systems, groups):
         blattner_multiplicity(grading, kdata, Weight((Fraction(-3, 2), -1)), Weight((-1, -1)))
     with pytest.raises(ParameterIncompatible):
         blattner_multiplicity(grading, kdata, Weight((0, -1)), Weight((-1, -1)))
-    with pytest.raises(ParameterIncompatible):
-        blattner_multiplicity(grading, kdata, Weight((-2, -1)), Weight((Fraction(1, 2), 0)))
-    with pytest.raises(ParameterIncompatible):
-        blattner_multiplicity(grading, kdata, Weight((-2, -1)), Weight((1, -4)))
-    # the oracle checks a nu it is handed the same way
-    for nu in (Weight((Fraction(1, 2), 0)), Weight((1, -4))):
-        with pytest.raises(ParameterIncompatible):
-            filtration_oracle(grading, kdata, Weight((-2, -1)), nu)
+    # a half-integral pairing is refused whatever its sign
+    refused = [((Fraction(1, 2), 0), "integrally"), ((Fraction(-1, 2), 0), "integrally"),
+               ((1, -4), "antidominant")]
+    for coords, message in refused:
+        with pytest.raises(ParameterIncompatible, match=message):
+            blattner_multiplicity(grading, kdata, Weight((-2, -1)), Weight(coords))
+        # the oracle checks a nu it is handed the same way
+        with pytest.raises(ParameterIncompatible, match=message):
+            filtration_oracle(grading, kdata, Weight((-2, -1)), Weight(coords))
 
 
 def test_blattner_equals_oracle_rank3(systems, groups):
@@ -477,6 +479,23 @@ WRONG_RANK = {
     ),
     "partition_p": (
         lambda rs, grading, kdata: partition_p(grading, Weight((1,)), 1),
+        "^rank 1 weight in rank 2 system$",
+    ),
+    "RootSystem.root_coords": (
+        lambda rs, grading, kdata: rs.root_coords((2, 0, 0)),
+        "^rank 3 weight in rank 2 system$",
+    ),
+    "classify_weight": (
+        lambda rs, grading, kdata: classify_weight(rs, Weight((-1,))),
+        "^rank 1 weight in rank 2 system$",
+    ),
+    "_check_nu": (
+        lambda rs, grading, kdata: _check_nu(grading, Weight((-1, 0, 5))),
+        "^rank 3 weight in rank 2 system$",
+    ),
+    # with no compact root the rank is still checked
+    "_check_nu all noncompact": (
+        lambda rs, grading, kdata: _check_nu(build_grading(rs, (-1, -1)), Weight((-1,))),
         "^rank 1 weight in rank 2 system$",
     ),
 }

@@ -170,7 +170,8 @@ def test_freudenthal_b2_small(systems):
     assert vector.terms.get(Weight.zero(2), 0) == 1
 
 
-def test_freudenthal_dimension_against_weyl_dim_formula(systems):
+def test_freudenthal_dimension_against_weyl_dim_formula(systems, extra_systems):
+    # the product systems pin the coroot form's scale on each simple factor
     from dischar import coroot_pairing, dominant_representative
 
     def weyl_dim(rs, lam_lowest):
@@ -181,13 +182,17 @@ def test_freudenthal_dimension_against_weyl_dim_formula(systems):
             den *= coroot_pairing(alpha, rs.rho)
         return num / den
 
-    for name in ("A2", "B2", "G2", "B3", "C3"):
-        rs = systems[name]
-        for coords in [
-            (-1,) * rs.rank,
+    every = dict(systems, **extra_systems)
+    for name in ("A2", "B2", "G2", "B3", "C3", "A1xA1", "A1xA2", "D4", "F4"):
+        rs = every[name]
+        probes = [
             (0,) * (rs.rank - 1) + (-1,),
             (-2,) + (0,) * (rs.rank - 1),
-        ]:
+            (-1,) * rs.rank if name != "F4" else (0, 0, -1, -1),  # F4's rho module has 2^24 weights
+        ]
+        if name.startswith("A1x"):
+            probes.append((-3,) + (-1,) * (rs.rank - 1))
+        for coords in probes:
             char = freudenthal_character(rs, Weight(coords))
             assert sum(char.terms.values()) == weyl_dim(rs, Weight(coords))
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import re
 import subprocess
@@ -11,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dischar import generate
+from dischar import build_grading, build_root_system, enumerate_closed_orbits, generate, weyl_k
 from dischar.cli import COMMANDS, MAX_RANK, build_parser, main, parse_config, run
 from dischar.errors import GroupTooLarge, ParameterIncompatible
 from dischar.weyl import MAX_WEYL_ORDER
-from tests.conftest import E7
+from tests.conftest import CARTAN, E7, EXTRA_CARTAN
 
 
 def canonical_dict(config):
@@ -67,6 +68,21 @@ def test_describe_a1_noncompact():
     assert data["weyl_order"] == 2
     assert data["wk_order"] == 1
     assert data["closed_orbits"] == 2
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN) + ["D4", "F4"])
+def test_describe_counts_one_closed_orbit_per_wk_coset(name):
+    # describe reads |W| / |W_K|; the orbits themselves must number the same
+    cartan = dict(CARTAN, **EXTRA_CARTAN)[name]
+    rs = build_root_system(cartan)
+    group = generate(rs)
+    for compact in itertools.product((True, False), repeat=rs.rank):
+        grading = build_grading(rs, tuple(1 if c else -1 for c in compact))
+        kdata = weyl_k(rs, grading, group)
+        _code, output = run("describe", parse_config({"cartan": cartan,
+                                                     "compact_simple": list(compact)}))
+        count = json.loads(output)["closed_orbits"]
+        assert count == len(enumerate_closed_orbits(rs, grading, group, kdata)), compact
 
 
 def test_orbits_output_shape():

@@ -30,7 +30,7 @@ from dischar import (
 )
 from dischar.blattner import _alternating_terms, _box_points, _PartitionTable
 from tests.conftest import CARTAN, EXTRA_CARTAN
-from tests.helpers import RowPartitionTable, reference_closed_formula, scaled
+from tests.helpers import RowPartitionTable, lattice_coords, reference_closed_formula, scaled
 from tests.test_blattner import enumeration_oracle, graded_systems
 
 
@@ -149,7 +149,7 @@ def test_prune_keeps_a_w_whose_coordinate_maximum_is_zero():
     assert len(points) == 9
 
     def argument(w, nu):
-        return rs.to_root_coords(lam - grading.rho_n - act(w, nu - grading.rho_c))
+        return lattice_coords(rs, lam - grading.rho_n - act(w, nu - grading.rho_c))
 
     boundary = [
         w for w in kdata.elements

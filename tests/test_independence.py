@@ -11,11 +11,16 @@ the graph can miss an edge.  A local name that shadows an imported or
 module-level one can only add edges, which makes the pins below stricter.
 
 ``weyl.dot_orbit``, ``KWeylData.orbit`` and ``weyl.act`` share one reflection
-kernel (``weyl.reflect``, ``weyl.close``, ``weyl.sweep``) on purpose, so none
-of them checks another; their oracle is the dense-matrix closure of
-``tests/matrix_oracle.py``.  The two oracles that keep reflection arithmetic
-of their own, Freudenthal's formula and the Borel-Weil-Bott chamber walk, are
-pinned below to reach none of that kernel.
+kernel (``weyl.reflect``, ``weyl.move``, ``weyl.close``, ``weyl.sweep``) on
+purpose, so none of them checks another; their oracle is the dense-matrix
+closure of ``tests/matrix_oracle.py``.  The two oracles that keep reflection
+arithmetic of their own, Freudenthal's formula and the Borel-Weil-Bott
+chamber walk, are pinned below to reach none of that kernel.
+
+Both Blattner paths also put weights into root coordinates through the
+``RootSystem.root_coords`` method, on purpose: that map is the lattice test,
+and its own tests compare it with a rational solve.  The graph does not list
+methods, so it is not in the ``SHARED`` lists below.
 """
 
 import ast
@@ -93,16 +98,16 @@ PINS = [
     ({"characters.freudenthal_character"},
      {"weyl.generate", "weyl.dot_orbit", "characters.weyl_numerator"}),
     ({"characters.freudenthal_character", "blattner.bwb_cohomology"},
-     {"weyl.reflection", "weyl.reflect", "weyl.close", "weyl.sweep"}),
+     {"weyl.reflection", "weyl.reflect", "weyl.move", "weyl.close", "weyl.sweep"}),
 ]
 
-# what the two Blattner paths share on purpose: the lattice test, the
-# parameter checks, the box and the result record
+# what the two Blattner paths share on purpose besides the root_coords
+# method: the parameter checks, the box and the result record
 SHARED = [
     (("filtration_table", "ktype_table"),
-     blattner("_as_root_lattice", "_check_lambda", "_box_points", "KTypeTable")),
+     blattner("_check_lambda", "_box_points", "KTypeTable")),
     (("filtration_oracle", "blattner_multiplicity"),
-     blattner("_as_root_lattice", "_check_lambda", "_check_nu")),
+     blattner("_check_lambda", "_check_nu")),
 ]
 
 
@@ -121,10 +126,10 @@ def test_blattner_paths_share_only_the_listed_helpers(pair, shared):
 
 def test_graph_reaches_the_kernel_from_its_users():
     # the pins above are not vacuous: the library's own sweeps do reach it
-    assert {"weyl.close", "weyl.reflect"} <= reach("weyl.generate")
+    assert {"weyl.close", "weyl.move"} <= reach("weyl.generate")
     assert {"weyl.close", "weyl.sweep", "weyl.reflect"} <= reach("realform.weyl_k",
                                                                   "weyl.dot_orbit")
-    assert "weyl.reflect" in reach("weyl.act")
+    assert {"weyl.reflect", "weyl.move"} <= reach("weyl.act")
 
 
 def test_graph_follows_imports_and_only_calls():

@@ -89,8 +89,14 @@ def test_positive_system_contains_compact_positives(systems, groups):
         rs, W = systems[name], groups[name]
         for signs in itertools.product((1, -1), repeat=rs.rank):
             grading = build_grading(rs, signs)
-            for orbit in enumerate_closed_orbits(rs, grading, W, weyl_k(rs, grading, W)):
-                assert all(orbit.positive_system[a] == 1 for a in grading.compact_positive)
+            orbits = enumerate_closed_orbits(rs, grading, W, weyl_k(rs, grading, W))
+            # u's positive system holds beta > 0 exactly when <beta-check, u rho> > 0
+            systems_of = [
+                frozenset(a for a in rs.positive_roots if orbit.u.rho_pairing(a) > 0)
+                for orbit in orbits
+            ]
+            assert all(set(grading.compact_positive) <= system for system in systems_of)
+            assert len(set(systems_of)) == len(orbits)
 
 
 def test_strata_dims_are_k_lengths(systems, groups):

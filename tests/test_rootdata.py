@@ -19,7 +19,7 @@ from dischar import (
     dominant_representative,
 )
 from tests.conftest import CARTAN, EXTRA_CARTAN
-from tests.helpers import scaled
+from tests.helpers import lattice_coords, scaled, solve_root_coords
 from tests.matrix_oracle import word_matrix
 
 
@@ -203,6 +203,11 @@ def test_classify_weight_non_integral(systems):
     flags = classify_weight(systems["A1"], Weight((Fraction(-1, 2),)))
     assert not flags.integral
     assert flags.antidominant and flags.regular and flags.strongly_antidominant
+    # a positive pairing that is not an integer leaves the weight antidominant
+    for half in (Fraction(1, 2), Fraction(3, 2)):
+        flags = classify_weight(systems["A1"], Weight((half,)))
+        assert flags.antidominant and flags.regular and not flags.strongly_antidominant
+    assert not classify_weight(systems["A1"], Weight((1,))).antidominant
 
 
 def test_weight_arithmetic():
@@ -224,11 +229,11 @@ def test_dominant_representative(systems):
 
 
 def test_to_root_coords_roundtrip(systems):
+    # the map to root coordinates takes each root's doubled weight back to its coordinates
     for rs in systems.values():
         for alpha in rs.positive_roots:
-            assert rs.to_root_coords(alpha.weight()) == tuple(
-                Fraction(c) for c in alpha.root_coords
-            )
+            assert rs.root_coords(alpha.weight().twice) == alpha.root_coords
+            assert solve_root_coords(rs, alpha.weight()) == alpha.root_coords
 
 
 def test_weight_stores_integral_coordinates_as_int():
@@ -254,9 +259,10 @@ def test_to_root_coords_inverts_cartan(name):
     probes = [rs.rho, Weight([Fraction(1, 2)] + [-3] * (rank - 1))]
     probes += [Weight([int(j == i) for j in range(rank)]) for i in range(rank)]
     for lam in probes:
-        n = rs.to_root_coords(lam)
-        assert all(type(c) is int or c.denominator != 1 for c in n)
+        n = solve_root_coords(rs, lam)
         assert tuple(sum(cartan[i][j] * n[j] for j in range(rank)) for i in range(rank)) == lam.coords
+        assert rs.root_coords(lam.twice) == lattice_coords(rs, lam)
+    assert rs.root_coords(probes[1].twice) is None
 
 
 @pytest.mark.parametrize(
@@ -315,9 +321,31 @@ def test_weight_agrees_with_a_fraction_reference(systems, groups, case):
         value = coroot_pairing(alpha, wa)
         assert value == sum(c * x for c, x in zip(alpha.coroot_coords, a))
         assert type(value) is (int if value.denominator == 1 else Fraction)
-    n = rs.to_root_coords(wa)
-    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in n)
-    assert tuple(sum(rs.cartan[i][j] * n[j] for j in range(rs.rank)) for i in range(rs.rank)) == a
+
+
+@st.composite
+def doubled_cases(draw):
+    """A conftest or extra system and a doubled vector, half the time on the root lattice."""
+    name = draw(st.sampled_from(sorted(CARTAN) + sorted(EXTRA_CARTAN)))
+    cartan = dict(CARTAN, **EXTRA_CARTAN)[name]
+    rank = len(cartan)
+    entries = draw(st.lists(st.integers(-40, 40), min_size=rank, max_size=rank))
+    if draw(st.booleans()):  # 2 C n for root coordinates n
+        entries = [2 * sum(c * x for c, x in zip(row, entries)) for row in cartan]
+    return name, tuple(entries)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doubled_cases())
+def test_root_coords_is_the_rational_solve_in_integers(systems, extra_systems, case):
+    name, twice = case
+    rs = dict(systems, **extra_systems)[name]
+    solved = solve_root_coords(rs, Weight.from_twice(twice))
+    coords = rs.root_coords(twice)
+    if any(c.denominator != 1 for c in solved):
+        assert coords is None
+    else:
+        assert coords == solved and all(type(c) is int for c in coords)
 
 
 def test_only_rootdata_and_cli_import_fractions():
