@@ -29,12 +29,12 @@ _EXPORTS = {
         "discrete_numerator",
         "euler_character",
         "freudenthal_character",
+        "times_denominator",
         "weyl_denominator",
         "weyl_numerator",
     ),
     "errors": (
         "BoxTooLarge",
-        "CollapseAmbiguous",
         "DimensionMismatch",
         "DischarError",
         "GroupTooLarge",

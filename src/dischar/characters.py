@@ -2,13 +2,15 @@
 
 A formal character is a finitely supported integer combination of lattice
 exponentials e^mu, stored as a sparse map keyed by exact fundamental-weight
-coordinates.  One constructor merges coefficients, and the product and every
-numerator build their result there in one pass.  The module provides the Weyl
-denominator (computed two ways and compared), the alternating Weyl
-numerator, a Freudenthal-recursion character that serves as an independent
-oracle, the elliptic numerator of a discrete series, and Euler
-characteristics of homology tables.  Freudenthal's recursion runs in integers,
-with ``RootSystem.root_coords`` and the coroot form of :func:`_gram`.
+coordinates.  One constructor merges coefficients, and every numerator
+builds its result there in one pass.  No two characters are multiplied:
+the one product is by the Weyl denominator, a factor (1 - e^alpha) at a
+time (:func:`times_denominator`).  The module provides the Weyl denominator
+(computed two ways and compared), the alternating Weyl numerator, a
+Freudenthal-recursion character that serves as an independent oracle, the
+elliptic numerator of a discrete series, and Euler characteristics of
+homology tables.  Freudenthal's recursion runs in integers, with
+``RootSystem.root_coords`` and the coroot form of :func:`_gram`.
 """
 
 from __future__ import annotations
@@ -59,11 +61,6 @@ class FormalCharacter:
     def one(cls, rank: int) -> "FormalCharacter":
         return cls({Weight.zero(rank): 1})
 
-    def __mul__(self, other: "FormalCharacter") -> "FormalCharacter":
-        small, large = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        return FormalCharacter((w1 + w2, c1 * c2) for w1, c1 in small.terms.items()
-                               for w2, c2 in large.terms.items())
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FormalCharacter) and self.terms == other.terms
 
@@ -78,18 +75,28 @@ class FormalCharacter:
     __hash__ = None  # mutable mapping inside
 
 
+def times_denominator(rs: RootSystem, char: FormalCharacter) -> FormalCharacter:
+    """``char`` times the product of (1 - e^alpha) over the positive roots.
+
+    Each factor subtracts ``char`` shifted by alpha: one pass over the
+    support per positive root.  ``weyl_denominator`` and ``verify``'s
+    character identity share this loop on purpose; the Weyl-group sum in
+    ``weyl_denominator`` is its oracle on every call.
+    """
+    for alpha in rs.positive_roots:
+        alpha_w, terms = alpha.weight(), char.terms.items()
+        char = FormalCharacter(chain(terms, ((mu + alpha_w, -c) for mu, c in terms)))
+    return char
+
+
 def weyl_denominator(rs: RootSystem, group: WeylGroup) -> FormalCharacter:
     """The product of (1 - e^alpha) over the positive roots.
 
-    Computed both as an expanded product and by the Weyl denominator
-    formula, the sum over W of (-1)^l(w) e^{rho - w rho}, with ``group`` the
-    Weyl group of ``rs``; the two expansions must agree exactly.
+    Computed both by :func:`times_denominator` from 1 and by the Weyl
+    denominator formula, the sum over W of (-1)^l(w) e^{rho - w rho}, with
+    ``group`` the Weyl group of ``rs``; the two expansions must agree exactly.
     """
-    product = FormalCharacter.one(rs.rank)
-    for alpha in rs.positive_roots:  # times (1 - e^alpha): subtract the shift by alpha
-        alpha_w, terms = alpha.weight(), product.terms.items()
-        product = FormalCharacter(chain(terms, ((mu + alpha_w, -c) for mu, c in terms)))
-
+    product = times_denominator(rs, FormalCharacter.one(rs.rank))
     alternating = FormalCharacter(
         (rs.rho - Weight(w.rho_image), -1 if w.length % 2 else 1)
         for w in group.elements

@@ -69,7 +69,3 @@ class PartitionTableTooLarge(ValidationError):
 
 class InvariantViolation(DischarError):
     """Internal consistency check failed; signals a bug, not bad input."""
-
-
-class CollapseAmbiguous(InvariantViolation):
-    """Two resolution positions survive for one weight component."""

@@ -14,8 +14,10 @@ zips the two by position), rather than multiplying them out again, so the
 orbit must come from the same W_K; the weights w(u(lam)) come from one W_K
 sweep of u(lam) (``KWeylData.orbit``).
 
-The collapse normalization is: a term of internal degree d sitting at
-resolution position p ends up in homological degree d - p.  This is pinned
+``collapse`` reads the (position, degree, weight) triples exactly as the
+two indexers return them.  Each term carries a single weight, so the rule
+is literally one term at a time: a term of internal degree d sitting at
+resolution position p lands in homological degree d - p.  This is pinned
 by requiring the BGG pipeline to land dual-Verma terms in degree l(w); the
 same rule then drives the Trauber pipeline unchanged.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import CollapseAmbiguous, InvariantViolation, ParameterIncompatible
+from .errors import InvariantViolation, ParameterIncompatible
 from .orbits import ClosedOrbit
 from .realform import CompactGrading, KWeylData
 from .rootdata import RootSystem, Weight, check_kostant_parameter, check_schmid_parameter
@@ -126,38 +128,22 @@ def trauber_terms(
     ]
 
 
-def collapse(
-    components: Iterable[Mapping[int, tuple[int, Weight] | None]],
-) -> HomologyTable:
-    """Collapse per-term data to final degrees, one weight component at a time.
+def collapse(terms: Iterable[tuple[int, int, Weight]]) -> HomologyTable:
+    """Collapse resolution terms to final degrees, one term at a time.
 
-    Each component maps resolution positions to an optional (degree, weight);
-    at most one position may be non-vanishing.  The surviving entry lands in
-    final degree ``degree - position``.
+    Each (position, degree, weight) term lands in final degree
+    ``degree - position``.
     """
-    entries = []
-    for component in components:
-        live = [(p, v) for p, v in component.items() if v is not None]
-        if not live:
-            continue
-        if len(live) > 1:
-            positions = sorted(p for p, _ in live)
-            raise CollapseAmbiguous(
-                f"positions {positions} are all non-vanishing for one weight component"
-            )
-        position, (degree, weight) = live[0]
-        entries.append((degree - position, weight))
-    return HomologyTable.from_entries(entries)
+    return HomologyTable.from_entries((d - p, weight) for p, d, weight in terms)
 
 
 def kostant_via_bgg(rs: RootSystem, group: WeylGroup, lam: Weight) -> HomologyTable:
     """Recover the length-graded table through the BGG resolution pipeline."""
-    return collapse({p: (d, weight)} for p, d, weight in bgg_terms(rs, group, lam))
+    return collapse(bgg_terms(rs, group, lam))
 
 
 def schmid_via_trauber(
     grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit, lam: Weight
 ) -> HomologyTable:
     """Recover the discrete-series table through the Trauber pipeline."""
-    terms = trauber_terms(grading, kdata, orbit, lam)
-    return collapse({p: (d, weight)} for p, d, weight in terms)
+    return collapse(trauber_terms(grading, kdata, orbit, lam))

@@ -17,6 +17,7 @@ from .characters import (
     discrete_numerator,
     euler_character,
     freudenthal_character,
+    times_denominator,
     weyl_denominator,
     weyl_numerator,
 )
@@ -144,10 +145,10 @@ def _weyl_sweep(rs: RootSystem) -> list[Weight]:
 
 
 def _check_weyl_identity(ctx: VerifyContext) -> CheckResult:
-    den = weyl_denominator(ctx.rs, ctx.group)
+    weyl_denominator(ctx.rs, ctx.group)  # raises unless the product and the W-sum agree
     for lam in _weyl_sweep(ctx.rs):
         num = weyl_numerator(ctx.rs, ctx.group, lam)
-        if freudenthal_character(ctx.rs, lam) * den != num:
+        if times_denominator(ctx.rs, freudenthal_character(ctx.rs, lam)) != num:
             return CheckResult(
                 "weyl-identity", False, f"character identity fails at {lam.serialize()}"
             )

@@ -6,6 +6,8 @@ rebuilds the dense closure.  ``reference_closed_formula`` and
 ``RowPartitionTable`` keep the plain Blattner closed formula, with no
 pruning, stepping or padding, as the reference for the fast one.
 ``solve_root_coords`` is the rational reference for ``RootSystem.root_coords``.
+``product`` is the general character product, the reference for
+``times_denominator``.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from dischar import Weight, act
+from dischar import FormalCharacter, Weight, act
 
 
 def compose(group, a, b):
@@ -55,6 +57,13 @@ def lattice_coords(rs, lam):
     if any(c.denominator != 1 for c in n):
         return None
     return tuple(int(c) for c in n)
+
+
+def product(x, y):
+    """The product of two formal characters: |support x| * |support y| weight sums."""
+    small, large = (x, y) if len(x.terms) <= len(y.terms) else (y, x)
+    return FormalCharacter((w1 + w2, c1 * c2) for w1, c1 in small.terms.items()
+                           for w2, c2 in large.terms.items())
 
 
 def scaled(weight, factor):

@@ -40,7 +40,7 @@ from dischar import (
     weyl_numerator,
 )
 from tests.conftest import CARTAN
-from tests.helpers import length_fiber, scaled
+from tests.helpers import length_fiber, product, scaled
 
 SWEEP_LAMBDAS = {
     "A1": [(0,), (-1,), (-2,), (-3,), (-4,)],
@@ -81,7 +81,7 @@ def test_criterion_1_weyl_character_identity(built):
         for coords in lams:
             assert all(-4 <= c <= 0 for c in coords)
             lam = Weight(coords)
-            assert freudenthal_character(rs, lam) * den == weyl_numerator(rs, W, lam)
+            assert product(freudenthal_character(rs, lam), den) == weyl_numerator(rs, W, lam)
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"Weyl identity sweep took {elapsed:.1f}s"
     report(1, "Weyl character identity")

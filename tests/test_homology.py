@@ -9,7 +9,6 @@ import dischar.characters
 import dischar.homology
 import dischar.weyl
 from dischar import (
-    CollapseAmbiguous,
     HomologyTable,
     NotAntidominant,
     NotCompatible,
@@ -176,19 +175,11 @@ def test_trauber_term_degree(systems, groups):
 
 
 def test_collapse_single_position():
-    mu = Weight((4,))
-    table = collapse([{0: None, 1: (3, mu), 2: None}])
-    assert table == HomologyTable.from_entries([(2, mu)])
-
-
-def test_collapse_ambiguous():
-    mu = Weight((4,))
-    with pytest.raises(CollapseAmbiguous):
-        collapse([{0: (1, mu), 1: (2, mu)}])
-
-
-def test_collapse_empty_component_contributes_nothing():
-    assert collapse([{0: None, 1: None}]) == HomologyTable(rows={})
+    # each (position, degree, weight) term lands in degree - position
+    mu, nu = Weight((4,)), Weight((-2,))
+    table = collapse([(1, 3, mu), (0, 1, nu), (2, 3, nu)])
+    assert table == HomologyTable.from_entries([(2, mu), (1, nu), (1, nu)])
+    assert collapse([]) == HomologyTable(rows={})
 
 
 def test_bgg_pipeline_reproduces_kostant(systems, groups):

@@ -10,7 +10,7 @@ import dischar
 
 # the public names callers import from the package (weyl_order is checked below)
 EXPORTS = (
-    "BoxTooLarge", "ClosedOrbit", "CollapseAmbiguous", "CompactGrading",
+    "BoxTooLarge", "ClosedOrbit", "CompactGrading",
     "DimensionMismatch", "DischarError", "FormalCharacter", "GroupTooLarge",
     "HomologyTable", "IncompleteAssignment", "InvariantViolation", "KTypeTable",
     "KWeylData", "NotAntidominant", "NotCompatible", "NotFiniteType", "NotIntegral",
@@ -23,7 +23,7 @@ EXPORTS = (
     "euler_character", "filtration_oracle", "filtration_table",
     "freudenthal_character", "generate", "kostant_table", "kostant_via_bgg",
     "ktype_table", "orbit_strata", "partition", "partition_p",
-    "schmid_table", "schmid_via_trauber", "trauber_terms",
+    "schmid_table", "schmid_via_trauber", "times_denominator", "trauber_terms",
     "validate_grading", "weyl_denominator", "weyl_k", "weyl_numerator",
 )
 

@@ -17,6 +17,12 @@ closure of ``tests/matrix_oracle.py``.  The two oracles that keep reflection
 arithmetic of their own, Freudenthal's formula and the Borel-Weil-Bott
 chamber walk, are pinned below to reach none of that kernel.
 
+``characters.weyl_denominator`` and ``verify``'s character identity share
+the factor loop ``characters.times_denominator`` on purpose; the Weyl-group
+sum inside ``weyl_denominator`` is its oracle on every call.  The two sides
+it is checked against, Freudenthal's formula and the Weyl numerator, are
+pinned below to reach none of it.
+
 Both Blattner paths also put weights into root coordinates through the
 ``RootSystem.root_coords`` method, on purpose: that map is the lattice test,
 and its own tests compare it with a rational solve.  The graph does not list
@@ -97,6 +103,8 @@ PINS = [
                             "_filtration_level")),
     ({"characters.freudenthal_character"},
      {"weyl.generate", "weyl.dot_orbit", "characters.weyl_numerator"}),
+    ({"characters.freudenthal_character", "characters.weyl_numerator"},
+     {"characters.times_denominator"}),
     ({"characters.freudenthal_character", "blattner.bwb_cohomology"},
      {"weyl.reflection", "weyl.reflect", "weyl.move", "weyl.close", "weyl.sweep"}),
 ]
@@ -130,6 +138,11 @@ def test_graph_reaches_the_kernel_from_its_users():
     assert {"weyl.close", "weyl.sweep", "weyl.reflect"} <= reach("realform.weyl_k",
                                                                   "weyl.dot_orbit")
     assert {"weyl.reflect", "weyl.move"} <= reach("weyl.act")
+    # the identity check calls the factor loop and, so that its oracle runs,
+    # weyl_denominator, which calls the loop too
+    assert "characters.times_denominator" in GRAPH["characters.weyl_denominator"]
+    assert {"characters.times_denominator", "characters.weyl_denominator"} <= GRAPH[
+        "verify._check_weyl_identity"]
 
 
 def test_graph_follows_imports_and_only_calls():

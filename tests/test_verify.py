@@ -88,3 +88,25 @@ def test_grading_section_counts_compact_inversions(monkeypatch):
     assert re.search(
         r"^FAIL grading: l_K of s1 disagrees with its compact inversion count$", out, re.M
     )
+
+
+def test_weyl_identity_section_catches_one_wrong_multiplicity(monkeypatch):
+    # multiplying by the denominator is injective, so one coefficient off by
+    # one at lambda = -rho must show; no other section reads Freudenthal
+    exact = verify.freudenthal_character
+
+    def corrupted(rs, lam):
+        char = exact(rs, lam)
+        if lam == -rs.rho:
+            char.terms[rs.rho] += 1  # the highest weight of V(rho)
+        return char
+
+    monkeypatch.setattr(verify, "freudenthal_character", corrupted)
+    code, out = run("verify", parse_config({"cartan": [[2, -1], [-1, 2]],
+                                            "compact_simple": [True, False]}))
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[-1] == f"{len(SECTIONS) - 1}/{len(SECTIONS)} properties hold"
+    assert [line for line in lines[:-1] if not line.startswith("PASS ")] == [
+        "FAIL weyl-identity: character identity fails at ['-1', '-1']"
+    ]
