@@ -1,23 +1,23 @@
 """Formal characters over the weight lattice and the classical numerators.
 
 A formal character is a finitely supported integer combination of lattice
-exponentials e^mu, stored as a sparse map keyed by exact fundamental-weight
-coordinates.  One constructor merges coefficients, and every numerator
-builds its result there in one pass.  No two characters are multiplied:
-the one product is by the Weyl denominator, a factor (1 - e^alpha) at a
-time (:func:`times_denominator`).  The module provides the Weyl denominator
-(computed two ways and compared), the alternating Weyl numerator, a
-Freudenthal-recursion character that serves as an independent oracle, the
-elliptic numerator of a discrete series, and Euler characteristics of
-homology tables.  Freudenthal's recursion runs in integers, with
-``RootSystem.root_coords`` and the coroot form of :func:`_gram`.
+exponentials e^mu, stored as a sparse map keyed by the integer tuple 2 mu on
+fundamental-weight coordinates.  One constructor merges coefficients, and every
+numerator builds its result there in one pass, its weights swept about rho.
+No two characters are multiplied: the one product is by the Weyl denominator,
+a factor (1 - e^alpha) at a time (:func:`times_denominator`).  The module
+provides the Weyl denominator (computed two ways and compared), the
+alternating Weyl numerator, a Freudenthal-recursion character that serves as
+an independent oracle, the elliptic numerator of a discrete series, and Euler
+characteristics of homology tables.  Freudenthal's recursion runs in integers,
+with ``RootSystem.root_coords`` and the coroot form of :func:`_gram`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from itertools import chain
-from operator import add, mul
+from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation
@@ -28,8 +28,9 @@ from .rootdata import (
     check_kostant_parameter,
     check_schmid_parameter,
     dominant_representative,
+    dominant_twice,
 )
-from .weyl import IntVec, WeylGroup, dot_orbit
+from .weyl import IntVec, WeylGroup, dot_orbit, sweep
 
 if TYPE_CHECKING:
     from .homology import HomologyTable
@@ -41,14 +42,18 @@ def _apply(matrix: Matrix, vec: IntVec) -> IntVec:
     return tuple([sum(map(mul, row, vec)) for row in matrix])
 
 
+def _doubled_roots(roots: Iterable) -> list[IntVec]:
+    return [tuple(2 * a for a in alpha.fw_coords) for alpha in roots]
+
+
 class FormalCharacter:
-    """Finitely supported integer function on the weight lattice."""
+    """Finitely supported integer function on the weight lattice, keyed by 2 mu."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Weight, int] | Iterable[tuple[Weight, int]]) -> None:
-        """Sum ``terms``, a mapping or (weight, coeff) pairs, dropping zero sums."""
-        out: dict[Weight, int] = {}
+    def __init__(self, terms: Mapping[IntVec, int] | Iterable[tuple[IntVec, int]]) -> None:
+        """Sum ``terms``, a mapping or (2 weight, coeff) pairs, dropping zero sums."""
+        out: dict[IntVec, int] = {}
         for w, c in terms.items() if isinstance(terms, Mapping) else terms:
             value = out.get(w, 0) + c
             if value:
@@ -59,17 +64,17 @@ class FormalCharacter:
 
     @classmethod
     def one(cls, rank: int) -> "FormalCharacter":
-        return cls({Weight.zero(rank): 1})
+        return cls({(0,) * rank: 1})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FormalCharacter) and self.terms == other.terms
 
-    def sorted_terms(self) -> list[tuple[Weight, int]]:
+    def sorted_terms(self) -> list[tuple[IntVec, int]]:
         """Terms in lexicographic coordinate order (deterministic output)."""
-        return sorted(self.terms.items(), key=lambda item: item[0].twice)
+        return sorted(self.terms.items())
 
     def __repr__(self) -> str:
-        inner = " + ".join(f"{c}*e^{w.coords}" for w, c in self.sorted_terms())
+        inner = " + ".join(f"{c}*e^{Weight.from_twice(t).coords}" for t, c in self.sorted_terms())
         return f"FormalCharacter({inner or '0'})"
 
     __hash__ = None  # mutable mapping inside
@@ -83,9 +88,9 @@ def times_denominator(rs: RootSystem, char: FormalCharacter) -> FormalCharacter:
     character identity share this loop on purpose; the Weyl-group sum in
     ``weyl_denominator`` is its oracle on every call.
     """
-    for alpha in rs.positive_roots:
-        alpha_w, terms = alpha.weight(), char.terms.items()
-        char = FormalCharacter(chain(terms, ((mu + alpha_w, -c) for mu, c in terms)))
+    for alpha in _doubled_roots(rs.positive_roots):
+        terms = char.terms.items()
+        char = FormalCharacter(chain(terms, ((tuple(map(add, mu, alpha)), -c) for mu, c in terms)))
     return char
 
 
@@ -97,22 +102,18 @@ def weyl_denominator(rs: RootSystem, group: WeylGroup) -> FormalCharacter:
     ``group`` the Weyl group of ``rs``; the two expansions must agree exactly.
     """
     product = times_denominator(rs, FormalCharacter.one(rs.rank))
-    alternating = FormalCharacter(
-        (rs.rho - Weight(w.rho_image), -1 if w.length % 2 else 1)
-        for w in group.elements
-    )
+    alternating = FormalCharacter((tuple([2 - 2 * c for c in w.rho_image]), (-1) ** w.length)
+                                  for w in group.elements)
     if alternating != product:
         raise InvariantViolation("denominator product and Weyl-group sum disagree")
     return product
 
 
 def weyl_numerator(rs: RootSystem, group: WeylGroup, lam: Weight) -> FormalCharacter:
-    """Alternating sum of e^{w(lam - rho) + rho} over the full Weyl group."""
+    """Alternating sum of e^{w(lam - rho) + rho} over the full Weyl group: 2 lam swept about rho."""
     check_kostant_parameter(rs, lam, "numerator parameter")
-    return FormalCharacter(
-        (weight, -1 if w.length % 2 else 1)
-        for w, weight in zip(group.elements, dot_orbit(rs, group, lam))
-    )
+    return FormalCharacter(zip(dot_orbit(rs, group, lam),
+                               [-1 if w.length % 2 else 1 for w in group.elements]))
 
 
 def _gram(rs: RootSystem) -> Matrix:
@@ -130,21 +131,21 @@ def _gram(rs: RootSystem) -> Matrix:
     )
 
 
-def _weight_support(rs: RootSystem, high: Weight) -> set[Weight]:
+def _weight_support(rs: RootSystem, high: IntVec) -> set[IntVec]:
     # all weights of the irreducible module: mu with dom(mu) <= high in the
     # root-lattice partial order; closed under single simple-root descents
-    def member(candidate: Weight) -> bool:
-        diff = rs.root_coords((high - dominant_representative(rs, candidate)).twice)
+    def member(candidate: IntVec) -> bool:
+        diff = rs.root_coords(tuple(map(sub, high, dominant_twice(rs, candidate))))
         return diff is not None and min(diff, default=0) >= 0
 
     support = {high}
     frontier = [high]
-    simple_weights = [alpha.weight() for alpha in rs.simple_roots]
+    simple = _doubled_roots(rs.simple_roots)
     while frontier:
         new_frontier = []
         for mu in frontier:
-            for alpha_w in simple_weights:
-                nu = mu - alpha_w
+            for alpha in simple:
+                nu = tuple(map(sub, mu, alpha))
                 if nu not in support and member(nu):
                     support.add(nu)
                     new_frontier.append(nu)
@@ -162,33 +163,33 @@ def freudenthal_character(rs: RootSystem, lam_lowest: Weight) -> FormalCharacter
     """
     check_kostant_parameter(rs, lam_lowest, "lowest weight")
 
-    high = dominant_representative(rs, lam_lowest)
+    high = dominant_representative(rs, lam_lowest).twice
     support = _weight_support(rs, high)
     gram = _gram(rs)
 
-    def norm(mu: Weight) -> int:  # 4 (mu + rho, mu + rho)
-        shifted = (mu + rs.rho).twice
+    def norm(mu: IntVec) -> int:  # 4 (mu + rho, mu + rho)
+        shifted = tuple(map(add, mu, rs.rho.twice))
         return sum(map(mul, shifted, _apply(gram, shifted)))
 
     dominants = sorted(
-        (mu for mu in support if all(t >= 0 for t in mu.twice)),
-        key=lambda mu: sum(rs.root_coords((high - mu).twice)),
+        (mu for mu in support if all(t >= 0 for t in mu)),
+        key=lambda mu: sum(rs.root_coords(tuple(map(sub, high, mu)))),
     )
-    roots = [(alpha.weight(), _apply(gram, alpha.weight().twice)) for alpha in rs.positive_roots]
+    roots = [(alpha, _apply(gram, alpha)) for alpha in _doubled_roots(rs.positive_roots)]
     norm_high = norm(high)
-    mult: dict[Weight, int] = {}
+    mult: dict[IntVec, int] = {}
     for mu in dominants:
         if mu == high:
             mult[mu] = 1
             continue
         acc = 0
-        for alpha_w, gram_alpha in roots:
-            step = mu + alpha_w
+        for alpha, gram_alpha in roots:
+            step = tuple(map(add, mu, alpha))
             while step in support:
-                m = mult.get(dominant_representative(rs, step))
+                m = mult.get(dominant_twice(rs, step))
                 if m:
-                    acc += m * sum(map(mul, step.twice, gram_alpha))
-                step = step + alpha_w
+                    acc += m * sum(map(mul, step, gram_alpha))
+                step = tuple(map(add, step, alpha))
         denom = norm_high - norm(mu)
         if denom <= 0:
             raise InvariantViolation("Freudenthal denominator is not positive")
@@ -197,26 +198,22 @@ def freudenthal_character(rs: RootSystem, lam_lowest: Weight) -> FormalCharacter
             raise InvariantViolation("Freudenthal multiplicity is not an integer")
         mult[mu] = value
 
-    return FormalCharacter((mu, mult[dominant_representative(rs, mu)]) for mu in support)
+    return FormalCharacter((mu, mult[dominant_twice(rs, mu)]) for mu in support)
 
 
-def discrete_numerator(
-    grading: CompactGrading, kdata: KWeylData, lam: Weight
-) -> FormalCharacter:
-    """Elliptic numerator (-1)^q sum over W_K of (-1)^{l_K(w)} e^{w lam + rho}."""
+def discrete_numerator(grading: CompactGrading, kdata: KWeylData, lam: Weight) -> FormalCharacter:
+    """Elliptic numerator (-1)^q sum over W_K of (-1)^{l_K(w)} e^{w lam + rho}.
+
+    The weights are one W_K sweep of lam + rho about rho.
+    """
     check_schmid_parameter(grading.rs, lam)
     overall = -1 if grading.q % 2 else 1
-    rho2 = grading.rs.rho.twice
-    return FormalCharacter(
-        (Weight.from_twice(tuple(map(add, image, rho2))), -overall if length_k % 2 else overall)
-        for length_k, image in zip(kdata.lengthK, kdata.orbit(lam.twice))
-    )
+    start = tuple(map(add, lam.twice, grading.rs.rho.twice))
+    images = sweep(kdata.reflections, kdata.tree, start, True)
+    return FormalCharacter(zip(images, [-overall if k % 2 else overall for k in kdata.lengthK]))
 
 
 def euler_character(table: HomologyTable) -> FormalCharacter:
     """Alternating sum over degrees of the table's weight rows."""
-    return FormalCharacter(
-        (mu, -1 if degree % 2 else 1)
-        for degree, weights in table.rows.items()
-        for mu in weights
-    )
+    return FormalCharacter((mu, -1 if degree % 2 else 1)
+                           for degree, weights in table.rows.items() for mu in weights)

@@ -184,7 +184,8 @@ def _orbits(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
 
 
 def _degree_rows(table: HomologyTable) -> tuple[dict, list[list[str]]]:
-    data = {str(p): [w.serialize() for w in ws] for p, ws in sorted(table.rows.items())}
+    data = {str(p): [Weight.from_twice(t).serialize() for t in ts]
+            for p, ts in sorted(table.rows.items())}
     return data, [[p, json.dumps(ws)] for p, ws in data.items()]
 
 
@@ -225,7 +226,8 @@ def _character(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
         meta = {"sign": -1 if grading.q % 2 else 1}
     else:
         raise ParameterIncompatible(f"unknown character kind {which!r}")
-    terms = [{"weight": w.serialize(), "coeff": c} for w, c in char.sorted_terms()]
+    terms = [{"weight": Weight.from_twice(t).serialize(), "coeff": c}
+             for t, c in char.sorted_terms()]
     rows = [[",".join(t["weight"]), str(t["coeff"])] for t in terms]
     return {"terms": terms, **meta}, ["weight", "coeff"], rows
 

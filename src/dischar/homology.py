@@ -1,6 +1,7 @@
 """Nilradical-homology tables and resolution-term bookkeeping.
 
-``HomologyTable`` holds a table as weight rows by degree.  Two direct table
+``HomologyTable`` holds a table as rows of doubled weights 2 mu (integer
+tuples) by degree.  Two direct table
 builders (the length-graded table for a finite-dimensional
 module, and its discrete-series analogue over W_K with degree
 q - l(wu) + 2 l_K(w)), plus the resolution indexers and the degree-collapse
@@ -11,8 +12,8 @@ The whole-group sweeps (Kostant table, BGG terms) take their weights from
 (Schmid table, Trauber terms) read the cells w*u and l_K(w) off the
 orbit's strata, which are stored in ``kdata.elements`` order (``_cells``
 zips the two by position), rather than multiplying them out again, so the
-orbit must come from the same W_K; the weights w(u(lam)) come from one W_K
-sweep of u(lam) (``KWeylData.orbit``).
+orbit must come from the same W_K; the weights w(u(lam)) + rho come from
+one W_K sweep of u(lam) + rho about rho (``weyl.sweep``).
 
 ``collapse`` reads the (position, degree, weight) triples exactly as the
 two indexers return them.  Each term carries a single weight, so the rule
@@ -31,22 +32,22 @@ from .errors import InvariantViolation, ParameterIncompatible
 from .orbits import ClosedOrbit
 from .realform import CompactGrading, KWeylData
 from .rootdata import RootSystem, Weight, check_kostant_parameter, check_schmid_parameter
-from .weyl import WeylGroup, act, dot_orbit
+from .weyl import IntVec, WeylGroup, act_twice, dot_orbit, sweep
 
 
 class HomologyTable(NamedTuple):
-    """Degrees mapped to weight multisets; zero rows are never stored."""
+    """Degrees mapped to sorted multisets of doubled weights 2 mu; zero rows are never stored."""
 
-    rows: Mapping[int, tuple[Weight, ...]]
+    rows: Mapping[int, tuple[IntVec, ...]]
 
     @classmethod
-    def from_entries(cls, entries: Iterable[tuple[int, Weight]]) -> "HomologyTable":
-        rows: dict[int, list[Weight]] = {}
+    def from_entries(cls, entries: Iterable[tuple[int, IntVec]]) -> "HomologyTable":
+        rows: dict[int, list[IntVec]] = {}
         for degree, weight in entries:
             if degree < 0:
                 raise InvariantViolation(f"negative homology degree {degree}")
             rows.setdefault(degree, []).append(weight)
-        return cls(rows={p: tuple(sorted(ws, key=lambda w: w.twice)) for p, ws in sorted(rows.items())})
+        return cls(rows={p: tuple(sorted(ws)) for p, ws in sorted(rows.items())})
 
     def total_multiplicity(self) -> int:
         return sum(len(ws) for ws in self.rows.values())
@@ -59,62 +60,57 @@ class HomologyTable(NamedTuple):
 
 def kostant_table(rs: RootSystem, group: WeylGroup, lam: Weight) -> HomologyTable:
     """Homology of the finite-dimensional module with lowest weight ``lam``:
-    degree l(w) carries w(lam - rho) + rho."""
+    degree l(w) carries 2(w(lam - rho) + rho)."""
     check_kostant_parameter(rs, lam, "parameter")
-    return HomologyTable.from_entries(
-        (w.length, weight) for w, weight in zip(group.elements, dot_orbit(rs, group, lam))
-    )
+    return HomologyTable.from_entries(zip([w.length for w in group.elements],
+                                          dot_orbit(rs, group, lam)))
 
 
 def _cells(grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit,
-           lam: Weight) -> list[tuple[int, int, Weight]]:
-    """(l(w*u), l_K(w), w*u(lam) + rho) for every w in W_K, in W_K order.
+           lam: Weight) -> list[tuple[int, int, IntVec]]:
+    """(l(w*u), l_K(w), 2(w*u(lam) + rho)) for every w in W_K, in W_K order.
 
     The cells come off the orbit's strata, whose k-th entry must belong to
-    ``kdata.elements[k]`` (compared by w(rho)): an orbit enumerated under
-    another grading is refused.  The weights come from one W_K sweep of u(lam).
+    ``kdata.elements[k]``: at once when enumerated under this very tuple, else
+    compared by w(rho).  The weights are one W_K sweep of u(lam) + rho about rho.
     """
-    if [s.w.rho_image for s in orbit.strata] != [w.rho_image for w in kdata.elements]:
+    if orbit.elements is not kdata.elements and (
+            [s.w.rho_image for s in orbit.strata] != [w.rho_image for w in kdata.elements]):
         raise ParameterIncompatible("orbit strata are not indexed by the elements of W_K")
-    rho2, images = grading.rs.rho.twice, kdata.orbit(act(orbit.u, lam).twice)
-    return [(s.cell.length, s.dim, Weight.from_twice(tuple(map(add, v, rho2))))
-            for s, v in zip(orbit.strata, images)]
+    start = tuple(map(add, act_twice(orbit.u, lam.twice), grading.rs.rho.twice))
+    images = sweep(kdata.reflections, kdata.tree, start, True)
+    return [(s.cell.length, s.dim, v) for s, v in zip(orbit.strata, images)]
 
 
-def schmid_table(
-    grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit, lam: Weight
-) -> HomologyTable:
+def schmid_table(grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit,
+                 lam: Weight) -> HomologyTable:
     """Discrete-series homology for one closed orbit.
 
-    Only cells w*u, w in W_K, contribute; the weight w*u(lam) + rho sits in
-    degree q - l(wu) + 2 l_K(w).
+    Only cells w*u, w in W_K, contribute; the weight w*u(lam) + rho sits,
+    doubled, in degree q - l(wu) + 2 l_K(w).
     """
     check_schmid_parameter(grading.rs, lam)
     q = grading.q
-    return HomologyTable.from_entries(
-        (q - length + 2 * length_k, weight)
-        for length, length_k, weight in _cells(grading, kdata, orbit, lam)
-    )
+    return HomologyTable.from_entries((q - cell + 2 * dim, weight)
+                                      for cell, dim, weight in _cells(grading, kdata, orbit, lam))
 
 
-def bgg_terms(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[tuple[int, int, Weight]]:
-    """Dual-Verma resolution terms as (position, degree, weight), one per w in W.
+def bgg_terms(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[tuple[int, int, IntVec]]:
+    """Dual-Verma resolution terms as (position, degree, 2 weight), one per w in W.
 
     W(dim X - p) sits at position p; each term is concentrated in degree
     dim X with weight w(lam - rho) + rho.
     """
     check_kostant_parameter(rs, lam, "parameter")
     dim_x = len(rs.positive_roots)
-    return [
-        (dim_x - w.length, dim_x, weight)
-        for w, weight in zip(group.elements, dot_orbit(rs, group, lam))
-    ]
+    return [(dim_x - w.length, dim_x, weight)
+            for w, weight in zip(group.elements, dot_orbit(rs, group, lam))]
 
 
 def trauber_terms(
     grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit, lam: Weight
-) -> list[tuple[int, int, Weight]]:
-    """Standard-module resolution terms as (position, degree, weight), one per w in W_K.
+) -> list[tuple[int, int, IntVec]]:
+    """Standard-module resolution terms as (position, degree, 2 weight), one per w in W_K.
 
     W_K(dim Q - p) sits at position p; the term of w lies in degree
     dim X - l(wu) + l_K(w) with weight wu(lam) + rho.
@@ -122,13 +118,11 @@ def trauber_terms(
     check_schmid_parameter(grading.rs, lam)
     dim_x = len(grading.rs.positive_roots)
     dim_q = len(grading.compact_positive)
-    return [
-        (dim_q - length_k, dim_x - length + length_k, weight)
-        for length, length_k, weight in _cells(grading, kdata, orbit, lam)
-    ]
+    return [(dim_q - length_k, dim_x - length + length_k, weight)
+            for length, length_k, weight in _cells(grading, kdata, orbit, lam)]
 
 
-def collapse(terms: Iterable[tuple[int, int, Weight]]) -> HomologyTable:
+def collapse(terms: Iterable[tuple[int, int, IntVec]]) -> HomologyTable:
     """Collapse resolution terms to final degrees, one term at a time.
 
     Each (position, degree, weight) term lands in final degree

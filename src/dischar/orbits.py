@@ -26,12 +26,13 @@ class Stratum(NamedTuple):
 class ClosedOrbit(NamedTuple):
     """One closed K-orbit: its chamber element and strata.
 
-    ``strata[k]`` is the stratum of ``kdata.elements[k]`` for the W_K it was
-    enumerated under.
+    ``strata[k]`` is the stratum of ``elements[k]``, and ``elements`` is the
+    very ``kdata.elements`` tuple of the W_K it was enumerated under.
     """
 
     u: WeylElement
     strata: tuple[Stratum, ...]
+    elements: tuple[WeylElement, ...]
 
 
 def _strata_for(u: WeylElement, kdata: KWeylData) -> tuple[Stratum, ...]:
@@ -53,7 +54,7 @@ def enumerate_closed_orbits(
 ) -> list[ClosedOrbit]:
     """All closed orbits, canonically ordered by the reduced word of ``u``."""
     orbits = [
-        ClosedOrbit(u=w, strata=_strata_for(w, kdata))
+        ClosedOrbit(u=w, strata=_strata_for(w, kdata), elements=kdata.elements)
         for w in group.elements
         if all(w.rho_pairing(alpha) > 0 for alpha in grading.compact_positive)
     ]

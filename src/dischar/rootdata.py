@@ -331,54 +331,62 @@ def coroot_pairing(alpha: Root, lam: Weight) -> int | Fraction:
     return _half(sum(map(mul, alpha.coroot_coords, lam.twice)))
 
 
+def _check_rank(rs: RootSystem, lam: Weight) -> None:
+    if lam.rank != rs.rank:
+        raise DimensionMismatch(f"rank {lam.rank} weight in rank {rs.rank} system")
+
+
 def classify_weight(rs: RootSystem, lam: Weight) -> WeightFlags:
     """Regularity, (strong) antidominance and integrality of a weight.
 
     Read off twice each coroot pairing, an integer: antidominance forbids a
     positive integer pairing, that is an even twice of at least 2.
     """
-    if lam.rank != rs.rank:
-        raise DimensionMismatch(f"rank {lam.rank} weight in rank {rs.rank} system")
+    _check_rank(rs, lam)
     twice = [sum(map(mul, alpha.coroot_coords, lam.twice)) for alpha in rs.positive_roots]
-    return WeightFlags(
-        regular=0 not in twice,
-        antidominant=not any(t >= 2 and not t & 1 for t in twice),
-        strongly_antidominant=all(t < 0 for t in twice),
-        integral=lam.is_integral(),
-    )
+    return WeightFlags(regular=0 not in twice,
+                       antidominant=not any(t >= 2 and not t & 1 for t in twice),
+                       strongly_antidominant=all(t < 0 for t in twice), integral=lam.is_integral())
 
 
 def check_kostant_parameter(rs: RootSystem, lam: Weight, noun: str) -> None:
-    """Require ``lam`` integral and antidominant; ``noun`` names it in the error."""
-    flags = classify_weight(rs, lam)
-    if not flags.integral:
+    """Require ``lam`` integral and antidominant; ``noun`` names it in the error.
+
+    The coordinates decide it: each positive coroot is a nonnegative sum of simple coroots.
+    """
+    _check_rank(rs, lam)
+    if not lam.is_integral():
         raise NotIntegral(f"{noun} must be integral")
-    if not flags.antidominant:
+    if max(lam.twice, default=0) > 0:
         raise NotAntidominant(f"{noun} must be antidominant")
 
 
 def check_schmid_parameter(rs: RootSystem, lam: Weight) -> None:
     """Require ``lam`` strongly antidominant with lam + rho integral."""
-    if not classify_weight(rs, lam).strongly_antidominant:
+    _check_rank(rs, lam)
+    if max(lam.twice, default=-1) >= 0:
         raise NotStronglyAntidominant("parameter must be strongly antidominant")
-    if not (lam + rs.rho).is_integral():
+    if not lam.is_integral():  # rho = (1,...,1) is integral
         raise NotCompatible("lam + rho must be integral")
 
 
-def dominant_representative(rs: RootSystem, lam: Weight) -> Weight:
-    """The unique dominant weight in the Weyl orbit of ``lam``.
+def dominant_twice(rs: RootSystem, twice: IntVec) -> IntVec:
+    """The dominant vector in the Weyl orbit of an integer vector, doubled or not.
 
-    Repeatedly reflects at a negative coordinate; each step moves up in the
-    dominance order, so this terminates.
+    Reflects at a negative coordinate until none is left; each step moves up in dominance order.
     """
-    if lam.rank != rs.rank:
-        raise DimensionMismatch(f"rank {lam.rank} weight in rank {rs.rank} system")
-    coords = list(lam.twice)
+    coords = list(twice)
     while True:
         i = next((j for j, c in enumerate(coords) if c < 0), None)
         if i is None:
-            return Weight.from_twice(tuple(coords))
+            return tuple(coords)
         # s_i: subtract <alpha_i-check, lam> alpha_i, with alpha_i = column i of C
         value = coords[i]
         for k in range(rs.rank):
             coords[k] -= value * rs.cartan[k][i]
+
+
+def dominant_representative(rs: RootSystem, lam: Weight) -> Weight:
+    """The unique dominant weight in the Weyl orbit of ``lam``: :func:`dominant_twice`."""
+    _check_rank(rs, lam)
+    return Weight.from_twice(dominant_twice(rs, lam.twice))

@@ -1,14 +1,14 @@
 """W and W_K on one reflection kernel: one record, one closure, one tree sweep.
 
 A reflecting root is one record, its coroot and its root as sparse (k, value)
-pairs on fundamental-weight coordinates; :func:`move` is the one function
-that moves a vector of W or W_K, by a pairing that :func:`reflect` and
-:func:`sweep` compute and :func:`close` takes from its ascent test.
-:func:`close` builds a group on w(rho), one length at a time along ascents,
-into ShortLex order and a (parent, letter) tree whose depth is the length: W
-from the simple roots (:func:`generate`), W_K from the simple compact roots
-(``realform.weyl_k``).  :func:`sweep` walks such a tree, one reflection per
-element: :func:`dot_orbit` with shift 2, ``KWeylData.orbit`` with shift 0.
+pairs on fundamental-weight coordinates; :func:`move` moves a vector of W or
+W_K by a pairing that :func:`reflect` computes and :func:`close` takes from
+its ascent test, and :func:`sweep` inlines it.  :func:`close` builds a group
+on w(rho), one length at a time along ascents, into ShortLex order and a
+(parent, letter) tree whose depth is the length: W from the simple roots
+(:func:`generate`), W_K from the simple compact roots (``realform.weyl_k``).
+:func:`sweep` walks such a tree, one reflection per element, on integer
+tuples: ``KWeylData.orbit`` linearly, :func:`dot_orbit` about rho.
 
 An element is its w(rho), which determines it because rho is regular, so
 every lookup is keyed by that integer vector, never by an element.  A group
@@ -50,13 +50,9 @@ def move(r: Reflection, vec: IntVec, value: int) -> IntVec:
     return tuple(v)
 
 
-def reflect(r: Reflection, vec: IntVec, shift: int = 0) -> IntVec:
-    """vec - (<beta-check, vec> - shift) beta: s_beta for shift 0.
-
-    For a simple root and shift 2 on doubled coordinates 2 lam it is the dot
-    action s(lam - rho) + rho, since <alpha_i-check, 2 rho> = 2.
-    """
-    value = -shift
+def reflect(r: Reflection, vec: IntVec) -> IntVec:
+    """s_beta(vec) = vec - <beta-check, vec> beta."""
+    value = 0
     for k, c in r[0]:
         value += c * vec[k]
     return move(r, vec, value)
@@ -99,16 +95,24 @@ def close(reflections: Sequence[Reflection], rank: int,
 
 
 def sweep(reflections: Sequence[Reflection], tree: Tree, vec: IntVec,
-          shift: int = 0) -> list[IntVec]:
-    """vec moved by each element of a :func:`close` tree, in its order, one reflection each."""
+          about_rho: bool = False) -> list[IntVec]:
+    """vec moved by each element of a :func:`close` tree, in its order, one reflection each.
+
+    About rho, s_beta takes a doubled Y = 2 mu to Y - (<beta-check, Y> - <beta-check, 2 rho>)
+    beta = 2(s_beta(mu - rho) + rho); <beta-check, 2 rho> is twice the coroot's height.
+    """
+    shifts = [2 * sum(c for _k, c in coroot) if about_rho else 0 for coroot, _ in reflections]
     images = [vec]
     for parent, j in tree:
-        # the pairing inline, so one call per element, as in close
-        r, v = reflections[j], images[parent]
-        value = -shift
-        for k, c in r[0]:
+        # the pairing and the move inline, so one pass per element
+        (coroot, root), v = reflections[j], images[parent]
+        value = -shifts[j]
+        for k, c in coroot:
             value += c * v[k]
-        images.append(move(r, v, value))
+        v = list(v)
+        for k, a in root:
+            v[k] -= value * a
+        images.append(tuple(v))
     return images
 
 
@@ -174,24 +178,27 @@ class WeylGroup(NamedTuple):
         return self.by_rho[vec]
 
 
+def act_twice(w: WeylElement, vec: IntVec) -> IntVec:
+    """w(vec) for an integer vector, doubled or not: one :func:`reflect` per letter."""
+    for j in reversed(w.reduced_word):
+        vec = reflect(w.reflections[j], vec)
+    return vec
+
+
 def act(w: WeylElement, lam: Weight) -> Weight:
-    """Apply a Weyl element to a weight, one :func:`reflect` per letter of its word."""
+    """Apply a Weyl element to a weight: :func:`act_twice` on 2 lam."""
     if lam.rank != len(w.rho_image):
         raise DimensionMismatch(
             f"rank {len(w.rho_image)} element applied to rank {lam.rank} weight"
         )
-    vec = lam.twice
-    for j in reversed(w.reduced_word):
-        vec = reflect(w.reflections[j], vec)
-    return Weight.from_twice(vec)
+    return Weight.from_twice(act_twice(w, lam.twice))
 
 
-def dot_orbit(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[Weight]:
-    """w(lam - rho) + rho for every w, in ``group.elements`` order: one :func:`sweep`, shift 2."""
+def dot_orbit(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[IntVec]:
+    """2(w(lam - rho) + rho) for every w, in ``group.elements`` order: 2 lam swept about rho."""
     if lam.rank != group.rank:
         raise DimensionMismatch(f"rank {group.rank} group applied to rank {lam.rank} weight")
-    simple = [reflection(alpha) for alpha in rs.simple_roots]
-    return [Weight.from_twice(v) for v in sweep(simple, group.tree, lam.twice, 2)]
+    return sweep([reflection(alpha) for alpha in rs.simple_roots], group.tree, lam.twice, True)
 
 
 def weyl_order(rs: RootSystem) -> int:

@@ -62,7 +62,7 @@ def lattice_coords(rs, lam):
 def product(x, y):
     """The product of two formal characters: |support x| * |support y| weight sums."""
     small, large = (x, y) if len(x.terms) <= len(y.terms) else (y, x)
-    return FormalCharacter((w1 + w2, c1 * c2) for w1, c1 in small.terms.items()
+    return FormalCharacter((tuple(map(add, w1, w2)), c1 * c2) for w1, c1 in small.terms.items()
                            for w2, c2 in large.terms.items())
 
 

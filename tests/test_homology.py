@@ -47,7 +47,7 @@ def mixed_setup(systems, groups, name, signs):
 
 def test_kostant_a1(systems, groups):
     table = kostant_table(systems["A1"], groups["A1"], Weight((-1,)))
-    assert table.rows == {0: (Weight((-1,)),), 1: (Weight((3,)),)}
+    assert table.rows == {0: (Weight((-1,)).twice,), 1: (Weight((3,)).twice,)}
 
 
 def test_kostant_a2_row_sizes(systems, groups):
@@ -60,7 +60,7 @@ def test_kostant_rank_zero():
     from dischar import generate
 
     table = kostant_table(rs, generate(rs), Weight(()))
-    assert table.rows == {0: (Weight(()),)}
+    assert table.rows == {0: (Weight(()).twice,)}
 
 
 def test_kostant_rejects_dominant(systems, groups):
@@ -79,13 +79,13 @@ def test_kostant_rejects_non_integral(systems, groups):
 def test_schmid_a1_orbit_e(systems, groups):
     rs, W, grading, kdata, orbits = mixed_setup(systems, groups, "A1", (-1,))
     table = schmid_table(grading, kdata, orbits[0], Weight((-2,)))
-    assert table.rows == {1: (Weight((-1,)),)}
+    assert table.rows == {1: (Weight((-1,)).twice,)}
 
 
 def test_schmid_a1_orbit_s(systems, groups):
     rs, W, grading, kdata, orbits = mixed_setup(systems, groups, "A1", (-1,))
     table = schmid_table(grading, kdata, orbits[1], Weight((-2,)))
-    assert table.rows == {0: (Weight((3,)),)}
+    assert table.rows == {0: (Weight((3,)).twice,)}
 
 
 def test_schmid_compact_degeneration(systems, groups):
@@ -157,7 +157,7 @@ def test_bgg_term_degree_is_dim_x(systems, groups):
 
     for w, (_p, degree, weight) in zip(W.elements, terms):
         assert degree == 3
-        assert weight == act(w, lam - rs.rho) + rs.rho
+        assert weight == (act(w, lam - rs.rho) + rs.rho).twice
 
 
 def test_trauber_term_degree(systems, groups):
@@ -242,10 +242,12 @@ def test_whole_group_sweeps_make_no_dense_products(monkeypatch):
 
         return wrapper
 
-    act = counted("act", dischar.weyl.act)
-    # characters and blattner no longer bind act at all
-    for module in (dischar.weyl, dischar.homology, dischar.characters, dischar.blattner):
-        monkeypatch.setattr(module, "act", act, raising=False)
+    # an element's word applied to a weight, as a Weight or a doubled tuple;
+    # characters and blattner bind neither
+    for name in ("act", "act_twice"):
+        wrapped = counted("act", getattr(dischar.weyl, name))
+        for module in (dischar.weyl, dischar.homology, dischar.characters, dischar.blattner):
+            monkeypatch.setattr(module, name, wrapped, raising=False)
 
     lam = -rs.rho
     kostant_table(rs, W, lam)
@@ -277,3 +279,73 @@ def test_orbit_from_another_w_k_is_refused(systems, groups):
                 ParameterIncompatible, match="^orbit strata are not indexed by the elements of W_K$"
             ):
                 sweep(ours, kdata, orbit, lam)
+
+
+def test_orbit_from_a_rebuilt_equal_w_k_is_accepted(systems):
+    # a new W_K tuple, from a new W, takes the comparison by w(rho) and passes it
+    rs = systems["B3"]
+    W = generate(rs)
+    grading = build_grading(rs, (1, -1, 1))
+    kdata = weyl_k(rs, grading, W)
+    lam = -rs.rho - rs.rho
+    rebuilt = weyl_k(rs, grading, generate(rs))
+    for orbit, again in zip(enumerate_closed_orbits(rs, grading, W, kdata),
+                            enumerate_closed_orbits(rs, grading, rebuilt.weyl, rebuilt)):
+        assert orbit.elements is not rebuilt.elements
+        table = schmid_table(grading, kdata, orbit, lam)
+        assert schmid_table(grading, rebuilt, orbit, lam) == table
+        assert schmid_via_trauber(grading, rebuilt, orbit, lam) == table
+        assert schmid_table(grading, kdata, again, lam) == table
+
+
+def test_orbit_from_a_foreign_w_k_of_the_same_order_is_refused(systems, groups):
+    # both W_K have order 4 and start at e, so only their later elements differ
+    rs, W = systems["A3"], groups["A3"]
+    ours = build_grading(rs, (1, -1, 1))
+    kdata = weyl_k(rs, ours, W)
+    grading = build_grading(rs, (-1, 1, -1))
+    foreign = enumerate_closed_orbits(rs, grading, W, weyl_k(rs, grading, W))
+    for orbit in foreign:
+        assert len(orbit.strata) == kdata.order == 4
+        assert orbit.strata[0].w is kdata.elements[0]
+        for sweep in (schmid_table, trauber_terms, schmid_via_trauber):
+            with pytest.raises(
+                ParameterIncompatible, match="^orbit strata are not indexed by the elements of W_K$"
+            ):
+                sweep(ours, kdata, orbit, -rs.rho)
+
+
+def test_tables_and_numerators_build_no_weight(monkeypatch):
+    # the rows and terms stay doubled integer tuples; a Weight is built only
+    # where a table or a character is rendered
+    rs = build_root_system(EXTRA_CARTAN["F4"])
+    W = generate(rs)
+    grading = build_grading(rs, (1, 1, 1, -1))
+    kdata = weyl_k(rs, grading, W)
+    orbits = enumerate_closed_orbits(rs, grading, W, kdata)
+    lams = [-rs.rho, -rs.rho - rs.rho]
+    built = Counter()
+    init, from_twice = Weight.__init__, Weight.from_twice.__func__
+
+    def counted_init(self, coords):
+        built["__init__"] += 1
+        init(self, coords)
+
+    def counted_from_twice(cls, twice):
+        built["from_twice"] += 1
+        return from_twice(cls, twice)
+
+    monkeypatch.setattr(Weight, "__init__", counted_init)
+    monkeypatch.setattr(Weight, "from_twice", classmethod(counted_from_twice))
+    for lam in lams:
+        kostant_table(rs, W, lam)
+        kostant_via_bgg(rs, W, lam)
+        weyl_numerator(rs, W, lam)
+        discrete_numerator(grading, kdata, lam)
+        for orbit in orbits:
+            schmid_table(grading, kdata, orbit, lam)
+            schmid_via_trauber(grading, kdata, orbit, lam)
+    assert built == Counter()
+    # the counters see a construction of either kind
+    -Weight((0, 0, 0, 1))
+    assert built == {"__init__": 1, "from_twice": 1}

@@ -11,8 +11,8 @@ the graph can miss an edge.  A local name that shadows an imported or
 module-level one can only add edges, which makes the pins below stricter.
 
 ``weyl.dot_orbit``, ``KWeylData.orbit`` and ``weyl.act`` share one reflection
-kernel (``weyl.reflect``, ``weyl.move``, ``weyl.close``, ``weyl.sweep``) on
-purpose, so none of them checks another; their oracle is the dense-matrix
+kernel (``weyl.reflect``, ``weyl.move``, ``weyl.close``, ``weyl.sweep``,
+``weyl.act_twice``) on purpose, so none of them checks another; their oracle is the dense-matrix
 closure of ``tests/matrix_oracle.py``.  The two oracles that keep reflection
 arithmetic of their own, Freudenthal's formula and the Borel-Weil-Bott
 chamber walk, are pinned below to reach none of that kernel.
@@ -106,7 +106,8 @@ PINS = [
     ({"characters.freudenthal_character", "characters.weyl_numerator"},
      {"characters.times_denominator"}),
     ({"characters.freudenthal_character", "blattner.bwb_cohomology"},
-     {"weyl.reflection", "weyl.reflect", "weyl.move", "weyl.close", "weyl.sweep"}),
+     {"weyl.reflection", "weyl.reflect", "weyl.move", "weyl.close", "weyl.sweep",
+      "weyl.act_twice"}),
 ]
 
 # what the two Blattner paths share on purpose besides the root_coords
@@ -137,7 +138,7 @@ def test_graph_reaches_the_kernel_from_its_users():
     assert {"weyl.close", "weyl.move"} <= reach("weyl.generate")
     assert {"weyl.close", "weyl.sweep", "weyl.reflect"} <= reach("realform.weyl_k",
                                                                   "weyl.dot_orbit")
-    assert {"weyl.reflect", "weyl.move"} <= reach("weyl.act")
+    assert {"weyl.act_twice", "weyl.reflect", "weyl.move"} <= reach("weyl.act")
     # the identity check calls the factor loop and, so that its oracle runs,
     # weyl_denominator, which calls the loop too
     assert "characters.times_denominator" in GRAPH["characters.weyl_denominator"]

@@ -76,6 +76,18 @@ def test_weyl_group_section_counts_inversions(monkeypatch):
     )
 
 
+def test_weyl_group_section_catches_a_wrong_inverse(monkeypatch):
+    # each element taken for its own inverse: right on the involutions only,
+    # so w^-1(w(rho)) = rho fails at s1*s2 in A2
+    from dischar.weyl import WeylGroup
+
+    monkeypatch.setattr(WeylGroup, "inverse", lambda self, a: a)
+    failed = [r for r in run_verify([[2, -1], [-1, 2]], [True, False]) if not r.passed]
+    assert [(r.name, r.detail) for r in failed] == [
+        ("weyl-group", "inverse action roundtrip failed")
+    ]
+
+
 def test_grading_section_counts_compact_inversions(monkeypatch):
     def corrupted(rs, grading, group):
         kdata = weyl_k(rs, grading, group)
@@ -98,7 +110,7 @@ def test_weyl_identity_section_catches_one_wrong_multiplicity(monkeypatch):
     def corrupted(rs, lam):
         char = exact(rs, lam)
         if lam == -rs.rho:
-            char.terms[rs.rho] += 1  # the highest weight of V(rho)
+            char.terms[rs.rho.twice] += 1  # the highest weight of V(rho)
         return char
 
     monkeypatch.setattr(verify, "freudenthal_character", corrupted)
