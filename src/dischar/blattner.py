@@ -21,12 +21,13 @@ over the box the lattice nu span is a sum of one end per axis, and a w with
 a negative maximum never reaches the cone and is dropped.  The N_w nu + c_w
 of the kept w are one stacked list, stepped from one nu to the next by one
 add per changed axis.  A first pass over the arguments that lie in the cone
-finds their maximum; one flat integer table of P over 0 <= m <= max(arguments)
-is filled coin-change style (P[m] += P[m - beta] for each noncompact root
-beta in turn), and a second pass reads every term from it.  Each root's
-update is one slice per slab of the table, the rows of the fastest axis
-padded with zeros so that a slice can run across them.  The table belongs
-to the call: the grading keeps no memo.
+finds their maximum; one flat table of P over 0 <= m <= max(arguments) is
+filled coin-change style (P[m + beta] += P[m] for each noncompact root beta
+in turn), and a second pass reads every term from it.  The noncompact cone
+is thin, so most cells stay zero: the fill visits only the nonzero ones,
+kept in one bucket per height, and a step off the extent lands on a pad
+cell that holds None.  The table belongs to the call: the grading keeps no
+memo.
 
 The ``filtration_oracle``/``filtration_table`` pair re-derives the same
 numbers on an independent code path, by walking the symmetric powers of the
@@ -66,8 +67,8 @@ Box = tuple[Sequence[Rational], Sequence[Rational]]
 
 # nu points one box may span (before the R_c+ antidominance filter)
 MAX_BOX_POINTS = 100_000
-# entries of one partition table; F4 (+,+,+,-) at lam = -2 rho, nu = (-6)^4
-# needs 4.86 M (about 2.3 s and 63 MB peak RSS)
+# entries of one partition table, pads left out; F4 (+,+,+,-) at lam = -2 rho,
+# nu = (-6)^4 needs 4.86 M (about 0.3 s and 86 MB peak RSS)
 MAX_TABLE_ENTRIES = 5_000_000
 # multisets of noncompact roots the filtration oracle may walk, up to its level
 MAX_ORACLE_MULTISETS = 2_000_000
@@ -89,13 +90,20 @@ def _noncompact_root_coords(grading: CompactGrading) -> tuple[IntVec, ...]:
 class _PartitionTable:
     """Multisets of ``roots`` summing to m, for every 0 <= m <= extent, as one flat list.
 
-    The axes are laid out by increasing extent, so the longest axis, the row
-    axis, runs fastest and the sweep makes fewer, longer slices.  Each row
-    starts with ``pad`` zero cells, pad the largest row coordinate of a root
-    that fits, so that a read of m - beta that falls below its row lands on
-    a zero.  That costs at most pad / (extent of the row axis + 1) more
-    entries than the table holds; ``MAX_TABLE_ENTRIES`` counts the entries.
+    Every axis is followed by a pad as long as the largest coordinate a root
+    that fits has on it.  Pad cells hold None and the cells of the extent
+    start at 0, so a step m + beta off the extent lands on a pad cell, never
+    on another row, and m = 0 is cell ``origin`` = 0.  The fill is coin-change
+    style, P[m + beta] += P[m], one root at a time, over the nonzero cells
+    only: they are kept in one list per height (the sum of the root
+    coordinates).  A root has height at least 1, so its pass takes the
+    buckets in increasing height, m before m + beta, and a cell it makes
+    nonzero joins a later bucket of the same pass.  The work is the nonzero
+    cells times the roots, while ``MAX_TABLE_ENTRIES`` counts the extent's
+    entries, pads left out.
     """
+
+    origin = 0  # the cell of m = 0: the pads all lie above the extent
 
     def __init__(self, roots: Sequence[IntVec], extent: IntVec) -> None:
         dims = [e + 1 for e in extent]
@@ -106,73 +114,33 @@ class _PartitionTable:
                 f"the limit is {MAX_TABLE_ENTRIES}"
             )
         roots = [beta for beta in roots if all(map(le, beta, extent))]
-        # axes from slowest to fastest
-        order = sorted(range(len(dims)), key=lambda i: dims[i])
-        pad = max((beta[order[-1]] for beta in roots), default=0)
-        sizes = list(dims)
-        if order:
-            sizes[order[-1]] += pad
-        strides = [0] * len(dims)
-        step = 1
-        for i in reversed(order):
-            strides[i] = step
-            step *= sizes[i]
-        self.strides: IntVec = tuple(strides)
-        self.origin = pad
-        table = [0] * step
-        table[pad] = 1
+        pads = [max(axis) for axis in zip(*roots)] or [0] * len(dims)
+        strides: list[int] = []
+        values: list[int | None] = [0]
+        # the axes from fastest to slowest, each block its extent then its pad
+        for dim, pad in zip(reversed(dims), reversed(pads)):
+            strides.append(len(values))
+            values *= dim
+            values += itertools.repeat(None, pad * strides[-1])
+        self.strides: IntVec = tuple(reversed(strides))
+        values[0] = 1
+        buckets: list[list[int]] = [[] for _ in range(sum(extent) + 1)]
+        buckets[0].append(0)
         for beta in roots:
-            _add_root(table, dims, self.strides, order, pad, beta)
-        self.values = table
+            offset, height = sum(map(mul, beta, self.strides)), sum(beta)
+            for low, high in zip(buckets, buckets[height:]):
+                for cell in low:
+                    up = cell + offset
+                    count = values[up]
+                    if count:
+                        values[up] = count + values[cell]
+                    elif count == 0:  # None is a pad cell: the step left the extent
+                        values[up] = values[cell]
+                        high.append(up)
+        self.values = values
 
     def __getitem__(self, m: IntVec) -> int:
-        return self.values[self.origin + sum(map(mul, m, self.strides))]
-
-
-def _add_root(
-    table: list[int], dims: list[int], strides: IntVec, order: list[int], pad: int, beta: IntVec
-) -> None:
-    """P[m] += P[m - beta] for every m >= beta, in increasing order of m, a slab at a time.
-
-    The slab axes run from the row axis up to the fastest other axis k on
-    which beta is nonzero.  For fixed coordinates on the axes slower than
-    k, the m >= beta of a slab, taken with every cell of each of its rows,
-    form one contiguous slice: an m below beta on the row axis reads a pad
-    cell, so it gains zero.  If beta is also nonzero on an axis slower than
-    k, its flat offset exceeds the slice, which reads only earlier, finished
-    slabs; otherwise the slice is swept in chunks of the offset, each
-    reading the chunk before it.  A slice spans rows, so it also writes
-    their pad cells, which are set back to zero before anything reads them.
-
-    A beta on the row axis alone is added one column of the row axis at a
-    time instead, in increasing order: each column is one extended slice
-    across every row and reads the column beta before it, already done.
-    """
-    row = dims[order[-1]] + pad
-    pos = max((p for p, i in enumerate(order[:-1]) if beta[i]), default=None)
-    if pos is None:
-        shift = beta[order[-1]]
-        for c in range(pad + shift, row):
-            table[c::row] = map(add, table[c::row], table[c - shift::row])
-        return
-    slab = order[pos:]
-    offset = sum(map(mul, beta, strides))
-    first = pad + sum(beta[i] * strides[i] for i in slab)
-    end = pad + sum((dims[i] - 1) * strides[i] for i in slab) + 1
-    run = end - first
-    step = run if offset >= run else offset
-    slower = order[:pos]
-    outer_ranges = [range(beta[i], dims[i]) for i in slower]
-    outer_strides = [strides[i] for i in slower]
-    for outer in itertools.product(*outer_ranges):
-        start = sum(map(mul, outer, outer_strides))
-        stop = start + end
-        for lo in range(start + first, stop, step):
-            hi = min(lo + step, stop)
-            table[lo:hi] = map(add, table[lo:hi], table[lo - offset:hi - offset])
-            for j in range(pad):
-                cell = lo + (j - lo) % row
-                table[cell:hi:row] = [0] * len(range(cell, hi, row))
+        return self.values[sum(map(mul, m, self.strides))]
 
 
 def partition_p(grading: CompactGrading, mu: Weight, p: int) -> int:

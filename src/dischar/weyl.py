@@ -195,10 +195,13 @@ def act(w: WeylElement, lam: Weight) -> Weight:
 
 
 def dot_orbit(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[IntVec]:
-    """2(w(lam - rho) + rho) for every w, in ``group.elements`` order: 2 lam swept about rho."""
+    """2(w(lam - rho) + rho) for every w, in ``group.elements`` order: 2 lam swept about rho.
+
+    The sweep reads the simple reflection records every element of the group shares.
+    """
     if lam.rank != group.rank:
         raise DimensionMismatch(f"rank {group.rank} group applied to rank {lam.rank} weight")
-    return sweep([reflection(alpha) for alpha in rs.simple_roots], group.tree, lam.twice, True)
+    return sweep(group.elements[0].reflections, group.tree, lam.twice, True)
 
 
 def weyl_order(rs: RootSystem) -> int:

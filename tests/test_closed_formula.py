@@ -1,19 +1,23 @@
 """The closed formula's fast paths against the references in ``tests.helpers``.
 
 ``_closed_formula`` prunes W_K against the box, steps the arguments from one
-nu to the next and fills a padded partition table a slab at a time.
-``reference_closed_formula`` does none of that: every w at every nu, a fresh
-matrix product per nu and the row-at-a-time ``RowPartitionTable``.  The two
-must agree on every value, on the table's extent and on every entry of the
-table.  The boundary tests pin the cases a one-character change to the prune
-or to the padding would get wrong, entry by entry against
-``enumeration_oracle``.
+nu to the next and fills a padded partition table over its nonzero cells,
+one height at a time.  ``reference_closed_formula`` does none of that: every
+w at every nu, a fresh matrix product per nu and the row-at-a-time
+``RowPartitionTable`` on an unpadded layout.  The two must agree on every
+value, on the table's extent and on every entry of the table.  The boundary
+tests pin the cases a one-character change to the prune or to the padding
+would get wrong, entry by entry against ``enumeration_oracle``, and check
+that every pad cell still holds None after the fill: a step off the extent
+that wrapped onto another row, or ran off the end of the list, would show
+in one or the other.
 """
 
 import itertools
+from operator import gt, le, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dischar import (
@@ -162,6 +166,21 @@ def test_prune_keeps_a_w_whose_coordinate_maximum_is_zero():
     assert blattner_multiplicity(grading, kdata, lam, corner) == 3
 
 
+def pads_of(table, extent):
+    """The pad of each axis, once every cell outside 0..extent is found to hold None.
+
+    The flat list is decoded by the table's strides, slowest axis first, so
+    that a cell's coordinates give back its index; a cell is a pad cell when
+    a coordinate passes the extent.
+    """
+    strides = table.strides
+    sizes = [size // stride for size, stride in zip((len(table.values),) + strides, strides)]
+    for cell, m in enumerate(itertools.product(*map(range, sizes))):
+        assert sum(map(mul, m, strides)) == cell
+        assert (table.values[cell] is None) == any(map(gt, m, extent)), m
+    return tuple(size - e - 1 for size, e in zip(sizes, extent))
+
+
 def assert_table_is_enumeration(grading, extent, parts=False):
     roots = [r.root_coords for r in grading.noncompact_positive]
     if parts:
@@ -172,11 +191,16 @@ def assert_table_is_enumeration(grading, extent, parts=False):
             assert table[m] == enumeration_oracle(grading, m[:-1], parts=m[-1]), m
         else:
             assert table[m] == enumeration_oracle(grading, m), m
+    # each axis is padded by the largest coordinate on it of a root that fits
+    fits = [beta for beta in roots if all(map(le, beta, extent))]
+    assert pads_of(table, extent) == tuple(
+        max((beta[i] for beta in fits), default=0) for i in range(len(extent))
+    )
     return table
 
 
 def test_table_whose_fastest_axis_has_length_one():
-    # the longest axis runs fastest, so every axis has length 1
+    # every axis has length 1, so no root fits and no axis is padded
     _, grading, _ = graded(CARTAN["B3"], (-1, 1, -1))
     assert assert_table_is_enumeration(grading, (0, 0, 0)).values == [1]
     assert_table_is_enumeration(grading, (0, 0, 0, 0), parts=True)
@@ -190,33 +214,60 @@ def test_table_with_no_root_on_the_fastest_axis():
     assert table[3, 6, 5] == 0 and table[3, 0, 0] == 1
 
 
-@pytest.mark.parametrize("extent", [(4, 9), (3, 12), (7, 7)])
-def test_root_as_long_as_the_pad_on_the_fastest_axis(extent):
-    # G2 with alpha_2 noncompact has the noncompact roots alpha_1 + 3 alpha_2
-    # and 2 alpha_1 + 3 alpha_2, so the row axis of alpha_2 gets pad 3 and
-    # those roots' slabs span rows
-    _, grading, _ = graded(CARTAN["G2"], (1, -1))
-    roots = [r.root_coords for r in grading.noncompact_positive]
-    assert (1, 3) in roots and (2, 3) in roots
+# G2 with alpha_2 noncompact has the noncompact roots alpha_2, alpha_1 + alpha_2,
+# alpha_1 + 3 alpha_2 and 2 alpha_1 + 3 alpha_2: pads (2, 3), the last root as
+# long as the pad on the slower axis and on the fastest one.  B2 all noncompact
+# has each simple root on one axis alone.  A3 with alpha_1 noncompact moves
+# every root along the slowest axis, so each step from its last layer runs off
+# the end of the list into its pad.  An axis of length 1 fits no root that
+# moves along it, so its pad is 0.
+@pytest.mark.parametrize("name,signs,extent,pads", [
+    pytest.param("G2", (1, -1), (4, 9), (2, 3), id="G2-4x9"),
+    pytest.param("G2", (1, -1), (3, 12), (2, 3), id="G2-3x12"),
+    pytest.param("G2", (1, -1), (7, 7), (2, 3), id="G2-7x7"),
+    pytest.param("G2", (1, -1), (1, 9), (1, 3), id="G2-long-root-left-out"),
+    pytest.param("B2", (-1, -1), (8, 5), (2, 1), id="B2-8x5"),
+    pytest.param("B2", (-1, -1), (5, 8), (2, 1), id="B2-5x8"),
+    pytest.param("A3", (-1, 1, 1), (4, 2, 1), (1, 1, 1), id="A3-slowest-overflow"),
+    pytest.param("A3", (-1, -1, 1), (3, 0, 2), (1, 0, 0), id="A3-middle-axis-length-1"),
+    pytest.param("G2", (1, -1), (0, 9), (0, 1), id="G2-slow-axis-length-1"),
+    pytest.param("G2", (-1, 1), (6, 0), (1, 0), id="G2-fast-axis-length-1"),
+])
+def test_steps_off_the_extent_land_on_pads(name, signs, extent, pads):
+    _, grading, _ = graded(CARTAN[name], signs)
     table = assert_table_is_enumeration(grading, extent)
-    assert table.origin == 3
-    # every pad cell is back to zero
-    assert sum(table.values) == sum(entries(table, extent))
+    assert pads_of(table, extent) == pads
 
 
-def test_tables_with_a_root_on_the_row_axis_alone():
-    # B2 all noncompact: each simple root lies on one axis alone; the row
-    # axis of alpha_1 gets pad 2 from 2 alpha_1 + alpha_2, that of alpha_2 pad 1
-    _, grading, _ = graded(CARTAN["B2"], (-1, -1))
-    assert assert_table_is_enumeration(grading, (8, 5)).origin == 2
-    assert assert_table_is_enumeration(grading, (5, 8)).origin == 1
+@st.composite
+def coin_sets(draw):
+    """Nonzero vectors with coordinates 0..2, in any order, and an extent up to 5 per axis."""
+    rank = draw(st.integers(1, 3))
+    coin = st.tuples(*[st.integers(0, 2)] * rank).filter(any)
+    return draw(st.lists(coin, min_size=1, max_size=4)), draw(st.tuples(*[st.integers(0, 5)] * rank))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coin_sets())
+@example(([(0, 1), (2, 0), (1, 1)], (5, 5)))
+def test_table_of_any_coins_matches_the_row_table(case):
+    # roots of no grading: the height buckets must keep m before m + beta for
+    # every coin order, which the gradings' roots alone do not exercise; the
+    # example goes wrong if a new cell joins the bucket one below its height
+    roots, extent = case
+    table = _PartitionTable(roots, extent)
+    assert entries(table, extent) == entries(RowPartitionTable(roots, extent), extent)
+    pads_of(table, extent)
 
 
 @pytest.mark.parametrize("name,signs,extent", [
-    ("A2", (1, -1), (2, 3, 7)),   # the parts axis is the row axis
-    ("A2", (-1, -1), (4, 5, 2)),  # the parts axis is the slowest
+    # the parts axis is last, so it runs fastest
+    ("A2", (1, -1), (2, 3, 7)),   # the parts axis is the longest
+    ("A2", (-1, -1), (4, 5, 2)),  # the parts axis is the shortest
     ("B2", (-1, -1), (3, 6, 4)),
     ("G2", (1, -1), (6, 2, 3)),
+    ("B2", (-1, -1), (3, 6, 1)),  # the parts axis has pad 1
+    ("B2", (-1, -1), (3, 6, 0)),  # p = 0: the parts axis has length 1 and no pad
 ])
 def test_parts_axis_of_partition_p(name, signs, extent):
     rs, grading, _ = graded(CARTAN[name], signs)

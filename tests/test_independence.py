@@ -96,9 +96,8 @@ def blattner(*names):
 ORACLE_ENTRIES = blattner("filtration_oracle", "filtration_table")
 CLOSED_ENTRIES = blattner("ktype_table", "blattner_multiplicity")
 PINS = [
-    (ORACLE_ENTRIES, blattner("_PartitionTable", "_add_root", "_closed_formula",
-                            "_alternating_terms", "_reaches_cone", "_stepped_arguments",
-                            "partition", "partition_p")),
+    (ORACLE_ENTRIES, blattner("_PartitionTable", "_closed_formula", "_alternating_terms",
+                            "_reaches_cone", "_stepped_arguments", "partition", "partition_p")),
     (CLOSED_ENTRIES, blattner("bwb_cohomology", "_filtration_walk", "_multiset_sums",
                             "_filtration_level")),
     ({"characters.freudenthal_character"},
@@ -150,5 +149,6 @@ def test_graph_follows_imports_and_only_calls():
     # module-level and function-local ``from .blattner`` lines are both followed
     assert "blattner._filtration_walk" in reach("verify.run_verify")
     assert {"blattner._closed_formula", "blattner._filtration_walk"} <= reach("cli._blattner")
-    # _add_root's local variable ``run`` is not a call, so not cli.run
-    assert "cli.run" not in reach("blattner._add_root")
+    # Weight passes _half to map as a value, which is no edge; coroot_pairing calls it
+    assert "rootdata._half" not in GRAPH["rootdata.Weight"]
+    assert "rootdata._half" in GRAPH["rootdata.coroot_pairing"]

@@ -152,6 +152,21 @@ def test_dot_orbit_dimension_mismatch(systems, groups):
         dot_orbit(systems["A2"], groups["A2"], Weight((1,)))
 
 
+def test_dot_orbit_reuses_the_group_reflections(monkeypatch, systems, groups):
+    # the records are built once, by generate; dot_orbit builds none of its own
+    rs, W = systems["B3"], groups["B3"]
+    lam = Weight((-2, 1, -3))
+    expected = dot_orbit(rs, W, lam)
+
+    def refuse(beta):
+        raise AssertionError("dot_orbit rebuilt a reflection record")
+
+    monkeypatch.setattr(dischar.weyl, "reflection", refuse)
+    assert dot_orbit(rs, W, lam) == expected
+    with pytest.raises(AssertionError, match="rebuilt"):
+        generate(rs)
+
+
 def test_tree_parents_are_the_word_suffixes(groups):
     # the left tree: w = s_word[0] * parent, and the parent's word is word[1:]
     for W in groups.values():
