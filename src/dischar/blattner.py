@@ -39,7 +39,8 @@ the arguments' root coordinates, computed on doubled integer vectors.
 
 Sizes the caller controls are bounded before the work they size: the number
 of box points (``MAX_BOX_POINTS``), the entries of the partition table
-(``MAX_TABLE_ENTRIES``) and the multisets the oracle walks up to its level
+(``MAX_TABLE_ENTRIES``) and its cells with the pads (``MAX_TABLE_CELLS``),
+and the multisets the oracle walks up to its level
 (``MAX_ORACLE_MULTISETS``).  Each bound raises a ``ValidationError``.
 """
 
@@ -70,6 +71,9 @@ MAX_BOX_POINTS = 100_000
 # entries of one partition table, pads left out; F4 (+,+,+,-) at lam = -2 rho,
 # nu = (-6)^4 needs 4.86 M (about 0.3 s and 86 MB peak RSS)
 MAX_TABLE_ENTRIES = 5_000_000
+# cells of one partition table, pads included: every axis carries a pad, so
+# on many short axes the pads outgrow the entries (that F4 table has 5.86 M)
+MAX_TABLE_CELLS = 10_000_000
 # multisets of noncompact roots the filtration oracle may walk, up to its level
 MAX_ORACLE_MULTISETS = 2_000_000
 
@@ -93,17 +97,15 @@ class _PartitionTable:
     Every axis is followed by a pad as long as the largest coordinate a root
     that fits has on it.  Pad cells hold None and the cells of the extent
     start at 0, so a step m + beta off the extent lands on a pad cell, never
-    on another row, and m = 0 is cell ``origin`` = 0.  The fill is coin-change
-    style, P[m + beta] += P[m], one root at a time, over the nonzero cells
-    only: they are kept in one list per height (the sum of the root
-    coordinates).  A root has height at least 1, so its pass takes the
-    buckets in increasing height, m before m + beta, and a cell it makes
-    nonzero joins a later bucket of the same pass.  The work is the nonzero
-    cells times the roots, while ``MAX_TABLE_ENTRIES`` counts the extent's
-    entries, pads left out.
+    on another row, and m = 0 is cell 0.  The fill is coin-change style,
+    P[m + beta] += P[m], one root at a time, over the nonzero cells only:
+    they are kept in one list per height (the sum of the root coordinates).
+    A root has height at least 1, so its pass takes the buckets in
+    increasing height, m before m + beta, and a cell it makes nonzero joins
+    a later bucket of the same pass.  The work is the nonzero cells times
+    the roots.  Before the list is built, ``MAX_TABLE_ENTRIES`` bounds the
+    extent's entries and ``MAX_TABLE_CELLS`` the whole list, pads included.
     """
-
-    origin = 0  # the cell of m = 0: the pads all lie above the extent
 
     def __init__(self, roots: Sequence[IntVec], extent: IntVec) -> None:
         dims = [e + 1 for e in extent]
@@ -115,6 +117,12 @@ class _PartitionTable:
             )
         roots = [beta for beta in roots if all(map(le, beta, extent))]
         pads = [max(axis) for axis in zip(*roots)] or [0] * len(dims)
+        cells = math.prod(map(add, dims, pads))
+        if cells > MAX_TABLE_CELLS:
+            raise PartitionTableTooLarge(
+                f"partition table over 0..{list(extent)} has {cells} cells with its pads; "
+                f"the limit is {MAX_TABLE_CELLS}"
+            )
         strides: list[int] = []
         values: list[int | None] = [0]
         # the axes from fastest to slowest, each block its extent then its pad

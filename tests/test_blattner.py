@@ -519,6 +519,31 @@ def test_partition_p_table_is_bounded(monkeypatch, systems, groups):
         partition_p(grading, scaled(alpha, 4), 5)
 
 
+def test_pads_are_bounded_before_the_table_is_built(monkeypatch):
+    # A1^16 all noncompact: every simple root is a unit vector that pads its
+    # axis by 1, so mu with root coordinates (1^6, 2^10) has 2^6 3^10 = 3.8 M
+    # entries, under MAX_TABLE_ENTRIES, and 3^6 4^10 = 764 M cells with pads
+    rank = 16
+    rs = build_root_system([[2 * (i == j) for j in range(rank)] for i in range(rank)])
+    grading = build_grading(rs, (-1,) * rank)
+
+    def weight(root_coords):  # alpha_i is twice the i-th fundamental weight
+        return Weight(tuple(2 * c for c in root_coords))
+
+    with pytest.raises(
+        PartitionTableTooLarge,
+        match=r"has 764411904 cells with its pads; the limit is 10000000$",
+    ):
+        partition(grading, weight((1,) * 6 + (2,) * 10))
+    # four axes of length 2, each padded by 1, and twelve of length 1 that no
+    # root fits: 16 entries and 81 cells
+    monkeypatch.setattr(blattner, "MAX_TABLE_CELLS", 81)
+    assert partition(grading, weight((1,) * 4 + (0,) * 12)) == 1
+    monkeypatch.setattr(blattner, "MAX_TABLE_CELLS", 80)
+    with pytest.raises(PartitionTableTooLarge, match=r"has 81 cells with its pads"):
+        partition(grading, weight((1,) * 4 + (0,) * 12))
+
+
 def _cartan_of(kind, n):
     rows = [[2 if i == j else -int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
     if kind == "G":
