@@ -66,11 +66,8 @@ _EXPORTS = {
         "Root",
         "RootSystem",
         "Weight",
-        "WeightFlags",
         "build_root_system",
-        "classify_weight",
         "coroot_pairing",
-        "dominant_representative",
     ),
     "weyl": (
         "WeylElement",

@@ -61,7 +61,7 @@ from .errors import (
     TruncationTooLarge,
 )
 from .realform import CompactGrading, KWeylData
-from .rootdata import Weight, classify_weight
+from .rootdata import Weight, check_schmid_parameter
 
 IntVec = tuple[int, ...]
 Box = tuple[Sequence[Rational], Sequence[Rational]]
@@ -214,15 +214,6 @@ def bwb_cohomology(
     if any(sum(map(mul, coroot, coords)) == 0 for coroot, _root in simple):
         return None
     return steps, Weight.from_twice(tuple(map(add, coords, grading.rho_c.twice)))
-
-
-def _check_lambda(grading: CompactGrading, lam: Weight) -> None:
-    rs = grading.rs
-    flags = classify_weight(rs, lam)
-    if not flags.regular or not flags.antidominant:
-        raise ParameterIncompatible("lam must be regular antidominant")
-    if not (lam + rs.rho).is_integral():
-        raise ParameterIncompatible("lam + rho must be integral")
 
 
 def _check_nu(grading: CompactGrading, nu: Weight) -> None:
@@ -378,7 +369,7 @@ def blattner_multiplicity(
     grading: CompactGrading, kdata: KWeylData, lam: Weight, nu: Weight
 ) -> int:
     """Multiplicity of the K-type with lowest weight nu, by the closed formula."""
-    _check_lambda(grading, lam)
+    check_schmid_parameter(grading.rs, lam)
     _check_nu(grading, nu)
     return _closed_formula(grading, kdata, lam, [nu])[0]
 
@@ -388,7 +379,7 @@ def ktype_table(
 ) -> KTypeTable:
     """Blattner multiplicities for every antidominant integral nu in a box."""
     points = _box_points(grading, box)
-    _check_lambda(grading, lam)
+    check_schmid_parameter(grading.rs, lam)
     values = _closed_formula(grading, kdata, lam, points)
     return KTypeTable(entries={nu: v for nu, v in zip(points, values) if v})
 
@@ -481,7 +472,7 @@ def filtration_oracle(
     Independent of the closed formula: no partition function is consulted.
     The walk goes up to the level nu needs.
     """
-    _check_lambda(grading, lam)
+    check_schmid_parameter(grading.rs, lam)
     _check_nu(grading, nu)
     level = _filtration_level(grading, kdata, lam, [nu])
     return _filtration_walk(grading, kdata, lam, level).get(nu, 0)
@@ -495,6 +486,6 @@ def filtration_table(
     One walk up to the largest level any nu of the box needs serves them all.
     """
     points = _box_points(grading, box)
-    _check_lambda(grading, lam)
+    check_schmid_parameter(grading.rs, lam)
     buckets = _filtration_walk(grading, kdata, lam, _filtration_level(grading, kdata, lam, points))
     return KTypeTable(entries={nu: buckets[nu] for nu in points if buckets.get(nu)})

@@ -27,7 +27,6 @@ from .rootdata import (
     Weight,
     check_kostant_parameter,
     check_schmid_parameter,
-    dominant_representative,
     dominant_twice,
 )
 from .weyl import IntVec, WeylGroup, dot_orbit, sweep
@@ -112,7 +111,7 @@ def weyl_denominator(rs: RootSystem, group: WeylGroup) -> FormalCharacter:
 def weyl_numerator(rs: RootSystem, group: WeylGroup, lam: Weight) -> FormalCharacter:
     """Alternating sum of e^{w(lam - rho) + rho} over the full Weyl group: 2 lam swept about rho."""
     check_kostant_parameter(rs, lam, "numerator parameter")
-    return FormalCharacter(zip(dot_orbit(rs, group, lam),
+    return FormalCharacter(zip(dot_orbit(group, lam),
                                [-1 if w.length % 2 else 1 for w in group.elements]))
 
 
@@ -163,7 +162,7 @@ def freudenthal_character(rs: RootSystem, lam_lowest: Weight) -> FormalCharacter
     """
     check_kostant_parameter(rs, lam_lowest, "lowest weight")
 
-    high = dominant_representative(rs, lam_lowest).twice
+    high = dominant_twice(rs, lam_lowest.twice)
     support = _weight_support(rs, high)
     gram = _gram(rs)
 

@@ -49,6 +49,9 @@ class JobConfig(NamedTuple):
     lam: Weight | None = None
     nu_box: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None = None
     orbit_index: int | None = None
+    # the character command's expansion and the blattner command's oracle column
+    which: str = "weyl"
+    with_oracle: bool = False
 
 
 def _fraction(value: object, what: str) -> Fraction:
@@ -144,8 +147,7 @@ def _require_lambda(config: JobConfig) -> Weight:
 Rendered = tuple[object, list[str], list[list[str]]]
 
 
-def _describe(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
-              which: str, with_oracle: bool) -> Rendered:
+def _describe(grading: CompactGrading, kdata: KWeylData, config: JobConfig) -> Rendered:
     rs = grading.rs
     data = {
         "rank": rs.rank,
@@ -164,8 +166,7 @@ def _describe(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
     return data, [], rows
 
 
-def _orbits(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
-            which: str, with_oracle: bool) -> Rendered:
+def _orbits(grading: CompactGrading, kdata: KWeylData, config: JobConfig) -> Rendered:
     rs = grading.rs
     payload, rows = [], []
     for i, orbit in enumerate(enumerate_closed_orbits(rs, grading, kdata.weyl, kdata)):
@@ -189,16 +190,14 @@ def _degree_rows(table: HomologyTable) -> tuple[dict, list[list[str]]]:
     return data, [[p, json.dumps(ws)] for p, ws in data.items()]
 
 
-def _kostant(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
-             which: str, with_oracle: bool) -> Rendered:
+def _kostant(grading: CompactGrading, kdata: KWeylData, config: JobConfig) -> Rendered:
     from .homology import kostant_table
 
     data, rows = _degree_rows(kostant_table(grading.rs, kdata.weyl, _require_lambda(config)))
     return data, ["degree", "weights"], rows
 
 
-def _schmid(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
-            which: str, with_oracle: bool) -> Rendered:
+def _schmid(grading: CompactGrading, kdata: KWeylData, config: JobConfig) -> Rendered:
     from .homology import schmid_table
 
     lam = _require_lambda(config)
@@ -212,34 +211,33 @@ def _schmid(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
     return {"orbit": orbits[index].u.word_str(), "rows": data}, ["degree", "weights"], rows
 
 
-def _character(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
-               which: str, with_oracle: bool) -> Rendered:
+def _character(grading: CompactGrading, kdata: KWeylData, config: JobConfig) -> Rendered:
     from .characters import discrete_numerator, weyl_denominator, weyl_numerator
 
     meta: dict = {}
-    if which == "denominator":
+    if config.which == "denominator":
         char = weyl_denominator(grading.rs, kdata.weyl)
-    elif which == "weyl":
+    elif config.which == "weyl":
         char = weyl_numerator(grading.rs, kdata.weyl, _require_lambda(config))
-    elif which == "discrete":
+    elif config.which == "discrete":
         char = discrete_numerator(grading, kdata, _require_lambda(config))
         meta = {"sign": -1 if grading.q % 2 else 1}
     else:
-        raise ParameterIncompatible(f"unknown character kind {which!r}")
+        raise ParameterIncompatible(f"unknown character kind {config.which!r}")
     terms = [{"weight": Weight.from_twice(t).serialize(), "coeff": c}
              for t, c in char.sorted_terms()]
     rows = [[",".join(t["weight"]), str(t["coeff"])] for t in terms]
     return {"terms": terms, **meta}, ["weight", "coeff"], rows
 
 
-def _blattner(grading: CompactGrading, kdata: KWeylData, config: JobConfig,
-              which: str, with_oracle: bool) -> Rendered:
+def _blattner(grading: CompactGrading, kdata: KWeylData, config: JobConfig) -> Rendered:
     from .blattner import filtration_table, ktype_table
 
     lam = _require_lambda(config)
     if config.nu_box is None:
         raise ParameterIncompatible("blattner needs a nu_box")
     table = ktype_table(grading, kdata, lam, config.nu_box)
+    with_oracle = config.with_oracle
     oracle = filtration_table(grading, kdata, lam, config.nu_box).entries if with_oracle else {}
     payload, rows = [], []
     for nu, mult in table.sorted_entries():
@@ -264,10 +262,10 @@ TABLES = {
 COMMANDS = (*TABLES, "verify")
 
 
-def _verify(config: JobConfig) -> tuple[int, str]:
+def _verify(grading: CompactGrading, kdata: KWeylData) -> tuple[int, str]:
     from .verify import run_verify
 
-    results = run_verify([list(r) for r in config.cartan], list(config.compact_simple))
+    results = run_verify(grading, kdata)
     lines = []
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -278,18 +276,17 @@ def _verify(config: JobConfig) -> tuple[int, str]:
     return (0 if failed == 0 else 2), "\n".join(lines) + "\n"
 
 
-def run(command: str, config: JobConfig, fmt: str = "json",
-        which: str = "weyl", with_oracle: bool = False) -> tuple[int, str]:
+def run(command: str, config: JobConfig, fmt: str = "json") -> tuple[int, str]:
     """Execute one command; returns (exit code, rendered output)."""
-    if command == "verify":
-        return _verify(config)
-    if command not in TABLES:
+    if command not in COMMANDS:
         raise ParameterIncompatible(f"unknown command {command!r}")
 
     rs = build_root_system([list(r) for r in config.cartan])
     grading = build_grading(rs, tuple(1 if c else -1 for c in config.compact_simple))
     kdata = weyl_k(rs, grading, generate(rs))
-    payload, header, rows = TABLES[command](grading, kdata, config, which, with_oracle)
+    if command == "verify":
+        return _verify(grading, kdata)
+    payload, header, rows = TABLES[command](grading, kdata, config)
     if fmt == "tsv":
         lines = ([header] if header else []) + rows
         return 0, "".join("\t".join(line) + "\n" for line in lines)
@@ -349,13 +346,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             config = config._replace(nu_box=_parse_box(args.box, rank))
         if args.orbit is not None:
             config = config._replace(orbit_index=args.orbit)
-        code, output = run(
-            args.command,
-            config,
-            fmt=args.format,
-            which=args.which,
-            with_oracle=args.verify,
-        )
+        config = config._replace(which=args.which, with_oracle=args.verify)
+        code, output = run(args.command, config, fmt=args.format)
     except ValidationError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}))
         return 1

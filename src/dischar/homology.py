@@ -63,7 +63,7 @@ def kostant_table(rs: RootSystem, group: WeylGroup, lam: Weight) -> HomologyTabl
     degree l(w) carries 2(w(lam - rho) + rho)."""
     check_kostant_parameter(rs, lam, "parameter")
     return HomologyTable.from_entries(zip([w.length for w in group.elements],
-                                          dot_orbit(rs, group, lam)))
+                                          dot_orbit(group, lam)))
 
 
 def _cells(grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit,
@@ -104,7 +104,7 @@ def bgg_terms(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[tuple[int, 
     check_kostant_parameter(rs, lam, "parameter")
     dim_x = len(rs.positive_roots)
     return [(dim_x - w.length, dim_x, weight)
-            for w, weight in zip(group.elements, dot_orbit(rs, group, lam))]
+            for w, weight in zip(group.elements, dot_orbit(group, lam))]
 
 
 def trauber_terms(

@@ -193,15 +193,6 @@ class RootSystem(NamedTuple):
         return tuple(out)
 
 
-class WeightFlags(NamedTuple):
-    """Chamber position of a weight relative to the positive system."""
-
-    regular: bool
-    antidominant: bool
-    strongly_antidominant: bool
-    integral: bool
-
-
 def _validate_cartan(cartan: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
     rows = tuple(tuple(entry for entry in row) for row in cartan)
     n = len(rows)
@@ -336,19 +327,6 @@ def _check_rank(rs: RootSystem, lam: Weight) -> None:
         raise DimensionMismatch(f"rank {lam.rank} weight in rank {rs.rank} system")
 
 
-def classify_weight(rs: RootSystem, lam: Weight) -> WeightFlags:
-    """Regularity, (strong) antidominance and integrality of a weight.
-
-    Read off twice each coroot pairing, an integer: antidominance forbids a
-    positive integer pairing, that is an even twice of at least 2.
-    """
-    _check_rank(rs, lam)
-    twice = [sum(map(mul, alpha.coroot_coords, lam.twice)) for alpha in rs.positive_roots]
-    return WeightFlags(regular=0 not in twice,
-                       antidominant=not any(t >= 2 and not t & 1 for t in twice),
-                       strongly_antidominant=all(t < 0 for t in twice), integral=lam.is_integral())
-
-
 def check_kostant_parameter(rs: RootSystem, lam: Weight, noun: str) -> None:
     """Require ``lam`` integral and antidominant; ``noun`` names it in the error.
 
@@ -362,7 +340,12 @@ def check_kostant_parameter(rs: RootSystem, lam: Weight, noun: str) -> None:
 
 
 def check_schmid_parameter(rs: RootSystem, lam: Weight) -> None:
-    """Require ``lam`` strongly antidominant with lam + rho integral."""
+    """Require ``lam`` strongly antidominant with lam + rho integral.
+
+    The one discrete-series parameter check: the Schmid tables, the elliptic
+    numerator and the Blattner layer all take it.  For an integral ``lam``,
+    strongly antidominant is regular antidominant.
+    """
     _check_rank(rs, lam)
     if max(lam.twice, default=-1) >= 0:
         raise NotStronglyAntidominant("parameter must be strongly antidominant")
@@ -385,8 +368,3 @@ def dominant_twice(rs: RootSystem, twice: IntVec) -> IntVec:
         for k in range(rs.rank):
             coords[k] -= value * rs.cartan[k][i]
 
-
-def dominant_representative(rs: RootSystem, lam: Weight) -> Weight:
-    """The unique dominant weight in the Weyl orbit of ``lam``: :func:`dominant_twice`."""
-    _check_rank(rs, lam)
-    return Weight.from_twice(dominant_twice(rs, lam.twice))

@@ -2,15 +2,16 @@
 
 Each section re-derives a family of identities and reports a single
 pass/fail line; the sections run one after another in a fixed order.  The
-root system, Weyl group, grading, W_K, closed orbits and the blattner
-section's oracle table are built once, before any section runs, and shared.
+grading and W_K come from the caller's set-up, the one the CLI builds for
+every command; the closed orbits and the blattner section's oracle table
+are built once, before any section runs, and shared.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .blattner import KTypeTable, filtration_table, ktype_table, partition, partition_p
 from .characters import (
@@ -23,9 +24,9 @@ from .characters import (
 )
 from .homology import kostant_table, kostant_via_bgg, schmid_table, schmid_via_trauber
 from .orbits import ClosedOrbit, enumerate_closed_orbits
-from .realform import CompactGrading, KWeylData, build_grading, validate_grading, weyl_k
-from .rootdata import RootSystem, Weight, build_root_system, coroot_pairing
-from .weyl import WeylGroup, act, dot_orbit, generate
+from .realform import CompactGrading, KWeylData, validate_grading
+from .rootdata import RootSystem, Weight, coroot_pairing
+from .weyl import WeylGroup, act, dot_orbit
 
 
 class CheckResult(NamedTuple):
@@ -96,7 +97,7 @@ def _check_weyl_group(ctx: VerifyContext) -> CheckResult:
     for _ in range(5):
         lam = Weight([rng.randint(-6, 6) for _ in range(group.rank)])
         expected = [(act(w, lam - rho) + rho).twice for w in group.elements]
-        if dot_orbit(ctx.rs, group, lam) != expected:
+        if dot_orbit(group, lam) != expected:
             return CheckResult("weyl-group", False, "dot orbit disagrees with the word action")
     return CheckResult("weyl-group", True)
 
@@ -274,20 +275,14 @@ SECTIONS: tuple[tuple[str, Callable[[VerifyContext], CheckResult]], ...] = (
 )
 
 
-def run_verify(
-    cartan: Sequence[Sequence[int]],
-    compact_simple: Sequence[bool],
-) -> list[CheckResult]:
-    """Run every section for one configuration; order of results is fixed.
+def run_verify(grading: CompactGrading, kdata: KWeylData) -> list[CheckResult]:
+    """Run every section on one set-up; order of results is fixed.
 
     The blattner section's oracle table is walked first, so a configuration
     whose walk is refused (``TruncationTooLarge``) fails before any section
     runs; the section then compares the closed formula with that table.
     """
-    rs = build_root_system(cartan)
-    grading = build_grading(rs, tuple(1 if c else -1 for c in compact_simple))
-    group = generate(rs)
-    kdata = weyl_k(rs, grading, group)
+    rs, group = grading.rs, kdata.weyl
     oracle = filtration_table(grading, kdata, *_blattner_case(rs))
     orbits = enumerate_closed_orbits(rs, grading, group, kdata)
     ctx = VerifyContext(

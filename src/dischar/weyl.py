@@ -194,7 +194,7 @@ def act(w: WeylElement, lam: Weight) -> Weight:
     return Weight.from_twice(act_twice(w, lam.twice))
 
 
-def dot_orbit(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[IntVec]:
+def dot_orbit(group: WeylGroup, lam: Weight) -> list[IntVec]:
     """2(w(lam - rho) + rho) for every w, in ``group.elements`` order: 2 lam swept about rho.
 
     The sweep reads the simple reflection records every element of the group shares.

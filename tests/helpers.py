@@ -7,7 +7,8 @@ rebuilds the dense closure.  ``reference_closed_formula`` and
 pruning, stepping or padding, as the reference for the fast one.
 ``solve_root_coords`` is the rational reference for ``RootSystem.root_coords``.
 ``product`` is the general character product, the reference for
-``times_denominator``.
+``times_denominator``.  ``dominant_representative`` lifts
+``rootdata.dominant_twice`` to weights.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from dischar import FormalCharacter, Weight, act
+from dischar.rootdata import dominant_twice
 
 
 def compose(group, a, b):
@@ -64,6 +66,11 @@ def product(x, y):
     small, large = (x, y) if len(x.terms) <= len(y.terms) else (y, x)
     return FormalCharacter((tuple(map(add, w1, w2)), c1 * c2) for w1, c1 in small.terms.items()
                            for w2, c2 in large.terms.items())
+
+
+def dominant_representative(rs, lam):
+    """The dominant weight in the Weyl orbit of ``lam``: ``dominant_twice`` on 2 lam."""
+    return Weight.from_twice(dominant_twice(rs, lam.twice))
 
 
 def scaled(weight, factor):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from dischar import (
     BoxTooLarge,
     DimensionMismatch,
+    NotCompatible,
+    NotStronglyAntidominant,
     ParameterIncompatible,
     PartitionTableTooLarge,
     TruncationTooLarge,
@@ -19,9 +21,7 @@ from dischar import (
     build_grading,
     build_root_system,
     bwb_cohomology,
-    classify_weight,
     coroot_pairing,
-    dominant_representative,
     filtration_oracle,
     filtration_table,
     generate,
@@ -316,9 +316,10 @@ def test_blattner_equals_oracle_a2_mixed(systems, groups):
 
 def test_parameter_incompatible(systems, groups):
     rs, grading, kdata = setup(systems, groups, "A2", (1, -1))
-    with pytest.raises(ParameterIncompatible):
+    # lam is refused by the Schmid check, nu by the Blattner layer's own
+    with pytest.raises(NotCompatible, match=r"^lam \+ rho must be integral$"):
         blattner_multiplicity(grading, kdata, Weight((Fraction(-3, 2), -1)), Weight((-1, -1)))
-    with pytest.raises(ParameterIncompatible):
+    with pytest.raises(NotStronglyAntidominant):
         blattner_multiplicity(grading, kdata, Weight((0, -1)), Weight((-1, -1)))
     # a half-integral pairing is refused whatever its sign
     refused = [((Fraction(1, 2), 0), "integrally"), ((Fraction(-1, 2), 0), "integrally"),
@@ -461,12 +462,15 @@ def test_size_limits_admit_their_bound(monkeypatch, systems, groups):
 
 
 WRONG_RANK = {
-    "dominant_representative rank 1": (
-        lambda rs, grading, kdata: dominant_representative(rs, Weight((-1,))),
+    # the box has the right rank, so the lam check is the one that refuses
+    "ktype_table": (
+        lambda rs, grading, kdata: ktype_table(grading, kdata, Weight((-1,)), ((-1, -1), (0, 0))),
         "^rank 1 weight in rank 2 system$",
     ),
-    "dominant_representative rank 3": (
-        lambda rs, grading, kdata: dominant_representative(rs, Weight((-1, 0, 5))),
+    "filtration_oracle": (
+        lambda rs, grading, kdata: filtration_oracle(
+            grading, kdata, Weight((-1, 0, 5)), Weight((-1, -1))
+        ),
         "^rank 3 weight in rank 2 system$",
     ),
     "KWeylData.orbit": (
@@ -484,10 +488,6 @@ WRONG_RANK = {
     "RootSystem.root_coords": (
         lambda rs, grading, kdata: rs.root_coords((2, 0, 0)),
         "^rank 3 weight in rank 2 system$",
-    ),
-    "classify_weight": (
-        lambda rs, grading, kdata: classify_weight(rs, Weight((-1,))),
-        "^rank 1 weight in rank 2 system$",
     ),
     "_check_nu": (
         lambda rs, grading, kdata: _check_nu(grading, Weight((-1, 0, 5))),

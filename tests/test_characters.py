@@ -25,7 +25,7 @@ from dischar import (
     weyl_numerator,
 )
 from tests.conftest import CARTAN
-from tests.helpers import product
+from tests.helpers import dominant_representative, product
 
 
 def test_ring_basics():
@@ -175,7 +175,7 @@ def test_freudenthal_b2_small(systems):
 
 def test_freudenthal_dimension_against_weyl_dim_formula(systems, extra_systems):
     # the product systems pin the coroot form's scale on each simple factor
-    from dischar import coroot_pairing, dominant_representative
+    from dischar import coroot_pairing
 
     def weyl_dim(rs, lam_lowest):
         high = dominant_representative(rs, lam_lowest)

@@ -116,7 +116,7 @@ def test_schmid_orbit_out_of_range():
 def test_character_denominator_sorted():
     from fractions import Fraction
 
-    code, output = run("character", parse_config(A2_MIXED), which="denominator")
+    code, output = run("character", parse_config(A2_MIXED)._replace(which="denominator"))
     assert code == 0
     terms = json.loads(output)["terms"]
     weights = [tuple(Fraction(c) for c in t["weight"]) for t in terms]
@@ -125,7 +125,7 @@ def test_character_denominator_sorted():
 
 
 def test_character_discrete_records_sign():
-    code, output = run("character", parse_config(A2_MIXED), which="discrete")
+    code, output = run("character", parse_config(A2_MIXED)._replace(which="discrete"))
     assert code == 0
     data = json.loads(output)
     assert data["sign"] == 1  # q = 2
@@ -133,7 +133,7 @@ def test_character_discrete_records_sign():
 
 
 def test_blattner_tsv_with_oracle():
-    code, output = run("blattner", parse_config(A1_NC), fmt="tsv", with_oracle=True)
+    code, output = run("blattner", parse_config(A1_NC)._replace(with_oracle=True), fmt="tsv")
     assert code == 0
     lines = output.strip().split("\n")
     assert lines[0] == "nu\tmultiplicity\toracle"
@@ -141,7 +141,7 @@ def test_blattner_tsv_with_oracle():
 
 
 def test_blattner_json_types():
-    code, output = run("blattner", parse_config(A1_NC), with_oracle=True)
+    code, output = run("blattner", parse_config(A1_NC)._replace(with_oracle=True))
     assert code == 0
     entries = json.loads(output)
     assert {"nu": ["-3"], "multiplicity": 1, "oracle": 1} in entries
@@ -387,7 +387,7 @@ def test_blattner_checks_lambda_on_an_empty_box(tmp_path, capsys):
         outputs.append(json.loads(capsys.readouterr().out.strip()))
     assert outputs[0] == outputs[1]
     assert outputs[0] == {
-        "error": "ParameterIncompatible", "message": "lam must be regular antidominant"
+        "error": "NotStronglyAntidominant", "message": "parameter must be strongly antidominant"
     }
 
 

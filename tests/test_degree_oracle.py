@@ -25,7 +25,6 @@ from dischar import (
     Weight,
     build_grading,
     build_root_system,
-    dominant_representative,
     enumerate_closed_orbits,
     generate,
     kostant_table,
@@ -36,6 +35,7 @@ from dischar import (
 )
 from dischar.verify import _schmid_sweep, _weyl_sweep
 from tests.conftest import CARTAN, EXTRA_CARTAN
+from tests.helpers import dominant_representative
 
 NAMES = sorted(CARTAN) + ["D4"]
 

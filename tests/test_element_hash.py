@@ -56,7 +56,7 @@ def _configs():
 def _command_outputs():
     return {
         (name, config.compact_simple, command, which): run(
-            command, config, which=which, with_oracle=oracle
+            command, config._replace(which=which, with_oracle=oracle)
         )
         for name, config in _configs()
         for command, which, oracle in COMMAND_RUNS

@@ -16,10 +16,10 @@ EXPORTS = (
     "KWeylData", "NotAntidominant", "NotCompatible", "NotFiniteType", "NotIntegral",
     "NotStronglyAntidominant", "ParameterIncompatible", "PartitionTableTooLarge",
     "Root", "RootSystem", "Stratum", "TruncationTooLarge", "ValidationError",
-    "Weight", "WeightFlags", "WeylElement", "WeylGroup", "act",
+    "Weight", "WeylElement", "WeylGroup", "act",
     "bgg_terms", "blattner_multiplicity", "build_grading", "build_root_system",
-    "bwb_cohomology", "classify_weight", "collapse", "coroot_pairing",
-    "discrete_numerator", "dominant_representative", "enumerate_closed_orbits",
+    "bwb_cohomology", "collapse", "coroot_pairing",
+    "discrete_numerator", "enumerate_closed_orbits",
     "euler_character", "filtration_oracle", "filtration_table",
     "freudenthal_character", "generate", "kostant_table", "kostant_via_bgg",
     "ktype_table", "orbit_strata", "partition", "partition_p",

@@ -109,13 +109,14 @@ PINS = [
       "weyl.act_twice"}),
 ]
 
-# what the two Blattner paths share on purpose besides the root_coords
-# method: the parameter checks, the box and the result record
+# what the two Blattner paths share on purpose in their own module besides
+# the root_coords method: the nu check, the box and the result record (the
+# lam check is rootdata.check_schmid_parameter, the Schmid layer's own)
 SHARED = [
     (("filtration_table", "ktype_table"),
-     blattner("_check_lambda", "_box_points", "KTypeTable")),
+     blattner("_box_points", "KTypeTable")),
     (("filtration_oracle", "blattner_multiplicity"),
-     blattner("_check_lambda", "_check_nu")),
+     blattner("_check_nu")),
 ]
 
 

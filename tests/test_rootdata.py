@@ -14,12 +14,10 @@ from dischar import (
     Weight,
     act,
     build_root_system,
-    classify_weight,
     coroot_pairing,
-    dominant_representative,
 )
 from tests.conftest import CARTAN, EXTRA_CARTAN
-from tests.helpers import lattice_coords, scaled, solve_root_coords
+from tests.helpers import dominant_representative, lattice_coords, scaled, solve_root_coords
 from tests.matrix_oracle import word_matrix
 
 
@@ -178,36 +176,6 @@ def test_coroot_pairing_examples(systems):
 def test_coroot_pairing_dimension_mismatch(systems):
     with pytest.raises(DimensionMismatch):
         coroot_pairing(systems["A1"].positive_roots[0], Weight((1, 2)))
-
-
-def test_classify_weight_examples(systems):
-    a1, a2 = systems["A1"], systems["A2"]
-    zero = classify_weight(a2, Weight.zero(2))
-    assert (zero.regular, zero.antidominant, zero.strongly_antidominant, zero.integral) == (
-        False,
-        True,
-        False,
-        True,
-    )
-    neg = classify_weight(a1, Weight((-2,)))
-    assert (neg.regular, neg.antidominant, neg.strongly_antidominant, neg.integral) == (
-        True,
-        True,
-        True,
-        True,
-    )
-    assert not classify_weight(a2, a2.rho).antidominant
-
-
-def test_classify_weight_non_integral(systems):
-    flags = classify_weight(systems["A1"], Weight((Fraction(-1, 2),)))
-    assert not flags.integral
-    assert flags.antidominant and flags.regular and flags.strongly_antidominant
-    # a positive pairing that is not an integer leaves the weight antidominant
-    for half in (Fraction(1, 2), Fraction(3, 2)):
-        flags = classify_weight(systems["A1"], Weight((half,)))
-        assert flags.antidominant and flags.regular and not flags.strongly_antidominant
-    assert not classify_weight(systems["A1"], Weight((1,))).antidominant
 
 
 def test_weight_arithmetic():

@@ -2,10 +2,25 @@ import re
 
 import pytest
 
-from dischar import TruncationTooLarge, generate, verify, weyl_k
+from dischar import (
+    TruncationTooLarge,
+    build_grading,
+    build_root_system,
+    cli,
+    generate,
+    verify,
+    weyl_k,
+)
 from dischar.cli import parse_config, run
-from dischar.verify import SECTIONS, run_verify
+from dischar.verify import SECTIONS
 from tests.helpers import solve_root_coords
+
+
+def run_verify(cartan, compact_simple):
+    """``verify.run_verify`` on the set-up the CLI builds for a configuration."""
+    rs = build_root_system(cartan)
+    grading = build_grading(rs, tuple(1 if c else -1 for c in compact_simple))
+    return verify.run_verify(grading, weyl_k(rs, grading, generate(rs)))
 
 
 def test_all_sections_pass_on_reference_configs():
@@ -67,7 +82,7 @@ def test_weyl_group_section_counts_inversions(monkeypatch):
         group.elements[3].length += 2  # s1*s2 in A2, parity kept
         return group
 
-    monkeypatch.setattr(verify, "generate", corrupted)
+    monkeypatch.setattr(cli, "generate", corrupted)
     code, out = run("verify", parse_config({"cartan": [[2, -1], [-1, 2]],
                                             "compact_simple": [True, False]}))
     assert code == 2
@@ -93,7 +108,7 @@ def test_grading_section_counts_compact_inversions(monkeypatch):
         kdata = weyl_k(rs, grading, group)
         return kdata._replace(lengthK=(0, 3))  # s1 in A2 with alpha1 compact, parity kept
 
-    monkeypatch.setattr(verify, "weyl_k", corrupted)
+    monkeypatch.setattr(cli, "weyl_k", corrupted)
     code, out = run("verify", parse_config({"cartan": [[2, -1], [-1, 2]],
                                             "compact_simple": [True, False]}))
     assert code == 2

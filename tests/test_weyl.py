@@ -125,7 +125,7 @@ def test_dot_orbit_matches_act_elementwise(name, dot_cases, data):
     rs, W = dot_cases[name]
     # lam anywhere in (1/2)Z^rank, drawn as its doubled coordinates
     lam = Weight.from_twice(data.draw(st.tuples(*[st.integers(-15, 15)] * rs.rank)))
-    images = dot_orbit(rs, W, lam)
+    images = dot_orbit(W, lam)
     assert len(images) == W.order
     for w, image in zip(W.elements, images):
         assert image == (act(w, lam - rs.rho) + rs.rho).twice
@@ -144,25 +144,25 @@ def test_dot_orbit_matches_the_matrix_oracle(name, dot_cases):
         shifted = tuple(c - 2 for c in twice)  # 2 (lam - rho)
         images = [apply(matrices[w.reduced_word], shifted) for w in W.elements]
         expected = [tuple(c + 2 for c in v) for v in images]
-        assert dot_orbit(rs, W, Weight.from_twice(twice)) == expected
+        assert dot_orbit(W, Weight.from_twice(twice)) == expected
 
 
 def test_dot_orbit_dimension_mismatch(systems, groups):
     with pytest.raises(DimensionMismatch):
-        dot_orbit(systems["A2"], groups["A2"], Weight((1,)))
+        dot_orbit(groups["A2"], Weight((1,)))
 
 
 def test_dot_orbit_reuses_the_group_reflections(monkeypatch, systems, groups):
     # the records are built once, by generate; dot_orbit builds none of its own
     rs, W = systems["B3"], groups["B3"]
     lam = Weight((-2, 1, -3))
-    expected = dot_orbit(rs, W, lam)
+    expected = dot_orbit(W, lam)
 
     def refuse(beta):
         raise AssertionError("dot_orbit rebuilt a reflection record")
 
     monkeypatch.setattr(dischar.weyl, "reflection", refuse)
-    assert dot_orbit(rs, W, lam) == expected
+    assert dot_orbit(W, lam) == expected
     with pytest.raises(AssertionError, match="rebuilt"):
         generate(rs)
 
