@@ -60,7 +60,7 @@ _EXPORTS = {
         "schmid_via_trauber",
         "trauber_terms",
     ),
-    "orbits": ("ClosedOrbit", "Stratum", "enumerate_closed_orbits", "orbit_strata"),
+    "orbits": ("ClosedOrbit", "enumerate_closed_orbits"),
     "realform": ("CompactGrading", "KWeylData", "build_grading", "validate_grading", "weyl_k"),
     "rootdata": (
         "Root",

@@ -54,14 +54,13 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BoxTooLarge,
-    DimensionMismatch,
     InvariantViolation,
     ParameterIncompatible,
     PartitionTableTooLarge,
     TruncationTooLarge,
 )
 from .realform import CompactGrading, KWeylData
-from .rootdata import Weight, check_schmid_parameter
+from .rootdata import Weight, check_rank, check_schmid_parameter
 
 IntVec = tuple[int, ...]
 Box = tuple[Sequence[Rational], Sequence[Rational]]
@@ -193,8 +192,7 @@ def bwb_cohomology(
     l_K(w) steps and ends in the closed antidominant chamber, where eta is
     singular exactly when it pairs to zero with a simple compact coroot.
     """
-    if eta.rank != grading.rs.rank:
-        raise DimensionMismatch(f"rank {eta.rank} weight in rank {grading.rs.rank} system")
+    check_rank(grading.rs, eta)
     simple = [(alpha.coroot_coords, alpha.fw_coords) for alpha in kdata.simpleK]
     # the walk runs on 2 eta, which pairs with the same signs and reflects
     # the same way
@@ -217,8 +215,7 @@ def bwb_cohomology(
 
 
 def _check_nu(grading: CompactGrading, nu: Weight) -> None:
-    if nu.rank != grading.rs.rank:
-        raise DimensionMismatch(f"rank {nu.rank} weight in rank {grading.rs.rank} system")
+    check_rank(grading.rs, nu)
     for alpha in grading.compact_positive:
         twice = sum(map(mul, alpha.coroot_coords, nu.twice))  # 2 <alpha-check, nu>
         if twice & 1:

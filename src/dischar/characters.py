@@ -15,7 +15,7 @@ with ``RootSystem.root_coords`` and the coroot form of :func:`_gram`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from itertools import chain
 from operator import add, mul, sub
 from typing import TYPE_CHECKING
@@ -50,10 +50,10 @@ class FormalCharacter:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[IntVec, int] | Iterable[tuple[IntVec, int]]) -> None:
-        """Sum ``terms``, a mapping or (2 weight, coeff) pairs, dropping zero sums."""
+    def __init__(self, terms: Iterable[tuple[IntVec, int]]) -> None:
+        """Sum ``terms``, (2 weight, coeff) pairs, dropping zero sums."""
         out: dict[IntVec, int] = {}
-        for w, c in terms.items() if isinstance(terms, Mapping) else terms:
+        for w, c in terms:
             value = out.get(w, 0) + c
             if value:
                 out[w] = value
@@ -63,7 +63,7 @@ class FormalCharacter:
 
     @classmethod
     def one(cls, rank: int) -> "FormalCharacter":
-        return cls({(0,) * rank: 1})
+        return cls([((0,) * rank, 1)])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FormalCharacter) and self.terms == other.terms
@@ -110,7 +110,7 @@ def weyl_denominator(rs: RootSystem, group: WeylGroup) -> FormalCharacter:
 
 def weyl_numerator(rs: RootSystem, group: WeylGroup, lam: Weight) -> FormalCharacter:
     """Alternating sum of e^{w(lam - rho) + rho} over the full Weyl group: 2 lam swept about rho."""
-    check_kostant_parameter(rs, lam, "numerator parameter")
+    check_kostant_parameter(rs, lam)
     return FormalCharacter(zip(dot_orbit(group, lam),
                                [-1 if w.length % 2 else 1 for w in group.elements]))
 
@@ -160,7 +160,7 @@ def freudenthal_character(rs: RootSystem, lam_lowest: Weight) -> FormalCharacter
     Weyl numerator or the partition functions, so it can act as an
     independent oracle against both.
     """
-    check_kostant_parameter(rs, lam_lowest, "lowest weight")
+    check_kostant_parameter(rs, lam_lowest)
 
     high = dominant_twice(rs, lam_lowest.twice)
     support = _weight_support(rs, high)

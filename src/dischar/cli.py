@@ -25,7 +25,7 @@ from .errors import (
     ParameterIncompatible,
     ValidationError,
 )
-from .orbits import enumerate_closed_orbits, orbit_strata
+from .orbits import enumerate_closed_orbits
 from .realform import CompactGrading, KWeylData, build_grading, weyl_k
 from .rootdata import Weight, build_root_system
 from .weyl import generate
@@ -173,8 +173,9 @@ def _orbits(grading: CompactGrading, kdata: KWeylData, config: JobConfig) -> Ren
         u = orbit.u.word_str()
         signs = ["+" if orbit.u.rho_pairing(a) > 0 else "-" for a in rs.simple_roots]
         strata = [
-            {"w": s.w.word_str(), "cell": s.cell.word_str(), "dim": s.dim}
-            for s in orbit_strata(orbit)
+            {"w": w.word_str(), "cell": cell.word_str(), "dim": dim}
+            for dim, cell, w in sorted(zip(kdata.lengthK, orbit.cells, kdata.elements),
+                                       key=lambda s: (s[0], s[1].reduced_word))
         ]
         payload.append(
             {"u": u, "u_rho": Weight(orbit.u.rho_image).serialize(), "simple_signs": signs,

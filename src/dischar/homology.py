@@ -9,11 +9,11 @@ rule that recovers each table from its resolution one term at a time.
 
 The whole-group sweeps (Kostant table, BGG terms) take their weights from
 ``weyl.dot_orbit``, one simple reflection per element.  The W_K sweeps
-(Schmid table, Trauber terms) read the cells w*u and l_K(w) off the
-orbit's strata, which are stored in ``kdata.elements`` order (``_cells``
-zips the two by position), rather than multiplying them out again, so the
-orbit must come from the same W_K; the weights w(u(lam)) + rho come from
-one W_K sweep of u(lam) + rho about rho (``weyl.sweep``).
+(Schmid table, Trauber terms) read the cells w*u off the orbit, which
+stores them in ``kdata.elements`` order, and l_K(w) off ``kdata.lengthK``
+(``_cells`` zips the two by position), rather than multiplying them out
+again, so the orbit must come from the same W_K; the weights w(u(lam)) + rho
+come from one W_K sweep of u(lam) + rho about rho (``weyl.sweep``).
 
 ``collapse`` reads the (position, degree, weight) triples exactly as the
 two indexers return them.  Each term carries a single weight, so the rule
@@ -61,7 +61,7 @@ class HomologyTable(NamedTuple):
 def kostant_table(rs: RootSystem, group: WeylGroup, lam: Weight) -> HomologyTable:
     """Homology of the finite-dimensional module with lowest weight ``lam``:
     degree l(w) carries 2(w(lam - rho) + rho)."""
-    check_kostant_parameter(rs, lam, "parameter")
+    check_kostant_parameter(rs, lam)
     return HomologyTable.from_entries(zip([w.length for w in group.elements],
                                           dot_orbit(group, lam)))
 
@@ -70,16 +70,16 @@ def _cells(grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit,
            lam: Weight) -> list[tuple[int, int, IntVec]]:
     """(l(w*u), l_K(w), 2(w*u(lam) + rho)) for every w in W_K, in W_K order.
 
-    The cells come off the orbit's strata, whose k-th entry must belong to
-    ``kdata.elements[k]``: at once when enumerated under this very tuple, else
-    compared by w(rho).  The weights are one W_K sweep of u(lam) + rho about rho.
+    The orbit's k-th cell must belong to ``kdata.elements[k]``: at once when
+    enumerated under this very tuple, else compared by w(rho).  The weights are
+    one W_K sweep of u(lam) + rho about rho.
     """
     if orbit.elements is not kdata.elements and (
-            [s.w.rho_image for s in orbit.strata] != [w.rho_image for w in kdata.elements]):
+            [w.rho_image for w in orbit.elements] != [w.rho_image for w in kdata.elements]):
         raise ParameterIncompatible("orbit strata are not indexed by the elements of W_K")
     start = tuple(map(add, act_twice(orbit.u, lam.twice), grading.rs.rho.twice))
     images = sweep(kdata.reflections, kdata.tree, start, True)
-    return [(s.cell.length, s.dim, v) for s, v in zip(orbit.strata, images)]
+    return [(cell.length, dim, v) for cell, dim, v in zip(orbit.cells, kdata.lengthK, images)]
 
 
 def schmid_table(grading: CompactGrading, kdata: KWeylData, orbit: ClosedOrbit,
@@ -101,7 +101,7 @@ def bgg_terms(rs: RootSystem, group: WeylGroup, lam: Weight) -> list[tuple[int, 
     W(dim X - p) sits at position p; each term is concentrated in degree
     dim X with weight w(lam - rho) + rho.
     """
-    check_kostant_parameter(rs, lam, "parameter")
+    check_kostant_parameter(rs, lam)
     dim_x = len(rs.positive_roots)
     return [(dim_x - w.length, dim_x, weight)
             for w, weight in zip(group.elements, dot_orbit(group, lam))]

@@ -32,7 +32,6 @@ class CompactGrading(NamedTuple):
 
     rs: RootSystem
     simple_signs: tuple[int, ...]
-    sign_by_root: Mapping[Root, int]
     compact_positive: tuple[Root, ...]
     noncompact_positive: tuple[Root, ...]
     rho_c: Weight
@@ -84,21 +83,17 @@ def build_grading(rs: RootSystem, simple_signs: Sequence[int]) -> CompactGrading
     if any(s not in (1, -1) for s in signs):
         raise IncompleteAssignment("simple signs must be +1 or -1")
 
-    sign_by_root = {}
+    compact, noncompact = [], []
     for root in rs.positive_roots:
         odd = sum(n for n, s in zip(root.root_coords, signs) if s == -1)
-        sign_by_root[root] = -1 if odd % 2 else 1
-
-    compact = tuple(r for r in rs.positive_roots if sign_by_root[r] == 1)
-    noncompact = tuple(r for r in rs.positive_roots if sign_by_root[r] == -1)
+        (noncompact if odd % 2 else compact).append(root)
     # 2 rho_c is the sum of the compact positive roots
     rho_c = Weight.from_twice(tuple(sum(r.fw_coords[i] for r in compact) for i in range(rs.rank)))
     return CompactGrading(
         rs=rs,
         simple_signs=signs,
-        sign_by_root=sign_by_root,
-        compact_positive=compact,
-        noncompact_positive=noncompact,
+        compact_positive=tuple(compact),
+        noncompact_positive=tuple(noncompact),
         rho_c=rho_c,
         rho_n=rs.rho - rho_c,
         q=len(noncompact),

@@ -322,21 +322,21 @@ def coroot_pairing(alpha: Root, lam: Weight) -> int | Fraction:
     return _half(sum(map(mul, alpha.coroot_coords, lam.twice)))
 
 
-def _check_rank(rs: RootSystem, lam: Weight) -> None:
+def check_rank(rs: RootSystem, lam: Weight) -> None:
     if lam.rank != rs.rank:
         raise DimensionMismatch(f"rank {lam.rank} weight in rank {rs.rank} system")
 
 
-def check_kostant_parameter(rs: RootSystem, lam: Weight, noun: str) -> None:
-    """Require ``lam`` integral and antidominant; ``noun`` names it in the error.
+def check_kostant_parameter(rs: RootSystem, lam: Weight) -> None:
+    """Require ``lam`` integral and antidominant.
 
     The coordinates decide it: each positive coroot is a nonnegative sum of simple coroots.
     """
-    _check_rank(rs, lam)
+    check_rank(rs, lam)
     if not lam.is_integral():
-        raise NotIntegral(f"{noun} must be integral")
+        raise NotIntegral("parameter must be integral")
     if max(lam.twice, default=0) > 0:
-        raise NotAntidominant(f"{noun} must be antidominant")
+        raise NotAntidominant("parameter must be antidominant")
 
 
 def check_schmid_parameter(rs: RootSystem, lam: Weight) -> None:
@@ -346,7 +346,7 @@ def check_schmid_parameter(rs: RootSystem, lam: Weight) -> None:
     numerator and the Blattner layer all take it.  For an integral ``lam``,
     strongly antidominant is regular antidominant.
     """
-    _check_rank(rs, lam)
+    check_rank(rs, lam)
     if max(lam.twice, default=-1) >= 0:
         raise NotStronglyAntidominant("parameter must be strongly antidominant")
     if not lam.is_integral():  # rho = (1,...,1) is integral

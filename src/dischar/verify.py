@@ -26,7 +26,7 @@ from .homology import kostant_table, kostant_via_bgg, schmid_table, schmid_via_t
 from .orbits import ClosedOrbit, enumerate_closed_orbits
 from .realform import CompactGrading, KWeylData, validate_grading
 from .rootdata import RootSystem, Weight, coroot_pairing
-from .weyl import WeylGroup, act, dot_orbit
+from .weyl import act, dot_orbit
 
 
 class CheckResult(NamedTuple):
@@ -36,8 +36,6 @@ class CheckResult(NamedTuple):
 
 
 class VerifyContext(NamedTuple):
-    rs: RootSystem
-    group: WeylGroup
     grading: CompactGrading
     kdata: KWeylData
     orbits: list[ClosedOrbit]
@@ -46,7 +44,7 @@ class VerifyContext(NamedTuple):
 
 
 def _check_root_system(ctx: VerifyContext) -> CheckResult:
-    rs = ctx.rs
+    rs = ctx.grading.rs
     positive = set(rs.positive_roots)
     for alpha in rs.positive_roots:
         if coroot_pairing(alpha, alpha.weight()) != 2:
@@ -78,9 +76,9 @@ def _check_root_system(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_weyl_group(ctx: VerifyContext) -> CheckResult:
-    group = ctx.group
+    rs, group = ctx.grading.rs, ctx.kdata.weyl
     for w in group.elements:  # l(w) = #{alpha > 0 : <alpha-check, w rho> < 0}
-        if sum(w.rho_pairing(alpha) < 0 for alpha in ctx.rs.positive_roots) != w.length:
+        if sum(w.rho_pairing(alpha) < 0 for alpha in rs.positive_roots) != w.length:
             detail = f"word length of {w.word_str()} disagrees with its inversion count"
             return CheckResult("weyl-group", False, detail)
     fiber_sizes = Counter(w.length for w in group.elements)
@@ -89,7 +87,7 @@ def _check_weyl_group(ctx: VerifyContext) -> CheckResult:
         return CheckResult("weyl-group", False, "length fibers do not cover the group")
     if fibers != fibers[::-1]:
         return CheckResult("weyl-group", False, "length generating function not palindromic")
-    rho = ctx.rs.rho
+    rho = rs.rho
     for w in group.elements:  # a product that fixes the regular rho is 1
         if act(group.inverse(w), Weight(w.rho_image)) != rho:
             return CheckResult("weyl-group", False, "inverse action roundtrip failed")
@@ -104,13 +102,15 @@ def _check_weyl_group(ctx: VerifyContext) -> CheckResult:
 
 def _check_grading(ctx: VerifyContext) -> CheckResult:
     grading, kdata = ctx.grading, ctx.kdata
-    if not validate_grading(ctx.rs, dict(grading.sign_by_root)):
+    signs = {**dict.fromkeys(grading.compact_positive, 1),
+             **dict.fromkeys(grading.noncompact_positive, -1)}
+    if not validate_grading(grading.rs, signs):
         return CheckResult("grading", False, "derived grading is not multiplicative")
-    if grading.rho_c + grading.rho_n != ctx.rs.rho:
+    if grading.rho_c + grading.rho_n != grading.rs.rho:
         return CheckResult("grading", False, "rho_c + rho_n differs from rho")
     if grading.q != len(grading.noncompact_positive):
         return CheckResult("grading", False, "q mismatch")
-    if ctx.group.order % kdata.order != 0:
+    if kdata.weyl.order % kdata.order != 0:
         return CheckResult("grading", False, "|W| not divisible by |W_K|")
     for alpha in kdata.simpleK:
         if coroot_pairing(alpha, grading.rho_c) != 1:
@@ -127,10 +127,10 @@ def _check_grading(ctx: VerifyContext) -> CheckResult:
 
 def _check_orbits(ctx: VerifyContext) -> CheckResult:
     grading, kdata, orbits = ctx.grading, ctx.kdata, ctx.orbits
-    if len(orbits) * kdata.order != ctx.group.order:
+    if len(orbits) * kdata.order != kdata.weyl.order:
         return CheckResult("orbits", False, "orbit count differs from |W|/|W_K|")
-    cells = [s.cell.rho_image for orbit in orbits for s in orbit.strata]
-    if len(cells) != ctx.group.order or set(cells) != ctx.group.by_rho.keys():
+    cells = [cell.rho_image for orbit in orbits for cell in orbit.cells]
+    if len(cells) != kdata.weyl.order or set(cells) != kdata.weyl.by_rho.keys():
         return CheckResult("orbits", False, "strata cells do not partition W")
     for orbit in orbits:
         if not all(orbit.u.rho_pairing(a) > 0 for a in grading.compact_positive):
@@ -146,10 +146,11 @@ def _weyl_sweep(rs: RootSystem) -> list[Weight]:
 
 
 def _check_weyl_identity(ctx: VerifyContext) -> CheckResult:
-    weyl_denominator(ctx.rs, ctx.group)  # raises unless the product and the W-sum agree
-    for lam in _weyl_sweep(ctx.rs):
-        num = weyl_numerator(ctx.rs, ctx.group, lam)
-        if times_denominator(ctx.rs, freudenthal_character(ctx.rs, lam)) != num:
+    rs, group = ctx.grading.rs, ctx.kdata.weyl
+    weyl_denominator(rs, group)  # raises unless the product and the W-sum agree
+    for lam in _weyl_sweep(rs):
+        num = weyl_numerator(rs, group, lam)
+        if times_denominator(rs, freudenthal_character(rs, lam)) != num:
             return CheckResult(
                 "weyl-identity", False, f"character identity fails at {lam.serialize()}"
             )
@@ -157,15 +158,16 @@ def _check_weyl_identity(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_kostant(ctx: VerifyContext) -> CheckResult:
-    fiber_sizes = Counter(w.length for w in ctx.group.elements)
-    for lam in _weyl_sweep(ctx.rs):
-        table = kostant_table(ctx.rs, ctx.group, lam)
+    rs, group = ctx.grading.rs, ctx.kdata.weyl
+    fiber_sizes = Counter(w.length for w in group.elements)
+    for lam in _weyl_sweep(rs):
+        table = kostant_table(rs, group, lam)
         for p, row in table.rows.items():
             if len(row) != fiber_sizes[p]:
                 return CheckResult("kostant", False, "row size differs from |W(p)|")
-        if euler_character(table) != weyl_numerator(ctx.rs, ctx.group, lam):
+        if euler_character(table) != weyl_numerator(rs, group, lam):
             return CheckResult("kostant", False, "Euler characteristic mismatch")
-        if kostant_via_bgg(ctx.rs, ctx.group, lam) != table:
+        if kostant_via_bgg(rs, group, lam) != table:
             return CheckResult("kostant", False, "BGG pipeline mismatch")
     return CheckResult("kostant", True)
 
@@ -180,7 +182,7 @@ def _schmid_sweep(rs: RootSystem) -> list[Weight]:
 
 def _check_schmid(ctx: VerifyContext) -> CheckResult:
     grading, kdata, orbits = ctx.grading, ctx.kdata, ctx.orbits
-    for lam in _schmid_sweep(ctx.rs):
+    for lam in _schmid_sweep(grading.rs):
         for orbit in orbits:
             table = schmid_table(grading, kdata, orbit, lam)
             if table.total_multiplicity() != kdata.order:
@@ -194,7 +196,7 @@ def _check_schmid(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_partitions(ctx: VerifyContext) -> CheckResult:
-    grading, rs = ctx.grading, ctx.rs
+    grading, rs = ctx.grading, ctx.grading.rs
     noncompact = [r.root_coords for r in grading.noncompact_positive]
 
     def enumerate_count(target: tuple[int, ...], parts: int | None) -> int:
@@ -251,7 +253,7 @@ def _blattner_case(rs: RootSystem) -> tuple[Weight, tuple[tuple[int, ...], tuple
 
 
 def _check_blattner(ctx: VerifyContext) -> CheckResult:
-    closed = ktype_table(ctx.grading, ctx.kdata, *_blattner_case(ctx.rs)).entries
+    closed = ktype_table(ctx.grading, ctx.kdata, *_blattner_case(ctx.grading.rs)).entries
     oracle = ctx.blattner_oracle.entries
     for nu in sorted(closed.keys() | oracle.keys()):
         value = closed.get(nu, 0)
@@ -282,10 +284,7 @@ def run_verify(grading: CompactGrading, kdata: KWeylData) -> list[CheckResult]:
     whose walk is refused (``TruncationTooLarge``) fails before any section
     runs; the section then compares the closed formula with that table.
     """
-    rs, group = grading.rs, kdata.weyl
-    oracle = filtration_table(grading, kdata, *_blattner_case(rs))
-    orbits = enumerate_closed_orbits(rs, grading, group, kdata)
-    ctx = VerifyContext(
-        rs=rs, group=group, grading=grading, kdata=kdata, orbits=orbits, blattner_oracle=oracle
-    )
+    oracle = filtration_table(grading, kdata, *_blattner_case(grading.rs))
+    orbits = enumerate_closed_orbits(grading.rs, grading, kdata.weyl, kdata)
+    ctx = VerifyContext(grading=grading, kdata=kdata, orbits=orbits, blattner_oracle=oracle)
     return [check(ctx) for _name, check in SECTIONS]

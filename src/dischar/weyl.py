@@ -152,7 +152,6 @@ class WeylGroup(NamedTuple):
 
     rank: int
     elements: tuple[WeylElement, ...]
-    order: int
     by_rho: Mapping[IntVec, WeylElement]
     tree: Tree
 
@@ -162,6 +161,10 @@ class WeylGroup(NamedTuple):
             f"WeylGroup(rank={self.rank!r}, elements={self.elements!r}, "
             f"order={self.order!r})"
         )
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
     @property
     def longest(self) -> WeylElement:
@@ -236,5 +239,5 @@ def generate(rs: RootSystem) -> WeylGroup:
     if len(images) != order:
         raise InvariantViolation(f"closure has {len(images)} elements, predicted {order}")
     elements = tuple([WeylElement(image, word, simple) for image, word in zip(images, words)])
-    return WeylGroup(rank=rs.rank, elements=elements, order=order,
+    return WeylGroup(rank=rs.rank, elements=elements,
                      by_rho=dict(zip(images, elements)), tree=tree)

@@ -8,7 +8,8 @@ pruning, stepping or padding, as the reference for the fast one.
 ``solve_root_coords`` is the rational reference for ``RootSystem.root_coords``.
 ``product`` is the general character product, the reference for
 ``times_denominator``.  ``dominant_representative`` lifts
-``rootdata.dominant_twice`` to weights.
+``rootdata.dominant_twice`` to weights.  ``sign_by_root`` is a grading's
+compact/noncompact split as a +1/-1 map on the positive roots.
 """
 
 import itertools
@@ -23,6 +24,13 @@ from dischar.rootdata import dominant_twice
 def compose(group, a, b):
     """The element of ``group`` equal to a after b: a(b(rho)) looked up in ``by_rho``."""
     return group.by_rho[act(a, Weight(b.rho_image)).coords]
+
+
+def sign_by_root(grading):
+    """+1 on each compact positive root and -1 on each noncompact one."""
+    signs = dict.fromkeys(grading.compact_positive, 1)
+    signs.update(dict.fromkeys(grading.noncompact_positive, -1))
+    return signs
 
 
 def simple_reflections(group):

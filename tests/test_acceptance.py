@@ -40,7 +40,7 @@ from dischar import (
     weyl_numerator,
 )
 from tests.conftest import CARTAN
-from tests.helpers import length_fiber, product, scaled
+from tests.helpers import length_fiber, product, scaled, sign_by_root
 
 SWEEP_LAMBDAS = {
     "A1": [(0,), (-1,), (-2,), (-3,), (-4,)],
@@ -112,7 +112,7 @@ def test_criterion_3_orbit_combinatorics(built):
             kdata = weyl_k(rs, grading, W)
             orbits = enumerate_closed_orbits(rs, grading, W, kdata)
             assert len(orbits) * kdata.order == W.order
-            cells = [s.cell for orbit in orbits for s in orbit.strata]
+            cells = [cell for orbit in orbits for cell in orbit.cells]
             assert len(cells) == W.order
             assert set(cells) == set(W.elements)
     elapsed = time.monotonic() - start
@@ -276,12 +276,12 @@ def test_criterion_8_grading_validity(built):
         rs = systems[name]
         for signs in itertools.product((1, -1), repeat=rs.rank):
             generated = build_grading(rs, signs)
-            assert validate_grading(rs, dict(generated.sign_by_root)) is True
+            assert validate_grading(rs, sign_by_root(generated)) is True
         for _ in range(500):
             assignment = {r: rng.choice((1, -1)) for r in rs.positive_roots}
             derived = build_grading(rs, tuple(assignment[a] for a in rs.simple_roots))
             multiplicative = all(
-                assignment[r] == derived.sign_by_root[r] for r in rs.positive_roots
+                assignment[r] == s for r, s in sign_by_root(derived).items()
             )
             assert validate_grading(rs, assignment) is multiplicative
     report(8, "grading validation accepts exactly the multiplicative assignments")

@@ -32,7 +32,7 @@ from dischar import (
 )
 from dischar.blattner import _check_nu, _filtration_level, _PartitionTable
 from tests.conftest import CARTAN, EXTRA_CARTAN
-from tests.helpers import lattice_coords, scaled, simple_reflections
+from tests.helpers import lattice_coords, scaled, sign_by_root, simple_reflections
 
 
 def setup(systems, groups, name, signs):
@@ -410,7 +410,7 @@ def test_grading_holds_no_memo(systems, groups):
     rs, grading, kdata = setup(systems, groups, "B3", (1, 1, -1))
     # the grading has no __dict__, so no memo can be attached to it at all
     assert not hasattr(grading, "__dict__")
-    before, signs = tuple(grading), dict(grading.sign_by_root)
+    before, signs = tuple(grading), sign_by_root(grading)
     lam = -rs.rho - rs.rho
     box = ((-4, -4, -4), (0, 0, 0))
     first = ktype_table(grading, kdata, lam, box)
@@ -419,7 +419,7 @@ def test_grading_holds_no_memo(systems, groups):
     nu, value = first.sorted_entries()[0]
     assert blattner_multiplicity(grading, kdata, lam, nu) == value
     assert partition(grading, scaled(rs.rho, 4)) == partition(grading, scaled(rs.rho, 4))
-    assert tuple(grading) == before and grading.sign_by_root == signs
+    assert tuple(grading) == before and sign_by_root(grading) == signs
 
 
 def test_filtration_oracle_reads_its_table_entry(systems, groups):
@@ -471,6 +471,10 @@ WRONG_RANK = {
         lambda rs, grading, kdata: filtration_oracle(
             grading, kdata, Weight((-1, 0, 5)), Weight((-1, -1))
         ),
+        "^rank 3 weight in rank 2 system$",
+    ),
+    "bwb_cohomology": (
+        lambda rs, grading, kdata: bwb_cohomology(grading, kdata, Weight((-1, 0, 5))),
         "^rank 3 weight in rank 2 system$",
     ),
     "KWeylData.orbit": (

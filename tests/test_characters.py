@@ -29,8 +29,8 @@ from tests.helpers import dominant_representative, product
 
 
 def test_ring_basics():
-    x = FormalCharacter({Weight((1,)).twice: 2, Weight((0,)).twice: -1})
-    y = FormalCharacter({Weight((1,)).twice: -2})
+    x = FormalCharacter({Weight((1,)).twice: 2, Weight((0,)).twice: -1}.items())
+    y = FormalCharacter({Weight((1,)).twice: -2}.items())
     xy = product(x, y)
     assert xy.terms == {Weight((2,)).twice: -4, Weight((1,)).twice: 2}
     assert product(y, x) == xy
@@ -40,7 +40,7 @@ def test_ring_basics():
     a, b = Weight((1,)), Weight((0,))
     pairs = [(a, 2), (b, 1), (a, -2), (b, 3), (Weight((5,)), 0), (a, 1), (a, -1)]
     assert FormalCharacter(pairs).terms == {b: 4}
-    assert FormalCharacter(iter(pairs)) == FormalCharacter({b: 4})
+    assert FormalCharacter(iter(pairs)) == FormalCharacter({b: 4}.items())
     assert FormalCharacter([(a, 1), (a, -1)]).terms == {}
 
 
@@ -62,7 +62,7 @@ def test_formal_character_sums_like_a_counter(pairs, cut):
 
 
 def test_no_zero_coefficients_stored():
-    char = FormalCharacter({Weight((0,)): 0, Weight((1,)): 1})
+    char = FormalCharacter({Weight((0,)): 0, Weight((1,)): 1}.items())
     assert Weight((0,)) not in char.terms
 
 
@@ -103,7 +103,7 @@ def test_weyl_denominator_matches_subset_expansion(name, systems):
             subsets[total.twice] = subsets.get(total.twice, 0) + (-1 if size % 2 else 1)
     W = generate(rs)
     den = weyl_denominator(rs, W)
-    assert den == FormalCharacter(subsets)
+    assert den == FormalCharacter(subsets.items())
     # one term e^{rho - w rho} with coefficient (-1)^l(w) per Weyl element
     assert len(den.terms) == W.order
     for w in W.elements:
@@ -130,9 +130,9 @@ def test_weyl_numerator_a2_six_distinct_terms(systems, groups):
 
 def test_weyl_numerator_rejects_bad_parameters(systems, groups):
     rs, W = systems["A2"], groups["A2"]
-    with pytest.raises(NotAntidominant, match="^numerator parameter must be antidominant$"):
+    with pytest.raises(NotAntidominant, match="^parameter must be antidominant$"):
         weyl_numerator(rs, W, rs.rho)
-    with pytest.raises(NotIntegral, match="^numerator parameter must be integral$"):
+    with pytest.raises(NotIntegral, match="^parameter must be integral$"):
         weyl_numerator(rs, W, Weight((Fraction(-1, 2), 0)))
 
 
@@ -143,9 +143,9 @@ def test_freudenthal_sl2(systems):
 
 def test_freudenthal_rejects_bad_parameters(systems):
     rs = systems["A2"]
-    with pytest.raises(NotAntidominant, match="^lowest weight must be antidominant$"):
+    with pytest.raises(NotAntidominant, match="^parameter must be antidominant$"):
         freudenthal_character(rs, rs.rho)
-    with pytest.raises(NotIntegral, match="^lowest weight must be integral$"):
+    with pytest.raises(NotIntegral, match="^parameter must be integral$"):
         freudenthal_character(rs, Weight((Fraction(-1, 2), 0)))
 
 
@@ -295,6 +295,6 @@ def test_euler_of_kostant_equals_numerator(systems, groups):
 
 
 def test_sorted_terms_deterministic():
-    char = FormalCharacter({Weight((1, 0)): 1, Weight((0, 1)): -1, Weight((-1, 2)): 2})
+    char = FormalCharacter({Weight((1, 0)): 1, Weight((0, 1)): -1, Weight((-1, 2)): 2}.items())
     coords = [w.coords for w, _ in char.sorted_terms()]
     assert coords == sorted(coords)

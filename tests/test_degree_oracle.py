@@ -11,7 +11,7 @@ u(lam) antidominant for R_c+, so the same counts over R+ and R_c+ give
 p = q - #{beta > 0 : ...} + 2 #{beta in R_c+ : ...} = q - l(wu) + 2 l_K(w).
 
 The checks use coroot pairings of the tables' own doubled weights and
-nothing else: no sweep, no strata, no Weyl element.  The BGG and Trauber
+nothing else: no sweep, no orbit cells, no Weyl element.  The BGG and Trauber
 re-derivations share the tables' sweeps and cells, so a wrong cell length
 passes them; it does not pass these.
 """

@@ -74,7 +74,8 @@ def _library_sweep():
     kostant = kostant_table(rs, group, kostant_lam)
     schmid = [schmid_table(grading, kdata, orbit, schmid_lam) for orbit in orbits]
     return {
-        "orbits": [(o.u.rho_image, [(s.w.rho_image, s.cell.rho_image, s.dim) for s in o.strata])
+        "orbits": [(o.u.rho_image, [(w.rho_image, cell.rho_image, dim) for w, cell, dim
+                                    in zip(kdata.elements, o.cells, kdata.lengthK)])
                    for o in orbits],
         "lengthK": kdata.lengthK,
         "kostant": kostant,

@@ -26,7 +26,6 @@ from dischar import (
     generate,
     kostant_table,
     kostant_via_bgg,
-    orbit_strata,
     schmid_table,
     schmid_via_trauber,
     trauber_terms,
@@ -259,7 +258,6 @@ def test_whole_group_sweeps_make_no_dense_products(monkeypatch):
     # the wrappers do see calls: each W_K table applies u to lam once, and
     # sweeps W_K for the rest
     assert calls["act"] == 2
-    orbit_strata(orbits[1])
     discrete_numerator(grading, kdata, lam)
     assert calls == {"act": 2}
 
@@ -306,8 +304,8 @@ def test_orbit_from_a_foreign_w_k_of_the_same_order_is_refused(systems, groups):
     grading = build_grading(rs, (-1, 1, -1))
     foreign = enumerate_closed_orbits(rs, grading, W, weyl_k(rs, grading, W))
     for orbit in foreign:
-        assert len(orbit.strata) == kdata.order == 4
-        assert orbit.strata[0].w is kdata.elements[0]
+        assert len(orbit.elements) == kdata.order == 4
+        assert orbit.elements[0] is kdata.elements[0]
         for sweep in (schmid_table, trauber_terms, schmid_via_trauber):
             with pytest.raises(
                 ParameterIncompatible, match="^orbit strata are not indexed by the elements of W_K$"

@@ -15,14 +15,14 @@ EXPORTS = (
     "HomologyTable", "IncompleteAssignment", "InvariantViolation", "KTypeTable",
     "KWeylData", "NotAntidominant", "NotCompatible", "NotFiniteType", "NotIntegral",
     "NotStronglyAntidominant", "ParameterIncompatible", "PartitionTableTooLarge",
-    "Root", "RootSystem", "Stratum", "TruncationTooLarge", "ValidationError",
+    "Root", "RootSystem", "TruncationTooLarge", "ValidationError",
     "Weight", "WeylElement", "WeylGroup", "act",
     "bgg_terms", "blattner_multiplicity", "build_grading", "build_root_system",
     "bwb_cohomology", "collapse", "coroot_pairing",
     "discrete_numerator", "enumerate_closed_orbits",
     "euler_character", "filtration_oracle", "filtration_table",
     "freudenthal_character", "generate", "kostant_table", "kostant_via_bgg",
-    "ktype_table", "orbit_strata", "partition", "partition_p",
+    "ktype_table", "partition", "partition_p",
     "schmid_table", "schmid_via_trauber", "times_denominator", "trauber_terms",
     "validate_grading", "weyl_denominator", "weyl_k", "weyl_numerator",
 )

@@ -6,19 +6,18 @@ from hypothesis import strategies as st
 
 from dischar import (
     Weight,
+    act,
     build_grading,
     build_root_system,
     enumerate_closed_orbits,
     generate,
     kostant_table,
     kostant_via_bgg,
-    orbit_strata,
     schmid_table,
     schmid_via_trauber,
     weyl_k,
 )
 from tests.conftest import CARTAN, EXTRA_CARTAN
-from tests.helpers import compose
 
 
 def test_a1_noncompact_orbits(systems, groups):
@@ -41,11 +40,19 @@ def test_all_compact_single_orbit(systems, groups):
     orbits = enumerate_closed_orbits(rs, build_grading(rs, (1, 1)), W, kdata)
     assert len(orbits) == 1
     assert orbits[0].u == W.elements[0]
-    # full Bruhat stratification
-    strata = orbit_strata(orbits[0])
-    assert [(s.w, s.cell, s.dim) for s in strata] == [
+    # full Bruhat stratification, in the (dimension, cell word) order the
+    # orbits command prints
+    strata = sorted(zip(kdata.lengthK, orbits[0].cells, kdata.elements),
+                    key=lambda s: (s[0], s[1].reduced_word))
+    assert [(w, cell, dim) for dim, cell, w in strata] == [
         (w, w, w.length) for w in sorted(W.elements, key=lambda w: (w.length, w.reduced_word))
     ]
+
+
+def _triples(kdata, orbit):
+    """(w, w*u, l_K(w)) as words, in ``kdata.elements`` order."""
+    return [(w.word_str(), cell.word_str(), dim)
+            for w, cell, dim in zip(kdata.elements, orbit.cells, kdata.lengthK)]
 
 
 def test_strata_examples(systems, groups):
@@ -53,9 +60,7 @@ def test_strata_examples(systems, groups):
     grading = build_grading(rs, (-1,))
     kdata = weyl_k(rs, grading, W)
     orbits = enumerate_closed_orbits(rs, grading, W, kdata)
-    assert [(s.w.word_str(), s.cell.word_str(), s.dim) for s in orbits[0].strata] == [
-        ("e", "e", 0)
-    ]
+    assert _triples(kdata, orbits[0]) == [("e", "e", 0)]
 
     rs2, W2 = systems["A2"], groups["A2"]
     grading2 = build_grading(rs2, (1, -1))
@@ -63,7 +68,7 @@ def test_strata_examples(systems, groups):
     orbits2 = enumerate_closed_orbits(rs2, grading2, W2, kdata2)
     first = orbits2[0]
     assert first.u == W2.elements[0]
-    assert [(s.w.word_str(), s.cell.word_str(), s.dim) for s in first.strata] == [
+    assert _triples(kdata2, first) == [
         ("e", "e", 0),
         ("s1", "s1", 1),
     ]
@@ -79,7 +84,7 @@ def test_orbit_count_and_partition(systems, groups, extra_systems):
             kdata = weyl_k(rs, grading, W)
             orbits = enumerate_closed_orbits(rs, grading, W, kdata)
             assert len(orbits) * kdata.order == W.order
-            cells = [s.cell for orbit in orbits for s in orbit.strata]
+            cells = [cell for orbit in orbits for cell in orbit.cells]
             assert len(cells) == W.order
             assert set(cells) == set(W.elements)
 
@@ -99,14 +104,21 @@ def test_positive_system_contains_compact_positives(systems, groups):
             assert len(set(systems_of)) == len(orbits)
 
 
-def test_strata_dims_are_k_lengths(systems, groups):
-    rs, W = systems["B2"], groups["B2"]
-    grading = build_grading(rs, (1, -1))
-    kdata = weyl_k(rs, grading, W)
-    for orbit in enumerate_closed_orbits(rs, grading, W, kdata):
-        for stratum, w, length_k in zip(orbit.strata, kdata.elements, kdata.lengthK):
-            assert stratum.w == w and stratum.dim == length_k
-            assert stratum.cell is compose(kdata.weyl, stratum.w, orbit.u)
+def test_cells_are_the_coset_w_k_u(systems, groups, extra_systems):
+    # cells[k] = elements[k] * u, checked by the word action, which shares no
+    # sweep with kdata.orbit; on every grading of the conftest types, D4 and F4
+    cases = [(rs, groups[name]) for name, rs in systems.items()]
+    cases += [(extra_systems[name], generate(extra_systems[name])) for name in ("D4", "F4")]
+    for rs, W in cases:
+        for signs in itertools.product((1, -1), repeat=rs.rank):
+            grading = build_grading(rs, signs)
+            kdata = weyl_k(rs, grading, W)
+            for orbit in enumerate_closed_orbits(rs, grading, W, kdata):
+                assert orbit.elements is kdata.elements
+                assert len(orbit.cells) == kdata.order
+                u_rho = Weight(orbit.u.rho_image)
+                for w, cell in zip(kdata.elements, orbit.cells):
+                    assert act(w, u_rho) == Weight(cell.rho_image)
 
 
 def _classical(kind, n):
@@ -146,7 +158,7 @@ def test_random_gradings(random_cases, name, data):
     kdata = weyl_k(rs, grading, W)
     orbits = enumerate_closed_orbits(rs, grading, W, kdata)
     assert len(orbits) * kdata.order == W.order
-    cells = [s.cell for orbit in orbits for s in orbit.strata]
+    cells = [cell for orbit in orbits for cell in orbit.cells]
     assert len(cells) == W.order and set(cells) == set(W.elements)
     # -d is antidominant and -rho - d strongly antidominant for dominant d
     lam = -Weight(data.draw(shifts, label="kostant shift"))

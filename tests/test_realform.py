@@ -19,7 +19,7 @@ from dischar import (
 )
 from dischar.verify import VerifyContext, _check_grading
 from tests.conftest import CARTAN, EXTRA_CARTAN
-from tests.helpers import compose, simple_reflections
+from tests.helpers import compose, sign_by_root, simple_reflections
 from tests.matrix_oracle import apply, word_matrices
 
 
@@ -56,7 +56,7 @@ def test_sign_multiplicativity(systems):
         rs = systems[name]
         for signs in itertools.product((1, -1), repeat=rs.rank):
             grading = build_grading(rs, signs)
-            by_coords = {r.root_coords: grading.sign_by_root[r] for r in rs.positive_roots}
+            by_coords = {r.root_coords: s for r, s in sign_by_root(grading).items()}
             for a, sa in by_coords.items():
                 for b, sb in by_coords.items():
                     total = tuple(x + y for x, y in zip(a, b))
@@ -99,7 +99,7 @@ def test_validate_grading_fuzz(systems):
                 rs, tuple(assignment[a] for a in rs.simple_roots)
             )
             expected = all(
-                assignment[r] == derived.sign_by_root[r] for r in rs.positive_roots
+                assignment[r] == s for r, s in sign_by_root(derived).items()
             )
             assert validate_grading(rs, assignment) is expected
 
@@ -218,7 +218,7 @@ def test_length_k_is_the_compact_inversion_count(name, kernel_cases):
             sum(w.rho_pairing(beta) < 0 for beta in grading.compact_positive)
             for w in kdata.elements
         )
-        ctx = VerifyContext(rs, W, grading, kdata, orbits=[], blattner_oracle=None)
+        ctx = VerifyContext(grading, kdata, orbits=[], blattner_oracle=None)
         assert _check_grading(ctx).passed
 
 

@@ -17,16 +17,17 @@ from dischar import (
 )
 from dischar.cli import JobConfig
 from dischar.verify import CheckResult, VerifyContext
+from tests.helpers import sign_by_root
 
 
 def test_root_hashes_and_compares_by_its_coordinates(systems):
     rs = systems["B3"]
-    grading = build_grading(rs, (1, 1, -1))
+    signs = sign_by_root(build_grading(rs, (1, 1, -1)))
     for alpha in rs.positive_roots:
         copy = Root(alpha.root_coords, alpha.fw_coords, alpha.coroot_coords)
         assert copy is not alpha
         assert copy == alpha and hash(copy) == hash(alpha)
-        assert grading.sign_by_root[copy] == grading.sign_by_root[alpha]
+        assert signs[copy] == signs[alpha]
         flipped = tuple(-c for c in alpha.coroot_coords)
         assert Root(alpha.root_coords, alpha.fw_coords, flipped) != alpha
     assert len(set(rs.positive_roots)) == len(rs.positive_roots)
@@ -44,19 +45,18 @@ def _records(systems, groups):
         group,
         grading,
         kdata,
-        orbits[0].strata[0],
         orbits[0],
         kostant_table(rs, group, Weight((-1, -1))),
         ktype_table(grading, kdata, lam, ((-3, -3), (0, 0))),
         CheckResult("grading", True),
-        VerifyContext(rs, group, grading, kdata, orbits, 0),
+        VerifyContext(grading, kdata, orbits, 0),
         JobConfig(cartan=rs.cartan, compact_simple=(True, False), lam=lam),
     ]
 
 
 def test_every_record_is_read_only(systems, groups):
     records = _records(systems, groups)
-    assert len({type(r) for r in records}) == 12
+    assert len({type(r) for r in records}) == 11
     for record in records:
         for name in record._fields:
             with pytest.raises(AttributeError):
