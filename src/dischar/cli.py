@@ -295,12 +295,12 @@ def run(command: str, config: JobConfig, fmt: str = "json") -> tuple[int, str]:
 
 
 def _parse_lambda(text: str, rank: int) -> Weight:
-    return _weight([part.strip() for part in text.split(",")], rank)
+    return _weight([part.strip() for part in text.split(",")] if text else [], rank)
 
 
 def _parse_box(text: str, rank: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     los, his = [], []
-    for part in text.split(","):
+    for part in text.split(",") if text else []:
         lo_text, _, hi_text = part.partition("..")
         if not _:
             raise ParameterIncompatible(f"box coordinate {part!r} is not of the form lo..hi")

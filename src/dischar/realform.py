@@ -112,14 +112,13 @@ def validate_grading(rs: RootSystem, assignment: Mapping[Root, int]) -> bool:
             raise IncompleteAssignment(f"no sign assigned to {root!r}")
         if assignment[root] not in (1, -1):
             raise IncompleteAssignment(f"sign of {root!r} is not +1 or -1")
-    index = {r.root_coords: r for r in rs.positive_roots}
     n = len(rs.positive_roots)
     for i in range(n):
         for j in range(i, n):
             a = rs.positive_roots[i]
             b = rs.positive_roots[j]
             total = tuple(x + y for x, y in zip(a.root_coords, b.root_coords))
-            c = index.get(total)
+            c = rs.by_root_coords.get(total)
             if c is not None and assignment[c] != assignment[a] * assignment[b]:
                 return False
     return True

@@ -176,9 +176,6 @@ class RootSystem(NamedTuple):
             for i in range(self.rank)
         )
 
-    def root_with_coords(self, root_coords: Sequence[int]) -> Root | None:
-        return self.by_root_coords.get(tuple(root_coords))
-
     def root_coords(self, twice: IntVec) -> IntVec | None:
         """Root coordinates adj(C) twice / (2 det C) of ``twice`` = 2 lambda; None off lattice."""
         if len(twice) != self.rank:

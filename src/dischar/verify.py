@@ -1,16 +1,19 @@
 """Self-check suite for one (Cartan matrix, grading) configuration.
 
-Each section re-derives a family of identities and reports a single
-pass/fail line; the sections run one after another in a fixed order.  The
-grading and W_K come from the caller's set-up, the one the CLI builds for
-every command; the closed orbits and the blattner section's oracle table
-are built once, before any section runs, and shared.
+Each section re-derives a family of identities and returns the text of its
+first failure, or None; ``run_verify`` makes one pass/fail result of each,
+named from ``SECTIONS``, in that fixed order.  The grading and W_K come from
+the caller's set-up, the one the CLI builds for every command; the closed
+orbits and the blattner section's oracle table are built once, before any
+section runs, and shared.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import product
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .blattner import KTypeTable, filtration_table, ktype_table, partition, partition_p
@@ -43,99 +46,92 @@ class VerifyContext(NamedTuple):
     blattner_oracle: KTypeTable
 
 
-def _check_root_system(ctx: VerifyContext) -> CheckResult:
+def _check_root_system(ctx: VerifyContext) -> str | None:
     rs = ctx.grading.rs
     positive = set(rs.positive_roots)
     for alpha in rs.positive_roots:
         if coroot_pairing(alpha, alpha.weight()) != 2:
-            return CheckResult("root-system", False, "coroot self-pairing is not 2")
+            return "coroot self-pairing is not 2"
     for alpha in rs.simple_roots:
         images = set()
         for beta in rs.positive_roots:
             if beta == alpha:
                 continue
-            shift = coroot_pairing(alpha, beta.weight())
-            coords = tuple(
-                b - int(shift) * a
-                for a, b in zip(alpha.root_coords, beta.root_coords)
-            )
-            image = rs.root_with_coords(coords)
-            if image is None or image not in positive:
-                return CheckResult(
-                    "root-system", False, "simple reflection does not permute the positives"
-                )
+            shift = sum(map(mul, alpha.coroot_coords, beta.fw_coords))
+            coords = tuple(b - shift * a for a, b in zip(alpha.root_coords, beta.root_coords))
+            image = rs.by_root_coords.get(coords)
+            if image is None:
+                return "simple reflection does not permute the positives"
             images.add(image)
         if images != positive - {alpha}:
-            return CheckResult("root-system", False, "reflection image set mismatch")
+            return "reflection image set mismatch"
     if rs.rho.coords != (1,) * rs.rank:
-        return CheckResult("root-system", False, "rho is not the all-ones vector")
+        return "rho is not the all-ones vector"
     for j, alpha in enumerate(rs.simple_roots):
         if alpha.fw_coords != tuple(rs.cartan[i][j] for i in range(rs.rank)):
-            return CheckResult("root-system", False, "fw coordinates mismatch column")
-    return CheckResult("root-system", True)
+            return "fw coordinates mismatch column"
+    return None
 
 
-def _check_weyl_group(ctx: VerifyContext) -> CheckResult:
+def _check_weyl_group(ctx: VerifyContext) -> str | None:
     rs, group = ctx.grading.rs, ctx.kdata.weyl
     for w in group.elements:  # l(w) = #{alpha > 0 : <alpha-check, w rho> < 0}
         if sum(w.rho_pairing(alpha) < 0 for alpha in rs.positive_roots) != w.length:
-            detail = f"word length of {w.word_str()} disagrees with its inversion count"
-            return CheckResult("weyl-group", False, detail)
+            return f"word length of {w.word_str()} disagrees with its inversion count"
     fiber_sizes = Counter(w.length for w in group.elements)
     fibers = [fiber_sizes[p] for p in range(group.longest.length + 1)]
     if sum(fibers) != group.order:
-        return CheckResult("weyl-group", False, "length fibers do not cover the group")
+        return "length fibers do not cover the group"
     if fibers != fibers[::-1]:
-        return CheckResult("weyl-group", False, "length generating function not palindromic")
+        return "length generating function not palindromic"
     rho = rs.rho
-    for w in group.elements:  # a product that fixes the regular rho is 1
-        if act(group.inverse(w), Weight(w.rho_image)) != rho:
-            return CheckResult("weyl-group", False, "inverse action roundtrip failed")
+    for w in group.elements:  # the word's action against the closure's w(rho)
+        if act(w, rho) != Weight(w.rho_image):
+            return f"word of {w.word_str()} does not take rho to its stored image"
     rng = random.Random(7)
     for _ in range(5):
         lam = Weight([rng.randint(-6, 6) for _ in range(group.rank)])
         expected = [(act(w, lam - rho) + rho).twice for w in group.elements]
         if dot_orbit(group, lam) != expected:
-            return CheckResult("weyl-group", False, "dot orbit disagrees with the word action")
-    return CheckResult("weyl-group", True)
+            return "dot orbit disagrees with the word action"
+    return None
 
 
-def _check_grading(ctx: VerifyContext) -> CheckResult:
+def _check_grading(ctx: VerifyContext) -> str | None:
     grading, kdata = ctx.grading, ctx.kdata
     signs = {**dict.fromkeys(grading.compact_positive, 1),
              **dict.fromkeys(grading.noncompact_positive, -1)}
     if not validate_grading(grading.rs, signs):
-        return CheckResult("grading", False, "derived grading is not multiplicative")
+        return "derived grading is not multiplicative"
     if grading.rho_c + grading.rho_n != grading.rs.rho:
-        return CheckResult("grading", False, "rho_c + rho_n differs from rho")
+        return "rho_c + rho_n differs from rho"
     if grading.q != len(grading.noncompact_positive):
-        return CheckResult("grading", False, "q mismatch")
+        return "q mismatch"
     if kdata.weyl.order % kdata.order != 0:
-        return CheckResult("grading", False, "|W| not divisible by |W_K|")
+        return "|W| not divisible by |W_K|"
     for alpha in kdata.simpleK:
         if coroot_pairing(alpha, grading.rho_c) != 1:
-            return CheckResult("grading", False, "rho_c does not pair to 1 on simpleK")
+            return "rho_c does not pair to 1 on simpleK"
     for w, length_k in zip(kdata.elements, kdata.lengthK):
         # l_K(w) = #{beta in R_c+ : <beta-check, w rho> < 0}
         if sum(w.rho_pairing(beta) < 0 for beta in grading.compact_positive) != length_k:
-            detail = f"l_K of {w.word_str()} disagrees with its compact inversion count"
-            return CheckResult("grading", False, detail)
+            return f"l_K of {w.word_str()} disagrees with its compact inversion count"
         if (-1) ** w.length != (-1) ** length_k:
-            return CheckResult("grading", False, "sign restriction to W_K disagrees")
-    return CheckResult("grading", True)
+            return "sign restriction to W_K disagrees"
+    return None
 
 
-def _check_orbits(ctx: VerifyContext) -> CheckResult:
+def _check_orbits(ctx: VerifyContext) -> str | None:
     grading, kdata, orbits = ctx.grading, ctx.kdata, ctx.orbits
     if len(orbits) * kdata.order != kdata.weyl.order:
-        return CheckResult("orbits", False, "orbit count differs from |W|/|W_K|")
+        return "orbit count differs from |W|/|W_K|"
     cells = [cell.rho_image for orbit in orbits for cell in orbit.cells]
     if len(cells) != kdata.weyl.order or set(cells) != kdata.weyl.by_rho.keys():
-        return CheckResult("orbits", False, "strata cells do not partition W")
+        return "strata cells do not partition W"
     for orbit in orbits:
         if not all(orbit.u.rho_pairing(a) > 0 for a in grading.compact_positive):
-            return CheckResult("orbits", False, "positive system misses R_c+")
-    return CheckResult("orbits", True)
+            return "positive system misses R_c+"
+    return None
 
 
 def _weyl_sweep(rs: RootSystem) -> list[Weight]:
@@ -145,31 +141,29 @@ def _weyl_sweep(rs: RootSystem) -> list[Weight]:
     return lams
 
 
-def _check_weyl_identity(ctx: VerifyContext) -> CheckResult:
+def _check_weyl_identity(ctx: VerifyContext) -> str | None:
     rs, group = ctx.grading.rs, ctx.kdata.weyl
     weyl_denominator(rs, group)  # raises unless the product and the W-sum agree
     for lam in _weyl_sweep(rs):
         num = weyl_numerator(rs, group, lam)
         if times_denominator(rs, freudenthal_character(rs, lam)) != num:
-            return CheckResult(
-                "weyl-identity", False, f"character identity fails at {lam.serialize()}"
-            )
-    return CheckResult("weyl-identity", True)
+            return f"character identity fails at {lam.serialize()}"
+    return None
 
 
-def _check_kostant(ctx: VerifyContext) -> CheckResult:
+def _check_kostant(ctx: VerifyContext) -> str | None:
     rs, group = ctx.grading.rs, ctx.kdata.weyl
     fiber_sizes = Counter(w.length for w in group.elements)
     for lam in _weyl_sweep(rs):
         table = kostant_table(rs, group, lam)
         for p, row in table.rows.items():
             if len(row) != fiber_sizes[p]:
-                return CheckResult("kostant", False, "row size differs from |W(p)|")
+                return "row size differs from |W(p)|"
         if euler_character(table) != weyl_numerator(rs, group, lam):
-            return CheckResult("kostant", False, "Euler characteristic mismatch")
+            return "Euler characteristic mismatch"
         if kostant_via_bgg(rs, group, lam) != table:
-            return CheckResult("kostant", False, "BGG pipeline mismatch")
-    return CheckResult("kostant", True)
+            return "BGG pipeline mismatch"
+    return None
 
 
 def _schmid_sweep(rs: RootSystem) -> list[Weight]:
@@ -180,22 +174,22 @@ def _schmid_sweep(rs: RootSystem) -> list[Weight]:
     return lams
 
 
-def _check_schmid(ctx: VerifyContext) -> CheckResult:
+def _check_schmid(ctx: VerifyContext) -> str | None:
     grading, kdata, orbits = ctx.grading, ctx.kdata, ctx.orbits
     for lam in _schmid_sweep(grading.rs):
         for orbit in orbits:
             table = schmid_table(grading, kdata, orbit, lam)
             if table.total_multiplicity() != kdata.order:
-                return CheckResult("schmid-trauber", False, "table size differs from |W_K|")
+                return "table size differs from |W_K|"
             if schmid_via_trauber(grading, kdata, orbit, lam) != table:
-                return CheckResult("schmid-trauber", False, "Trauber pipeline mismatch")
+                return "Trauber pipeline mismatch"
         base = schmid_table(grading, kdata, orbits[0], lam)
         if euler_character(base) != discrete_numerator(grading, kdata, lam):
-            return CheckResult("schmid-trauber", False, "elliptic numerator mismatch")
-    return CheckResult("schmid-trauber", True)
+            return "elliptic numerator mismatch"
+    return None
 
 
-def _check_partitions(ctx: VerifyContext) -> CheckResult:
+def _check_partitions(ctx: VerifyContext) -> str | None:
     grading, rs = ctx.grading, ctx.grading.rs
     noncompact = [r.root_coords for r in grading.noncompact_positive]
 
@@ -218,33 +212,18 @@ def _check_partitions(ctx: VerifyContext) -> CheckResult:
         return found
 
     if partition(grading, Weight.zero(rs.rank)) != 1:
-        return CheckResult("partitions", False, "P(0) is not 1")
+        return "P(0) is not 1"
 
-    def lattice_points(radius: int):
-        def rec(prefix: list[int]):
-            if len(prefix) == rs.rank:
-                yield tuple(prefix)
-                return
-            for c in range(0, radius + 1 - sum(prefix)):
-                yield from rec(prefix + [c])
-
-        yield from rec([])
-
-    for coords in lattice_points(4):
-        mu = Weight(
-            tuple(
-                sum(rs.cartan[i][j] * coords[j] for j in range(rs.rank))
-                for i in range(rs.rank)
-            )
-        )
+    for coords in filter(lambda c: sum(c) <= 4, product(range(5), repeat=rs.rank)):
+        mu = Weight(tuple(sum(map(mul, row, coords)) for row in rs.cartan))
         if partition(grading, mu) != enumerate_count(coords, None):
-            return CheckResult("partitions", False, f"P mismatch at {coords}")
+            return f"P mismatch at {coords}"
         graded = [partition_p(grading, mu, p) for p in range(sum(coords) + 1)]
         if graded != [enumerate_count(coords, p) for p in range(len(graded))]:
-            return CheckResult("partitions", False, f"P_p mismatch at {coords}")
+            return f"P_p mismatch at {coords}"
         if partition(grading, mu) != sum(graded):
-            return CheckResult("partitions", False, f"graded sum mismatch at {coords}")
-    return CheckResult("partitions", True)
+            return f"graded sum mismatch at {coords}"
+    return None
 
 
 def _blattner_case(rs: RootSystem) -> tuple[Weight, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -252,19 +231,19 @@ def _blattner_case(rs: RootSystem) -> tuple[Weight, tuple[tuple[int, ...], tuple
     return -rs.rho - rs.rho, ((-5,) * rs.rank, (0,) * rs.rank)
 
 
-def _check_blattner(ctx: VerifyContext) -> CheckResult:
+def _check_blattner(ctx: VerifyContext) -> str | None:
     closed = ktype_table(ctx.grading, ctx.kdata, *_blattner_case(ctx.grading.rs)).entries
     oracle = ctx.blattner_oracle.entries
     for nu in sorted(closed.keys() | oracle.keys()):
         value = closed.get(nu, 0)
         if value < 0:
-            return CheckResult("blattner", False, f"negative multiplicity at {nu.coords}")
+            return f"negative multiplicity at {nu.coords}"
         if value != oracle.get(nu, 0):
-            return CheckResult("blattner", False, f"oracle mismatch at {nu.coords}")
-    return CheckResult("blattner", True)
+            return f"oracle mismatch at {nu.coords}"
+    return None
 
 
-SECTIONS: tuple[tuple[str, Callable[[VerifyContext], CheckResult]], ...] = (
+SECTIONS: tuple[tuple[str, Callable[[VerifyContext], str | None]], ...] = (
     ("root-system", _check_root_system),
     ("weyl-group", _check_weyl_group),
     ("grading", _check_grading),
@@ -287,4 +266,5 @@ def run_verify(grading: CompactGrading, kdata: KWeylData) -> list[CheckResult]:
     oracle = filtration_table(grading, kdata, *_blattner_case(grading.rs))
     orbits = enumerate_closed_orbits(grading.rs, grading, kdata.weyl, kdata)
     ctx = VerifyContext(grading=grading, kdata=kdata, orbits=orbits, blattner_oracle=oracle)
-    return [check(ctx) for _name, check in SECTIONS]
+    details = [(name, check(ctx)) for name, check in SECTIONS]
+    return [CheckResult(name, detail is None, detail or "") for name, detail in details]

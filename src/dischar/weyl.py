@@ -15,8 +15,9 @@ every lookup is keyed by that integer vector, never by an element.  A group
 hands out one instance per element, so elements of one group compare by
 identity; elements of two groups compare by ``rho_image``.  Each element also
 carries its ShortLex word and the group's simple reflections, so :func:`act`
-and :meth:`WeylGroup.inverse` apply a word one :func:`reflect` per letter.
-The inversion counts are the length oracles of ``verify``.
+applies the word one :func:`reflect` per letter.  ``verify`` checks that word
+action against the w(rho) the closure stored and against :func:`dot_orbit`;
+the inversion counts are its length oracles.
 """
 
 from __future__ import annotations
@@ -169,16 +170,6 @@ class WeylGroup(NamedTuple):
     @property
     def longest(self) -> WeylElement:
         return self.elements[-1]
-
-    def inverse(self, a: WeylElement) -> WeylElement:
-        """The element whose word is a's reversed: w^-1(rho) found in ``by_rho``."""
-        w = self.by_rho.get(a.rho_image)
-        if w is None:
-            raise InvariantViolation("element is not a member of this Weyl group")
-        vec = (1,) * self.rank
-        for j in w.reduced_word:  # the reversed word, applied last letter first
-            vec = reflect(w.reflections[j], vec)
-        return self.by_rho[vec]
 
 
 def act_twice(w: WeylElement, vec: IntVec) -> IntVec:

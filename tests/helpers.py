@@ -6,6 +6,7 @@ rebuilds the dense closure.  ``reference_closed_formula`` and
 ``RowPartitionTable`` keep the plain Blattner closed formula, with no
 pruning, stepping or padding, as the reference for the fast one.
 ``solve_root_coords`` is the rational reference for ``RootSystem.root_coords``.
+``inverse`` finds w^-1 by its reversed word.
 ``product`` is the general character product, the reference for
 ``times_denominator``.  ``dominant_representative`` lifts
 ``rootdata.dominant_twice`` to weights.  ``sign_by_root`` is a grading's
@@ -19,11 +20,20 @@ from operator import add, mul
 
 from dischar import FormalCharacter, Weight, act
 from dischar.rootdata import dominant_twice
+from dischar.weyl import reflect
 
 
 def compose(group, a, b):
     """The element of ``group`` equal to a after b: a(b(rho)) looked up in ``by_rho``."""
     return group.by_rho[act(a, Weight(b.rho_image)).coords]
+
+
+def inverse(group, w):
+    """The element of ``group`` whose word is w's reversed: w^-1(rho) looked up in ``by_rho``."""
+    vec = (1,) * group.rank
+    for j in w.reduced_word:  # the reversed word, applied last letter first
+        vec = reflect(w.reflections[j], vec)
+    return group.by_rho[vec]
 
 
 def sign_by_root(grading):

@@ -32,7 +32,7 @@ from dischar import (
 )
 from dischar.blattner import _check_nu, _filtration_level, _PartitionTable
 from tests.conftest import CARTAN, EXTRA_CARTAN
-from tests.helpers import lattice_coords, scaled, sign_by_root, simple_reflections
+from tests.helpers import inverse, lattice_coords, scaled, sign_by_root, simple_reflections
 
 
 def setup(systems, groups, name, signs):
@@ -42,7 +42,7 @@ def setup(systems, groups, name, signs):
 
 
 def root_weight(rs, coords):
-    return rs.root_with_coords(coords).weight()
+    return rs.by_root_coords.get(coords).weight()
 
 
 def enumeration_oracle(grading, target_root_coords, parts=None):
@@ -155,7 +155,7 @@ def test_bwb_reflection_case(systems, groups):
     from dischar import act
 
     s1 = simple_reflections(kdata.weyl)[0]
-    assert act(kdata.weyl.inverse(s1), eta) + grading.rho_c == nu
+    assert act(inverse(kdata.weyl, s1), eta) + grading.rho_c == nu
 
 
 def test_bwb_unique_chamber_element(systems, groups):
@@ -168,7 +168,7 @@ def test_bwb_unique_chamber_element(systems, groups):
             w
             for w in kdata.elements
             if all(
-                coroot_pairing(a, act(kdata.weyl.inverse(w), eta)) < 0
+                coroot_pairing(a, act(inverse(kdata.weyl, w), eta)) < 0
                 for a in grading.compact_positive
             )
         ]
@@ -181,7 +181,7 @@ def bwb_by_scan(grading, kdata, eta):
     if any(coroot_pairing(a, eta) == 0 for a in compact):
         return None
     for w, length_k in zip(kdata.elements, kdata.lengthK):
-        candidate = act(kdata.weyl.inverse(w), eta)
+        candidate = act(inverse(kdata.weyl, w), eta)
         if all(coroot_pairing(a, candidate) < 0 for a in compact):
             return length_k, candidate + grading.rho_c
     raise AssertionError("no W_K chamber representative for a regular weight")

@@ -76,7 +76,7 @@ def test_weyl_denominator_a2_support(systems, groups):
     # signs, so 8 subset terms merge into 6 surviving weights
     den = weyl_denominator(systems["A2"], groups["A2"])
     assert len(den.terms) == 6
-    assert den.terms.get(systems["A2"].root_with_coords((1, 1)).weight().twice, 0) == 0
+    assert den.terms.get(systems["A2"].by_root_coords.get((1, 1)).weight().twice, 0) == 0
 
 
 def test_weyl_denominator_rank_zero():

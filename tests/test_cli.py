@@ -186,6 +186,33 @@ def test_main_lambda_and_box_flags(tmp_path, capsys):
     assert "-5\t1" in out
 
 
+@pytest.mark.parametrize("command,config_entries,flags", [
+    ("kostant", {"lambda": []}, ["--lambda="]),
+    ("blattner", {"lambda": [], "nu_box": [[], []]}, ["--box=", "--lambda="]),
+], ids=["kostant", "blattner"])
+def test_rank_zero_flags_read_empty_text_as_the_empty_vector(
+        tmp_path, capsys, command, config_entries, flags):
+    rank_zero = {"cartan": [], "compact_simple": []}
+    extra = ["--verify"] if command == "blattner" else []
+    assert main([command, "--config", write_config(tmp_path, rank_zero, "flags.json")]
+                + flags + extra) == 0
+    from_flags = capsys.readouterr().out
+    path = write_config(tmp_path, dict(rank_zero, **config_entries), "config.json")
+    assert main([command, "--config", path] + extra) == 0
+    assert from_flags == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--lambda=", "lambda length differs from rank"),
+    ("--box=", "nu_box endpoints must have one entry per rank"),
+])
+def test_empty_flag_text_on_rank_one_is_a_rank_mismatch(tmp_path, capsys, flag, message):
+    assert main(["blattner", "--config", write_config(tmp_path, A1_NC), flag]) == 1
+    assert json.loads(capsys.readouterr().out.strip()) == {
+        "error": "ParameterIncompatible", "message": message
+    }
+
+
 def test_cli_subprocess_verify_byte_identical(tmp_path):
     path = write_config(tmp_path, A2_MIXED)
     outputs = []

@@ -26,6 +26,7 @@ from dischar import (
 )
 from dischar.cli import TABLES, parse_config, run
 from tests.conftest import CARTAN, EXTRA_CARTAN
+from tests.helpers import inverse
 
 # (command, --which, --verify); every table command, each character kind
 COMMAND_RUNS = [(command, "weyl", False) for command in TABLES if command != "character"]
@@ -86,7 +87,7 @@ def _library_sweep():
         "trauber": [schmid_via_trauber(grading, kdata, o, schmid_lam) for o in orbits],
         "discrete": discrete_numerator(grading, kdata, schmid_lam),
         "euler": euler_character(schmid[0]),
-        "inverses": [group.inverse(w).rho_image for w in group.elements],
+        "inverses": [inverse(group, w).rho_image for w in group.elements],
     }
 
 

@@ -23,6 +23,17 @@ sum inside ``weyl_denominator`` is its oracle on every call.  The two sides
 it is checked against, Freudenthal's formula and the Weyl numerator, are
 pinned below to reach none of it.
 
+The BGG and Trauber pipelines (``homology.kostant_via_bgg``,
+``homology.schmid_via_trauber``) are re-derivations, not oracles.  They
+share the tables' kernels on purpose: the BGG terms and the Kostant table
+take their weights from one ``weyl.dot_orbit``, and the Trauber terms and
+the Schmid table theirs, with the cell lengths, from one ``homology._cells``.
+So ``verify``'s comparison of each pipeline with its table checks the
+resolution positions and the ``collapse`` rule, not the reflection
+arithmetic or the cells, and no pin below keeps the two apart; the degree
+oracle of ``test_degree_oracle`` checks the tables' degrees from their
+weights alone.
+
 Both Blattner paths also put weights into root coordinates through the
 ``RootSystem.root_coords`` method, on purpose: that map is the lattice test,
 and its own tests compare it with a rational solve.  The graph does not list

@@ -74,7 +74,7 @@ def test_rho_split(systems):
 
 def test_validate_grading_examples(systems):
     a1, a2 = systems["A1"], systems["A2"]
-    r1, r2, r12 = (a2.root_with_coords(c) for c in ((1, 0), (0, 1), (1, 1)))
+    r1, r2, r12 = (a2.by_root_coords.get(c) for c in ((1, 0), (0, 1), (1, 1)))
 
     assert validate_grading(a2, {r1: -1, r2: -1, r12: -1}) is False
     assert validate_grading(a2, {r1: 1, r2: -1, r12: -1}) is True
@@ -84,7 +84,7 @@ def test_validate_grading_examples(systems):
 
 def test_validate_grading_incomplete(systems):
     a2 = systems["A2"]
-    r1 = a2.root_with_coords((1, 0))
+    r1 = a2.by_root_coords.get((1, 0))
     with pytest.raises(IncompleteAssignment):
         validate_grading(a2, {r1: 1})
 
@@ -219,7 +219,7 @@ def test_length_k_is_the_compact_inversion_count(name, kernel_cases):
             for w in kdata.elements
         )
         ctx = VerifyContext(grading, kdata, orbits=[], blattner_oracle=None)
-        assert _check_grading(ctx).passed
+        assert _check_grading(ctx) is None
 
 
 def _reflection(rs, W, beta):

@@ -154,7 +154,7 @@ def test_simple_reflections_permute_other_positives(systems):
                     b - int(shift) * a
                     for a, b in zip(alpha.root_coords, beta.root_coords)
                 )
-                image = rs.root_with_coords(coords)
+                image = rs.by_root_coords.get(coords)
                 assert image is not None
                 images.add(image)
             assert images == positive - {alpha}
@@ -168,7 +168,7 @@ def test_rho_is_all_ones(systems):
 def test_coroot_pairing_examples(systems):
     a1, a2 = systems["A1"], systems["A2"]
     assert coroot_pairing(a1.positive_roots[0], Weight((-1,))) == -1
-    highest = a2.root_with_coords((1, 1))
+    highest = a2.by_root_coords.get((1, 1))
     assert coroot_pairing(highest, a2.rho) == 2
     assert coroot_pairing(highest, Weight.zero(2)) == 0
 

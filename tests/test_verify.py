@@ -4,6 +4,7 @@ import pytest
 
 from dischar import (
     TruncationTooLarge,
+    Weight,
     build_grading,
     build_root_system,
     cli,
@@ -13,6 +14,8 @@ from dischar import (
 )
 from dischar.cli import parse_config, run
 from dischar.verify import SECTIONS
+from dischar.weyl import reflect
+from tests.conftest import EXTRA_CARTAN
 from tests.helpers import solve_root_coords
 
 
@@ -30,6 +33,8 @@ def test_all_sections_pass_on_reference_configs():
         ([[2, -1], [-1, 2]], [True, True]),
         ([[2, -2], [-1, 2]], [False, True]),
         ([[2, 0], [0, 2]], [False, False]),
+        (EXTRA_CARTAN["D4"], [True, True, True, False]),
+        (EXTRA_CARTAN["D4"], [False, True, True, True]),
     ]
     for cartan, compact in cases:
         results = run_verify(cartan, compact)
@@ -91,15 +96,33 @@ def test_weyl_group_section_counts_inversions(monkeypatch):
     )
 
 
-def test_weyl_group_section_catches_a_wrong_inverse(monkeypatch):
-    # each element taken for its own inverse: right on the involutions only,
-    # so w^-1(w(rho)) = rho fails at s1*s2 in A2
-    from dischar.weyl import WeylGroup
+def test_weyl_group_section_compares_act_with_the_stored_image():
+    # s1 and s2 of A2 trade w(rho): both still make one positive root
+    # negative, the fibers are unchanged and dot_orbit reads only the words;
+    # with W_K trivial every other section still passes
+    rs = build_root_system([[2, -1], [-1, 2]])
+    group = generate(rs)
+    s1, s2 = group.elements[1:3]
+    s1.rho_image, s2.rho_image = s2.rho_image, s1.rho_image
+    grading = build_grading(rs, (-1, -1))
+    failed = [r for r in verify.run_verify(grading, weyl_k(rs, grading, group)) if not r.passed]
+    assert [(r.name, r.detail) for r in failed] == [
+        ("weyl-group", "word of s1 does not take rho to its stored image")
+    ]
 
-    monkeypatch.setattr(WeylGroup, "inverse", lambda self, a: a)
+
+def test_weyl_group_section_catches_a_word_applied_backwards(monkeypatch):
+    # a word applied first letter first is w^-1: right on the involutions only
+    def backwards(w, lam):
+        vec = lam.twice
+        for j in w.reduced_word:
+            vec = reflect(w.reflections[j], vec)
+        return Weight.from_twice(vec)
+
+    monkeypatch.setattr(verify, "act", backwards)
     failed = [r for r in run_verify([[2, -1], [-1, 2]], [True, False]) if not r.passed]
     assert [(r.name, r.detail) for r in failed] == [
-        ("weyl-group", "inverse action roundtrip failed")
+        ("weyl-group", "word of s1*s2 does not take rho to its stored image")
     ]
 
 
