@@ -30,18 +30,18 @@ cell that holds None.  The table belongs to the call: the grading keeps no
 memo.
 
 The ``filtration_oracle``/``filtration_table`` pair re-derives the same
-numbers on an independent code path, by walking the symmetric powers of the
-normal bundle level by level and resolving each line-bundle twist with the
-Borel-Weil-Bott step for K; it never consults the partition function.  One
-walk, up to the largest level any nu of the box needs, buckets every result
-by its lowest K-weight and so serves the whole box; its level is read off
-the arguments' root coordinates, computed on doubled integer vectors.
+numbers on an independent code path: S(p) filtered by noncompact degree.  A
+twist depends only on the sum kappa of its noncompact roots, so a dict
+convolution (no partition table, W_K alternation or pruning) counts the
+multisets by sum, and the Borel-Weil-Bott step for K resolves each distinct
+kappa once.  One walk, up to the largest degree any nu of the box needs,
+serves the whole box: it buckets every result by its lowest K-weight.
 
 Sizes the caller controls are bounded before the work they size: the number
 of box points (``MAX_BOX_POINTS``), the entries of the partition table
 (``MAX_TABLE_ENTRIES``) and its cells with the pads (``MAX_TABLE_CELLS``),
-and the multisets the oracle walks up to its level
-(``MAX_ORACLE_MULTISETS``).  Each bound raises a ``ValidationError``.
+and the multisets of at most the oracle's level roots, which bound its sums
+and BWB calls (``MAX_ORACLE_MULTISETS``).  Each raises a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ MAX_TABLE_ENTRIES = 5_000_000
 # cells of one partition table, pads included: every axis carries a pad, so
 # on many short axes the pads outgrow the entries (that F4 table has 5.86 M)
 MAX_TABLE_CELLS = 10_000_000
-# multisets of noncompact roots the filtration oracle may walk, up to its level
+# multisets of at most level noncompact roots: a bound on the oracle's sums and BWB calls
 MAX_ORACLE_MULTISETS = 2_000_000
 
 
@@ -381,37 +381,17 @@ def ktype_table(
     return KTypeTable(entries={nu: v for nu, v in zip(points, values) if v})
 
 
-def _multiset_sums(roots: Sequence[Weight], rank: int, max_size: int) -> Iterator[Weight]:
-    """Yield the sum of every multiset of at most max_size roots, once each."""
-
-    def rec(idx: int, used: int, total: Weight) -> Iterator[Weight]:
-        if idx == len(roots):
-            yield total
-            return
-        current = total
-        k = 0
-        while used + k <= max_size:
-            yield from rec(idx + 1, used + k, current)
-            k += 1
-            if used + k <= max_size:
-                current = current + roots[idx]
-
-    yield from rec(0, 0, Weight.zero(rank))
-
-
 def _filtration_level(
     grading: CompactGrading, kdata: KWeylData, lam: Weight, points: Sequence[Weight]
 ) -> int:
-    """The highest filtration level that can contribute to any nu in ``points``.
+    """The highest noncompact degree of a kappa that reaches any nu in ``points``.
 
-    Each nu needs mu = lam - rho_n - w(nu - rho_c) for every w in W_K.  These
-    differ from lam - rho_n + rho_c - nu by nu - w nu and w rho_c - rho_c,
-    which lie in the root lattice (nu pairs integrally with the compact
-    coroots), so one lattice test per nu serves every w.  The part
-    (lam - rho_n) + w rho_c is computed once per w.  A mu in the cone is a
-    sum of at most as many noncompact roots as its coordinates on the
-    noncompact simple roots add up to: the grading is multiplicative, so
-    each noncompact root has an odd, hence positive, sum there.
+    Each nu is reached by kappa = lam - rho_n - w(nu - rho_c), w in W_K.  These
+    differ from lam - rho_n + rho_c - nu by root-lattice vectors (nu pairs
+    integrally with the compact coroots), so one lattice test per nu serves
+    every w; (lam - rho_n) + w rho_c is computed once per w.  The walk needs
+    the kappa in the cone, up to the largest degree among them: the sum of
+    kappa's root coordinates on the noncompact simple roots.
     """
     root_coords = grading.rs.root_coords
     shifted = (lam - grading.rho_n).twice
@@ -442,22 +422,37 @@ def _check_walk_size(grading: CompactGrading, level: int) -> None:
 def _filtration_walk(
     grading: CompactGrading, kdata: KWeylData, lam: Weight, level: int
 ) -> dict[Weight, int]:
-    """Signed BWB contributions of every multiset up to ``level``, by lowest weight.
+    """Signed BWB contributions of S(p) up to noncompact degree ``level``, by lowest weight.
 
-    Level s contributes one line-bundle twist per multiset of s noncompact
-    positive roots; each twist is resolved with :func:`bwb_cohomology` and
-    counted at its lowest K-weight with sign (-1)^degree.
+    A twist depends on its multiset of noncompact roots only through the sum
+    kappa, so each distinct kappa is resolved once, by ``bwb_cohomology`` of
+    lam - rho_n - kappa, and counted c(kappa) times, the multisets summing to
+    kappa, with sign (-1)^(cohomological degree).  c is filled coin-change
+    style on doubled vectors, c(kappa + beta) += c(kappa) one root beta at a
+    time, in one dict per noncompact degree; a noncompact root has odd, hence
+    positive, degree.  A kappa of degree at most ``level`` is a sum of at most
+    ``level`` roots, so the multisets ``_check_walk_size`` counts bound the
+    sums and the BWB calls.  Each dict is cleared once its sums are resolved.
     """
     _check_walk_size(grading, level)
-    shifted = lam - grading.rho_n
+    noncompact = [i for i, s in enumerate(grading.simple_signs) if s == -1]
+    counts: list[dict[IntVec, int]] = [{(0,) * grading.rs.rank: 1}] + [{} for _ in range(level)]
+    for root in grading.noncompact_positive:
+        beta = tuple(2 * c for c in root.fw_coords)
+        for low, high in zip(counts, counts[sum(root.root_coords[i] for i in noncompact):]):
+            for kappa, count in low.items():
+                up = tuple(map(add, kappa, beta))
+                high[up] = high.get(up, 0) + count
+    shifted = (lam - grading.rho_n).twice
     buckets: dict[Weight, int] = {}
-    kappa_roots = [r.weight() for r in grading.noncompact_positive]
-    for kappa in _multiset_sums(kappa_roots, grading.rs.rank, level):
-        result = bwb_cohomology(grading, kdata, shifted - kappa)
-        if result is None:
-            continue
-        degree, lowest = result
-        buckets[lowest] = buckets.get(lowest, 0) + (-1 if degree % 2 else 1)
+    for sums in counts:
+        for kappa, count in sums.items():
+            eta = Weight.from_twice(tuple(map(sub, shifted, kappa)))
+            result = bwb_cohomology(grading, kdata, eta)
+            if result is not None:
+                degree, lowest = result
+                buckets[lowest] = buckets.get(lowest, 0) + (-count if degree % 2 else count)
+        sums.clear()
     return buckets
 
 

@@ -56,7 +56,7 @@ class ParameterIncompatible(ValidationError):
 
 
 class TruncationTooLarge(ValidationError):
-    """Filtration truncation would walk more multisets than the configured bound."""
+    """The oracle's level admits more multisets, which bound its walk, than the configured limit."""
 
 
 class BoxTooLarge(ValidationError):

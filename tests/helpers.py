@@ -7,6 +7,8 @@ rebuilds the dense closure.  ``reference_closed_formula`` and
 pruning, stepping or padding, as the reference for the fast one.
 ``solve_root_coords`` is the rational reference for ``RootSystem.root_coords``.
 ``inverse`` finds w^-1 by its reversed word.
+``multiset_walk`` resolves one Borel-Weil-Bott twist per multiset of
+noncompact roots, the reference for the oracle's fill by distinct sums.
 ``product`` is the general character product, the reference for
 ``times_denominator``.  ``dominant_representative`` lifts
 ``rootdata.dominant_twice`` to weights.  ``sign_by_root`` is a grading's
@@ -18,7 +20,7 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from dischar import FormalCharacter, Weight, act
+from dischar import FormalCharacter, Weight, act, bwb_cohomology
 from dischar.rootdata import dominant_twice
 from dischar.weyl import reflect
 
@@ -195,3 +197,29 @@ def reference_closed_formula(grading, kdata, lam, points):
     roots = [r.root_coords for r in grading.noncompact_positive]
     table = RowPartitionTable(roots, extent)
     return [sum(sign * table[t] for sign, t in arguments(nu)) for nu in points], extent
+
+
+def multiset_sums(grading, level):
+    """The sum of every multiset of at most ``level`` noncompact positive roots, once per multiset."""
+    roots = [r.weight() for r in grading.noncompact_positive]
+    for size in range(level + 1):
+        for chosen in itertools.combinations_with_replacement(roots, size):
+            yield sum(chosen, Weight.zero(grading.rs.rank))
+
+
+def multiset_walk(grading, kdata, lam, level):
+    """Signed BWB contributions of every multiset of at most ``level`` roots, by lowest weight.
+
+    The reference for ``dischar.blattner._filtration_walk``: one
+    ``bwb_cohomology`` per multiset, on lam - rho_n - (its sum), counted at
+    its lowest K-weight with sign (-1)^degree.  It truncates by the number
+    of roots, not by noncompact degree, and never groups equal sums.
+    """
+    shifted = lam - grading.rho_n
+    buckets = {}
+    for kappa in multiset_sums(grading, level):
+        result = bwb_cohomology(grading, kdata, shifted - kappa)
+        if result is not None:
+            degree, lowest = result
+            buckets[lowest] = buckets.get(lowest, 0) + (-1 if degree % 2 else 1)
+    return buckets
