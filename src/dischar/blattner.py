@@ -35,22 +35,23 @@ twist depends only on the sum kappa of its noncompact roots, so a dict
 convolution (no partition table, W_K alternation or pruning) counts the
 multisets by sum, and the Borel-Weil-Bott step for K resolves each distinct
 kappa once.  One walk, up to the largest degree any nu of the box needs,
-serves the whole box: it buckets every result by its lowest K-weight.
+serves the whole box: it keeps the results whose lowest K-weight is a point
+of the box, summed by that weight.
 
 Sizes the caller controls are bounded before the work they size: the number
 of box points (``MAX_BOX_POINTS``), the entries of the partition table
 (``MAX_TABLE_ENTRIES``) and its cells with the pads (``MAX_TABLE_CELLS``),
 and the multisets of at most the oracle's level roots, which bound its sums
-and BWB calls (``MAX_ORACLE_MULTISETS``).  Each raises a ``ValidationError``.
+and BWB calls (``MAX_ORACLE_MULTISETS``, checked each time the level sweep
+finds a higher level).  Each raises a ``ValidationError``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from numbers import Rational
 from operator import add, le, mul, sub
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BoxTooLarge,
@@ -62,8 +63,12 @@ from .errors import (
 from .realform import CompactGrading, KWeylData
 from .rootdata import Weight, check_rank, check_schmid_parameter
 
+if TYPE_CHECKING:
+    from numbers import Rational
+
+    Box = tuple[Sequence[Rational], Sequence[Rational]]
+
 IntVec = tuple[int, ...]
-Box = tuple[Sequence[Rational], Sequence[Rational]]
 
 # nu points one box may span (before the R_c+ antidominance filter)
 MAX_BOX_POINTS = 100_000
@@ -391,7 +396,10 @@ def _filtration_level(
     integrally with the compact coroots), so one lattice test per nu serves
     every w; (lam - rho_n) + w rho_c is computed once per w.  The walk needs
     the kappa in the cone, up to the largest degree among them: the sum of
-    kappa's root coordinates on the noncompact simple roots.
+    kappa's root coordinates on the noncompact simple roots.  Each time that
+    degree grows it is checked against the walk's bound, so a box whose walk
+    is refused is refused at the first kappa past the bound, before the rest
+    of the sweep.
     """
     root_coords = grading.rs.root_coords
     shifted = (lam - grading.rho_n).twice
@@ -407,7 +415,10 @@ def _filtration_level(
             if coords is None:
                 raise InvariantViolation("a W_K difference left the root lattice")
             if min(coords, default=0) >= 0:
-                needed = max(needed, sum(coords[i] for i in noncompact))
+                level = sum(coords[i] for i in noncompact)
+                if level > needed:
+                    _check_walk_size(grading, level)
+                    needed = level
     return needed
 
 
@@ -415,14 +426,15 @@ def _check_walk_size(grading: CompactGrading, level: int) -> None:
     walked = math.comb(grading.q + level, level)
     if walked > MAX_ORACLE_MULTISETS:
         raise TruncationTooLarge(
-            f"walk level {level} needs {walked} multisets; the limit is {MAX_ORACLE_MULTISETS}"
+            f"walk reaches level {level}, which needs {walked} multisets; "
+            f"the limit is {MAX_ORACLE_MULTISETS}"
         )
 
 
 def _filtration_walk(
-    grading: CompactGrading, kdata: KWeylData, lam: Weight, level: int
+    grading: CompactGrading, kdata: KWeylData, lam: Weight, level: int, points: Sequence[Weight]
 ) -> dict[Weight, int]:
-    """Signed BWB contributions of S(p) up to noncompact degree ``level``, by lowest weight.
+    """Signed BWB contributions of S(p) up to noncompact degree ``level``, at the nu in ``points``.
 
     A twist depends on its multiset of noncompact roots only through the sum
     kappa, so each distinct kappa is resolved once, by ``bwb_cohomology`` of
@@ -432,7 +444,8 @@ def _filtration_walk(
     time, in one dict per noncompact degree; a noncompact root has odd, hence
     positive, degree.  A kappa of degree at most ``level`` is a sum of at most
     ``level`` roots, so the multisets ``_check_walk_size`` counts bound the
-    sums and the BWB calls.  Each dict is cleared once its sums are resolved.
+    sums and the BWB calls.  Each dict is cleared once its sums are resolved,
+    and a result is kept only when its lowest K-weight is one of ``points``.
     """
     _check_walk_size(grading, level)
     noncompact = [i for i, s in enumerate(grading.simple_signs) if s == -1]
@@ -444,12 +457,13 @@ def _filtration_walk(
                 up = tuple(map(add, kappa, beta))
                 high[up] = high.get(up, 0) + count
     shifted = (lam - grading.rho_n).twice
+    wanted = set(points)
     buckets: dict[Weight, int] = {}
     for sums in counts:
         for kappa, count in sums.items():
             eta = Weight.from_twice(tuple(map(sub, shifted, kappa)))
             result = bwb_cohomology(grading, kdata, eta)
-            if result is not None:
+            if result is not None and result[1] in wanted:
                 degree, lowest = result
                 buckets[lowest] = buckets.get(lowest, 0) + (-count if degree % 2 else count)
         sums.clear()
@@ -467,7 +481,7 @@ def filtration_oracle(
     check_schmid_parameter(grading.rs, lam)
     _check_nu(grading, nu)
     level = _filtration_level(grading, kdata, lam, [nu])
-    return _filtration_walk(grading, kdata, lam, level).get(nu, 0)
+    return _filtration_walk(grading, kdata, lam, level, [nu]).get(nu, 0)
 
 
 def filtration_table(
@@ -479,5 +493,6 @@ def filtration_table(
     """
     points = _box_points(grading, box)
     check_schmid_parameter(grading.rs, lam)
-    buckets = _filtration_walk(grading, kdata, lam, _filtration_level(grading, kdata, lam, points))
+    level = _filtration_level(grading, kdata, lam, points)
+    buckets = _filtration_walk(grading, kdata, lam, level, points)
     return KTypeTable(entries={nu: buckets[nu] for nu in points if buckets.get(nu)})

@@ -8,14 +8,15 @@ are always serialized as strings.  Exit codes: 0 success, 1 rejected input,
 Only the set-up every table command shares is imported with this module;
 each command imports the layers it runs (homology, characters, blattner,
 verify) inside its own function, so a cold run compiles no other layer.
+The command line is read by one small parser over the fixed grammar below,
+and numbers go through ``int`` first, so a cold run imports neither
+``argparse`` nor ``fractions``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
@@ -25,16 +26,19 @@ from .errors import (
     ParameterIncompatible,
     ValidationError,
 )
-from .orbits import enumerate_closed_orbits
 from .realform import CompactGrading, KWeylData, build_grading, weyl_k
 from .rootdata import Weight, build_root_system
 from .weyl import generate
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .homology import HomologyTable
 
+    Box = tuple[tuple[int | Fraction, ...], tuple[int | Fraction, ...]]
+
 # Longest text accepted for one lambda or nu_box entry; longer text, and any
-# exponent notation, is refused before a Fraction is built from it.
+# exponent notation, is refused before a number is built from it.
 MAX_NUMBER_CHARS = 100
 # |W| = prod(m_i + 1) over rank exponents m_i >= 1 is at least 2^rank, so no rank
 # above 16 passes generate's 100 000 bound; build_root_system alone is O(rank^5).
@@ -47,14 +51,15 @@ class JobConfig(NamedTuple):
     cartan: tuple[tuple[int, ...], ...]
     compact_simple: tuple[bool, ...]
     lam: Weight | None = None
-    nu_box: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None = None
+    nu_box: Box | None = None
     orbit_index: int | None = None
     # the character command's expansion and the blattner command's oracle column
     which: str = "weyl"
     with_oracle: bool = False
 
 
-def _fraction(value: object, what: str) -> Fraction:
+def _fraction(value: object, what: str) -> int | Fraction:
+    """The exact number ``value`` spells: an ``int`` where ``int`` reads it, else a ``Fraction``."""
     if value is None or isinstance(value, bool):
         raise ParameterIncompatible(f"{what} entry {value!r} is not an exact number")
     text = str(value)
@@ -64,6 +69,12 @@ def _fraction(value: object, what: str) -> Fraction:
         )
     if "e" in text or "E" in text:
         raise ParameterIncompatible(f"{what} entry {text!r} uses exponent notation")
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -79,7 +90,7 @@ def _weight(values: object, rank: int) -> Weight:
     return lam
 
 
-def _box(lo: object, hi: object, rank: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+def _box(lo: object, hi: object, rank: int) -> Box:
     if not isinstance(lo, list) or not isinstance(hi, list):
         raise ParameterIncompatible("nu_box must be a pair of lists")
     if len(lo) != rank or len(hi) != rank:
@@ -167,6 +178,8 @@ def _describe(grading: CompactGrading, kdata: KWeylData, config: JobConfig) -> R
 
 
 def _orbits(grading: CompactGrading, kdata: KWeylData, config: JobConfig) -> Rendered:
+    from .orbits import enumerate_closed_orbits
+
     rs = grading.rs
     payload, rows = [], []
     for i, orbit in enumerate(enumerate_closed_orbits(rs, grading, kdata.weyl, kdata)):
@@ -200,6 +213,7 @@ def _kostant(grading: CompactGrading, kdata: KWeylData, config: JobConfig) -> Re
 
 def _schmid(grading: CompactGrading, kdata: KWeylData, config: JobConfig) -> Rendered:
     from .homology import schmid_table
+    from .orbits import enumerate_closed_orbits
 
     lam = _require_lambda(config)
     orbits = enumerate_closed_orbits(grading.rs, grading, kdata.weyl, kdata)
@@ -237,9 +251,11 @@ def _blattner(grading: CompactGrading, kdata: KWeylData, config: JobConfig) -> R
     lam = _require_lambda(config)
     if config.nu_box is None:
         raise ParameterIncompatible("blattner needs a nu_box")
-    table = ktype_table(grading, kdata, lam, config.nu_box)
     with_oracle = config.with_oracle
+    # the oracle goes first: its level sweep refuses a box whose walk is too
+    # large at the first point past the bound, before the closed formula's work
     oracle = filtration_table(grading, kdata, lam, config.nu_box).entries if with_oracle else {}
+    table = ktype_table(grading, kdata, lam, config.nu_box)
     payload, rows = [], []
     for nu, mult in table.sorted_entries():
         entry: dict = {"nu": nu.serialize(), "multiplicity": mult}
@@ -298,7 +314,7 @@ def _parse_lambda(text: str, rank: int) -> Weight:
     return _weight([part.strip() for part in text.split(",")] if text else [], rank)
 
 
-def _parse_box(text: str, rank: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+def _parse_box(text: str, rank: int) -> Box:
     los, his = [], []
     for part in text.split(",") if text else []:
         lo_text, _, hi_text = part.partition("..")
@@ -309,51 +325,125 @@ def _parse_box(text: str, rank: int) -> tuple[tuple[Fraction, ...], tuple[Fracti
     return _box(los, his, rank)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dischar",
-        description="Exact discrete-series combinatorics from a JSON configuration.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="path to the JSON configuration")
-    parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument("--lambda", dest="lam", help="weight a/b,c/d,... overriding the config")
-    parser.add_argument("--box", help="nu box lo..hi per coordinate, comma separated")
-    parser.add_argument("--orbit", type=int, help="closed-orbit index (canonical order)")
-    parser.add_argument("--which", choices=("denominator", "weyl", "discrete"),
-                        default="weyl", help="character command: which expansion")
-    parser.add_argument("--verify", action="store_true",
-                        help="blattner command: append the oracle column")
-    return parser
+USAGE = """\
+usage: dischar COMMAND --config PATH [options]
+
+Exact discrete-series combinatorics from a JSON configuration.
+
+commands: describe, orbits, kostant, schmid, character, blattner, verify
+
+An option takes its value as --name=value or --name value; the last one
+given wins, and a value that starts with a dash is read as a value.
+  --config PATH         the JSON configuration (required)
+  --format json|tsv     output format (default json)
+  --lambda a,b,...      weight overriding the configuration's lambda
+  --box lo..hi,...      nu box, one lo..hi per coordinate
+  --orbit N             closed-orbit index, in canonical order
+  --which denominator|weyl|discrete
+                        character command: which expansion (default weyl)
+  --verify              blattner command: append the oracle column
+  -h, --help            print this text and exit
+"""
+# every option that takes a value, with its choices (None: any text; --orbit
+# must be an integer), and the options that take none: -h and --help ask for
+# the usage text
+OPTIONS: dict[str, tuple[str, ...] | None] = {
+    "--config": None,
+    "--format": ("json", "tsv"),
+    "--lambda": None,
+    "--box": None,
+    "--orbit": None,
+    "--which": ("denominator", "weyl", "discrete"),
+}
+FLAGS = ("--verify", "-h", "--help")
+
+
+def parse_args(argv: Sequence[str]) -> tuple[str, dict[str, str]] | None:
+    """The command word and the options of ``argv``; None when it asks for help.
+
+    Option names must be spelled in full.  Every usage error raises
+    ``ParameterIncompatible``.
+    """
+    command, options = None, {}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if command is not None:
+                raise ParameterIncompatible(f"unexpected word {token!r} after {command!r}")
+            if token not in COMMANDS:
+                raise ParameterIncompatible(f"unknown command {token!r}")
+            command = token
+            continue
+        name, inline, value = token.partition("=")
+        if name in FLAGS:
+            if inline:
+                raise ParameterIncompatible(f"option {name} takes no value")
+            if name in ("-h", "--help"):
+                return None
+            options[name] = ""
+            continue
+        if name not in OPTIONS:
+            raise ParameterIncompatible(f"unknown option {token!r}")
+        if not inline:
+            value = next(tokens, None)
+            if value is None:
+                raise ParameterIncompatible(f"option {name} needs a value")
+        choices = OPTIONS[name]
+        if choices is not None and value not in choices:
+            raise ParameterIncompatible(f"option {name} must be one of {', '.join(choices)}")
+        if name == "--orbit":
+            try:
+                int(value)
+            except ValueError:
+                raise ParameterIncompatible("option --orbit must be an integer") from None
+        options[name] = value
+    if command is None:
+        raise ParameterIncompatible(f"a command is required: one of {', '.join(COMMANDS)}")
+    if "--config" not in options:
+        raise ParameterIncompatible("option --config is required")
+    return command, options
+
+
+def _error(code: str, exc: Exception) -> None:
+    print(json.dumps({"error": code, "message": str(exc)}))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
+        parsed = parse_args(sys.argv[1:] if argv is None else argv)
+    except ValidationError as exc:
+        _error(exc.code, exc)
+        return 1
+    if parsed is None:
+        sys.stdout.write(USAGE)
+        return 0
+    command, options = parsed
+    try:
+        with open(options["--config"], "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError: bytes that are not UTF-8, malformed JSON or an integer
         # past the digit limit; RecursionError: arrays nested too deep
-        print(json.dumps({"error": "ConfigUnreadable", "message": str(exc)}))
+        _error("ConfigUnreadable", exc)
         return 1
 
     try:
         config = parse_config(raw)
         rank = len(config.cartan)
-        if args.lam is not None:
-            config = config._replace(lam=_parse_lambda(args.lam, rank))
-        if args.box is not None:
-            config = config._replace(nu_box=_parse_box(args.box, rank))
-        if args.orbit is not None:
-            config = config._replace(orbit_index=args.orbit)
-        config = config._replace(which=args.which, with_oracle=args.verify)
-        code, output = run(args.command, config, fmt=args.format)
+        if "--lambda" in options:
+            config = config._replace(lam=_parse_lambda(options["--lambda"], rank))
+        if "--box" in options:
+            config = config._replace(nu_box=_parse_box(options["--box"], rank))
+        if "--orbit" in options:
+            config = config._replace(orbit_index=int(options["--orbit"]))
+        config = config._replace(which=options.get("--which", "weyl"),
+                                 with_oracle="--verify" in options)
+        code, output = run(command, config, fmt=options.get("--format", "json"))
     except ValidationError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}))
+        _error(exc.code, exc)
         return 1
     except InvariantViolation as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}))
+        _error(exc.code, exc)
         return 2
     sys.stdout.write(output)
     return code

@@ -26,13 +26,15 @@ same rule then drives the Trauber pipeline unchanged.
 from __future__ import annotations
 
 from operator import add
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import InvariantViolation, ParameterIncompatible
-from .orbits import ClosedOrbit
 from .realform import CompactGrading, KWeylData
 from .rootdata import RootSystem, Weight, check_kostant_parameter, check_schmid_parameter
 from .weyl import IntVec, WeylGroup, act_twice, dot_orbit, sweep
+
+if TYPE_CHECKING:
+    from .orbits import ClosedOrbit
 
 
 class HomologyTable(NamedTuple):

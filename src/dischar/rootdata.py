@@ -6,7 +6,9 @@ basis.  Reflections and coroot pairings then never leave integer
 arithmetic; there is no floating point anywhere.  In fundamental-weight
 coordinates rho is (1,...,1), and rho_c and rho_n are half sums of roots,
 so every weight lies in (1/2)Z^rank: a ``Weight`` stores 2 lambda as a tuple
-of ``int``, and ``Fraction`` appears only where coordinates are parsed or read.
+of ``int``.  ``fractions`` is imported only where a coordinate that is not
+an integer is parsed (text ``int`` refuses, or a ``Fraction`` passed in) or
+read back (an odd doubled coordinate).
 The one root-lattice test is ``RootSystem.root_coords``, in integers on 2 lambda.
 
 Conventions, fixed once:
@@ -21,9 +23,8 @@ Conventions, fixed once:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, mul, neg, sub
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -35,8 +36,12 @@ from .errors import (
     NotStronglyAntidominant,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Coords = tuple[int | Fraction, ...]
+
 IntVec = tuple[int, ...]
-Coords = tuple[int | Fraction, ...]
 
 # positive roots one closure may reach before it is aborted
 MAX_ROOTS = 10_000
@@ -44,10 +49,21 @@ MAX_ROOTS = 10_000
 
 def _half(t: int) -> int | Fraction:
     """t / 2 as an ``int`` when t is even, else as a ``Fraction``."""
-    return Fraction(t, 2) if t & 1 else t >> 1
+    if t & 1:
+        from fractions import Fraction
+
+        return Fraction(t, 2)
+    return t >> 1
 
 
 def _doubled(c: Fraction | str) -> int:
+    if type(c) is str:
+        try:
+            return 2 * int(c)
+        except ValueError:
+            pass
+    from fractions import Fraction
+
     twice = 2 * Fraction(c)
     if twice.denominator != 1:
         raise NotIntegral(f"weight coordinate {c} is not a multiple of 1/2")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -290,6 +291,39 @@ def test_filtration_level_matches_brute_force(systems, groups):
     assert positive > 400
 
 
+def test_level_sweep_stops_at_the_first_point_past_the_bound(monkeypatch, systems, groups):
+    # the sweep checks the walk's bound each time the level grows, so it
+    # refuses at the first lattice nu that needs a level past the bound and
+    # sweeps W_K for no later nu; the swept points are counted, not timed
+    rs, grading, kdata = setup(systems, groups, "B3", (1, 1, -1))
+    lam = scaled(rs.rho, -2)
+    points = blattner._box_points(grading, ((-6,) * 3, (0,) * 3))
+    shift = (lam - grading.rho_n + grading.rho_c).twice
+    lattice = [nu for nu in points
+               if rs.root_coords(tuple(a - b for a, b in zip(shift, nu.twice))) is not None]
+    levels = [_filtration_level(grading, kdata, lam, [nu]) for nu in lattice]
+    admitted = max(levels) // 2
+    first = next(k for k, level in enumerate(levels) if level > admitted)
+    assert first + 1 < len(lattice) // 2
+
+    swept = []
+    orbit = type(kdata).orbit
+
+    def counted(self, vec):
+        swept.append(vec)
+        return orbit(self, vec)
+
+    monkeypatch.setattr(type(kdata), "orbit", counted)
+    monkeypatch.setattr(blattner, "MAX_ORACLE_MULTISETS",
+                        math.comb(grading.q + admitted, admitted))
+    with pytest.raises(TruncationTooLarge, match="^walk reaches level ") as refused:
+        filtration_table(grading, kdata, lam, ((-6,) * 3, (0,) * 3))
+    # one W_K sweep of rho_c, then one per lattice nu up to the refused one
+    assert swept[1:] == [nu.twice for nu in lattice[:first + 1]]
+    reached = int(str(refused.value).split()[3].rstrip(","))
+    assert admitted < reached <= levels[first]
+
+
 def test_blattner_equals_oracle_a1(systems, groups):
     _, grading, kdata = setup(systems, groups, "A1", (-1,))
     for lam_c in (-2, -3, -4):
@@ -456,7 +490,7 @@ def test_size_limits_admit_their_bound(monkeypatch, systems, groups):
     monkeypatch.setattr(blattner, "MAX_ORACLE_MULTISETS", 4)
     assert filtration_oracle(grading, kdata, lam, Weight((-9,))) == 1
     with pytest.raises(
-        TruncationTooLarge, match="^walk level 4 needs 5 multisets; the limit is 4$"
+        TruncationTooLarge, match="^walk reaches level 4, which needs 5 multisets; the limit is 4$"
     ):
         filtration_oracle(grading, kdata, lam, Weight((-11,)))
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dischar import build_grading, build_root_system, enumerate_closed_orbits, generate, weyl_k
-from dischar.cli import COMMANDS, MAX_RANK, build_parser, main, parse_config, run
+from dischar.cli import (COMMANDS, FLAGS, MAX_NUMBER_CHARS, MAX_RANK, OPTIONS, _fraction, main,
+                         parse_config, run)
 from dischar.errors import GroupTooLarge, ParameterIncompatible
 from dischar.weyl import MAX_WEYL_ORDER
 from tests.conftest import CARTAN, E7, EXTRA_CARTAN
@@ -419,11 +420,9 @@ def test_blattner_checks_lambda_on_an_empty_box(tmp_path, capsys):
 
 
 def _parser_vocabulary():
-    """(option string, choices or None, takes a value) for every optional flag."""
-    return [
-        (action.option_strings[-1], action.choices, action.nargs != 0)
-        for action in build_parser()._actions
-        if action.option_strings and action.dest not in ("help", "config")
+    """(option, choices or None, takes a value) for every option but --config and help."""
+    return [(name, choices, True) for name, choices in OPTIONS.items() if name != "--config"] + [
+        (name, None, False) for name in FLAGS if name not in ("-h", "--help")
     ]
 
 
@@ -499,10 +498,13 @@ def fuzzed_runs(draw):
             continue
         if not takes_value:
             argv.append(option)
-        elif choices is not None:
-            argv.append(f"{option}={draw(st.sampled_from(list(choices)))}")
+            continue
+        if choices is not None:
+            value = draw(st.sampled_from(list(choices)))
         else:
-            argv.append(f"{option}={draw(values.get(option, FLAG_TEXT))}")
+            value = draw(values.get(option, FLAG_TEXT))
+        # both spellings of an option with a value
+        argv += [option, value] if draw(st.booleans()) else [f"{option}={value}"]
     return config, argv
 
 
@@ -517,13 +519,155 @@ def test_main_fuzzed_configs_and_flags(run_case):
             json.dump(config, handle)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv + ["--config", path])
-            except SystemExit as exc:  # argparse's usage error
-                assert exc.code == 2
-                code = 2
+            code = main(argv + ["--config", path])
     assert code in (0, 1, 2)
     if code == 1:
         data = json.loads(out.getvalue())
         assert isinstance(data, dict)
         assert set(data) == {"error", "message"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from([*COMMANDS, *OPTIONS, *FLAGS, "--conf", "--verif", "-", "--", "=", "x",
+                     "--lambda=-2", "--box=-3..0", "--orbit=0", "--which=discrete", "-2"]),
+    st.sampled_from([c for choices in OPTIONS.values() if choices for c in choices]),
+    st.text(max_size=4),
+), max_size=6), st.booleans())
+def test_main_any_argv_exits_with_a_code(tmp_path_factory, argv, with_config):
+    """Whatever the words, main returns 0, 1 with one JSON object, or 2; it never exits."""
+    path = write_config(tmp_path_factory.mktemp("argv"), A1_NC)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv + (["--config", path] if with_config else []))
+    assert err.getvalue() == ""
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert set(json.loads(out.getvalue())) == {"error", "message"}
+
+
+def _one_error_object(capsys):
+    """The one JSON error object a refused command prints, with nothing on stderr."""
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.endswith("\n") and out.count("\n") == 1
+    data = json.loads(out)
+    assert set(data) == {"error", "message"}
+    return data
+
+
+CONFIG = "{config}"  # stands for the path of a readable configuration
+USAGE_ERRORS = [
+    (["describe", CONFIG, "--bogus"], "unknown option '--bogus'"),
+    (["describe", "--conf", "x.json"], "unknown option '--conf'"),
+    (["character", CONFIG, "--wh", "weyl"], "unknown option '--wh'"),
+    (["blattner", CONFIG, "--verif"], "unknown option '--verif'"),
+    (["describe", CONFIG, "-x"], "unknown option '-x'"),
+    (["describe", CONFIG, "--"], "unknown option '--'"),
+    (["blattner", CONFIG, "--verify=yes"], "option --verify takes no value"),
+    (["describe", CONFIG, "--help=1"], "option --help takes no value"),
+    (["describe", CONFIG, "--format"], "option --format needs a value"),
+    (["describe", "--config"], "option --config needs a value"),
+    (["describe", CONFIG, "--format", "xml"], "option --format must be one of json, tsv"),
+    (["character", CONFIG, "--which=all"],
+     "option --which must be one of denominator, weyl, discrete"),
+    (["schmid", CONFIG, "--orbit", "x"], "option --orbit must be an integer"),
+    (["schmid", CONFIG, "--orbit=1.0"], "option --orbit must be an integer"),
+    ([CONFIG], "a command is required: one of " + ", ".join(COMMANDS)),
+    ([], "a command is required: one of " + ", ".join(COMMANDS)),
+    (["draw", CONFIG], "unknown command 'draw'"),
+    (["Describe", CONFIG], "unknown command 'Describe'"),
+    (["describe"], "option --config is required"),
+    (["describe", "orbits", CONFIG], "unexpected word 'orbits' after 'describe'"),
+    (["describe", CONFIG, "extra"], "unexpected word 'extra' after 'describe'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "empty" for argv, _ in USAGE_ERRORS])
+def test_usage_errors_exit_1_with_one_error_object(tmp_path, capsys, argv, message):
+    path = write_config(tmp_path, A2_MIXED)
+    argv = [part for word in argv
+            for part in (["--config", path] if word == CONFIG else [word])]
+    assert main(argv) == 1
+    assert _one_error_object(capsys) == {"error": "ParameterIncompatible", "message": message}
+
+
+def test_usage_error_through_the_module(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dischar", "describe", "--conf", "x.json"],
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == "ParameterIncompatible"
+
+
+# the command line is read in order, so help given before an error wins
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--config", "missing.json", "-h"],
+                                  ["describe", "--help", "--bogus"]])
+def test_help_names_every_command_and_option(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    words = [*COMMANDS, *OPTIONS, *FLAGS]
+    words += [choice for choices in OPTIONS.values() if choices for choice in choices]
+    assert [word for word in words if word not in out] == []
+
+
+def test_option_spellings_and_positions_agree(tmp_path, capsys):
+    path = write_config(tmp_path, A2_MIXED)
+    spellings = [
+        ["blattner", "--config", path, "--lambda=-2,-1", "--box=-3..0,-3..0", "--verify"],
+        ["blattner", "--config", path, "--lambda", "-2,-1", "--box", "-3..0,-3..0", "--verify"],
+        ["--verify", "--box", "-3..0,-3..0", "--config=" + path, "blattner", "--lambda", "-2,-1"],
+        # the last value given wins
+        ["blattner", "--config", path, "--lambda=-9,-9", "--lambda", "-2,-1",
+         "--box=0..0,0..0", "--box=-3..0,-3..0", "--verify"],
+    ]
+    outputs = []
+    for argv in spellings:
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1:] == outputs[:1] * 3
+    assert '"oracle"' in outputs[0]
+
+
+EDGE_NUMBERS = ["-3", "+3", " 4 ", "\t-5\n", "1_000", "1__0", "_1", "1_", "007", "-0", "+0",
+                "3.", ".5", "-.5", "3.5", "1/2", " -1 / 2 ", "1/0", "0/0", "p/q", "1/-2",
+                "\u0663", "-\u0661/\u0662", "\u00a03", "1.5/2", "", " ", "+-1", "--1"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.from_regex(r"\A\s?[-+]?\d*(_\d)?\.?\d*(_\d)?(\s?/\s?[-+]?\d*(_\d)?)?\s?\Z"),
+    st.text(alphabet=" \t_+-./0123456789\u0663\u00a0", max_size=7),
+    st.text(max_size=5),
+))
+def test_fraction_reads_exactly_what_fraction_reads(text):
+    """``cli._fraction`` tries int() first; it must still accept exactly what Fraction does."""
+    from fractions import Fraction
+
+    _fraction_agrees(text, Fraction)
+
+
+@pytest.mark.parametrize("text", EDGE_NUMBERS)
+def test_fraction_edge_numbers(text):
+    from fractions import Fraction
+
+    _fraction_agrees(text, Fraction)
+
+
+def _fraction_agrees(text, fraction):
+    try:
+        expected = fraction(text)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    if "e" in text or "E" in text or len(text) > MAX_NUMBER_CHARS:
+        expected = None  # refused before it is parsed
+    try:
+        got = _fraction(text, "lambda")
+    except ParameterIncompatible:
+        got = None
+    assert got == expected
+    assert type(got) in (int, fraction, type(None))

@@ -78,7 +78,7 @@ def test_walk_resolves_each_distinct_sum_once(monkeypatch, systems, groups, leve
         rs = systems[name]
         grading, kdata = setup(rs, groups[name], signs)
         calls.clear()
-        _filtration_walk(grading, kdata, -rs.rho, level)
+        _filtration_walk(grading, kdata, -rs.rho, level, [])
         sums = {kappa for kappa in multiset_sums(grading, level)
                 if noncompact_degree(rs, grading, kappa) <= level}
         assert len(calls) == len(sums), (name, signs)

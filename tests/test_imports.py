@@ -30,24 +30,27 @@ EXPORTS = (
 A2_MIXED = {"cartan": [[2, -1], [-1, 2]], "compact_simple": [True, False],
             "lambda": ["-2", "-1"], "nu_box": [["-3", "-3"], ["0", "0"]]}
 
-SHARED = {"dischar", "dischar.cli", "dischar.errors", "dischar.orbits",
+SHARED = {"dischar", "dischar.cli", "dischar.errors",
           "dischar.realform", "dischar.rootdata", "dischar.weyl"}
 LAYOUT = [
     (["describe"], SHARED),
-    (["orbits"], SHARED),
+    (["orbits"], SHARED | {"dischar.orbits"}),
     (["kostant", "--lambda=-1,-1"], SHARED | {"dischar.homology"}),
-    (["schmid"], SHARED | {"dischar.homology"}),
+    (["schmid"], SHARED | {"dischar.homology", "dischar.orbits"}),
     (["character", "--which", "denominator"], SHARED | {"dischar.characters"}),
     (["character", "--which", "weyl", "--lambda=-1,-1"], SHARED | {"dischar.characters"}),
     (["character", "--which", "discrete"], SHARED | {"dischar.characters"}),
     (["blattner", "--verify"], SHARED | {"dischar.blattner"}),
     (["verify"], SHARED | {"dischar.blattner", "dischar.characters", "dischar.homology",
-                           "dischar.verify"}),
+                           "dischar.orbits", "dischar.verify"}),
 ]
 
 # dataclasses imports inspect, ast, dis and tokenize (about 10 ms); the records
-# are NamedTuples so that no command pays for them
-HEAVY = ("dataclasses", "inspect")
+# are NamedTuples so that no command pays for them.  The command line is not
+# read by argparse (gettext, locale), and numbers are read by int() first, so
+# no command imports fractions (decimal, numbers) for integer input either.
+HEAVY = ("dataclasses", "inspect", "argparse", "fractions", "decimal", "numbers",
+         "gettext", "locale")
 
 CHILD = """
 import contextlib, io, json, sys
