@@ -343,6 +343,9 @@ def _closed_formula(
     arguments there, and W_K is pruned once against the box those nu span.
     The arguments are generated twice, once for the table's extent and once
     to read it, so memory stays that of the table for any number of points.
+    The extent is a running maximum, checked against ``MAX_TABLE_ENTRIES``
+    each time a nu makes it grow, so a box whose table is refused is refused
+    at the first nu whose arguments pass the bound.
     """
     rs = grading.rs
     shift = (lam - grading.rho_n + grading.rho_c).twice
@@ -358,9 +361,12 @@ def _closed_formula(
     axes = list(zip(*(coords for coords, _base in lattice)))
     terms = _alternating_terms(grading, kdata, lam, tuple(map(min, axes)), tuple(map(max, axes)))
     extent = (0,) * rs.rank
-    for found in _stepped_arguments(terms, lattice):
-        for _sign, target in found:
-            extent = tuple(map(max, extent, target))
+    for found in filter(None, _stepped_arguments(terms, lattice)):
+        grown = tuple(map(max, extent, *(target for _sign, target in found)))
+        if grown != extent and (entries := math.prod(e + 1 for e in grown)) > MAX_TABLE_ENTRIES:
+            raise PartitionTableTooLarge(f"partition table grows to 0..{list(grown)} with "
+                                         f"{entries} entries; the limit is {MAX_TABLE_ENTRIES}")
+        extent = grown
     table = _PartitionTable(_noncompact_root_coords(grading), extent)
     for k, found in zip(index, _stepped_arguments(terms, lattice)):
         values[k] = sum(sign * table[t] for sign, t in found)

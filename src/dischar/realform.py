@@ -5,8 +5,9 @@ A real form enters as a vector of signs on the simple roots (+1 compact,
 coordinates, which is automatically multiplicative.  Hand-entered full
 assignments can be screened with :func:`validate_grading`.
 
-W_K runs on W's reflection kernel: ``weyl.close`` of the simple compact
-reflections, and :meth:`KWeylData.orbit` is one ``weyl.sweep`` of its tree.
+W_K runs on W's reflection kernel: ``weyl.close`` of the Cartan matrix of the
+simple compact roots, and :meth:`KWeylData.orbit` is one ``weyl.sweep`` of
+its tree.
 ``KWeylData.elements`` comes in the closure's order, by l_K and then ShortLex
 in ``simpleK`` letters; ``lengthK``, the tree and every sweep are lists in
 that order, so no lookup is keyed by an element.
@@ -14,7 +15,7 @@ that order, so no lookup is keyed by an element.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, IncompleteAssignment, InvariantViolation
@@ -125,8 +126,10 @@ def validate_grading(rs: RootSystem, assignment: Mapping[Root, int]) -> bool:
 
 
 def weyl_k(rs: RootSystem, grading: CompactGrading, group: WeylGroup) -> KWeylData:
-    """W_K as the ``weyl.close`` of the simple compact reflections, found in W by w(rho).
+    """W_K as the ``weyl.close`` of the Cartan matrix of ``simpleK``, found in W by w(rho).
 
+    The closure runs on the m x m matrix <beta_i-check, beta_j> of the simple
+    compact roots; one ``weyl.sweep`` of its tree from rho gives each w(rho).
     Each generator s_beta is checked once to permute the compact roots.
     """
     compact = grading.compact_positive
@@ -137,9 +140,14 @@ def weyl_k(rs: RootSystem, grading: CompactGrading, group: WeylGroup) -> KWeylDa
     if any(reflect(r, a.fw_coords) not in roots for r in records for a in compact):
         raise InvariantViolation("W_K does not preserve the compact roots")
 
-    images, words, tree = close(records, rs.rank, group.order)
+    cartan = [[sum(map(mul, b.coroot_coords, g.fw_coords)) for g in simple_k] for b in simple_k]
+    # <beta-check, rho> is the height of beta's coroot
+    _, words, tree = close(cartan, [sum(b.coroot_coords) for b in simple_k], group.order)
+    images = sweep(records, tree, (1,) * rs.rank)
     elements = tuple([group.by_rho.get(image) for image in images])
     if None in elements:
         raise InvariantViolation("W_K has an element outside the Weyl group")
+    if len(set(images)) != len(images):
+        raise InvariantViolation("W_K has a repeated element")
     return KWeylData(weyl=group, elements=elements, lengthK=tuple(map(len, words)),
                      simpleK=simple_k, tree=tree, reflections=records)

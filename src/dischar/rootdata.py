@@ -272,43 +272,39 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     if det < 0:  # a finite-type Cartan matrix has positive determinant
         raise NotFiniteType(f"Cartan matrix has determinant {det} < 0; not of finite type")
 
-    # root_coords -> coroot_coords during the closure
+    # root_coords -> coroot_coords; ``found`` is the queue, read as it grows
     seen: dict[IntVec, IntVec] = {}
-    queue: list[IntVec] = []
     for i in range(rank):
-        unit = tuple(int(j == i) for j in range(rank))
+        unit = (0,) * i + (1,) + (0,) * (rank - i - 1)
         seen[unit] = unit
-        queue.append(unit)
-
-    while queue:
-        n = queue.pop(0)
+    found = list(seen)
+    columns = tuple(zip(*rows))
+    for n in found:
         m = seen[n]
-        for i in range(rank):
-            pairing = sum(rows[i][j] * n[j] for j in range(rank))
-            image = tuple(n[j] - pairing * int(j == i) for j in range(rank))
-            if all(c <= 0 for c in image):
-                # only -alpha_i arises this way; nothing new
+        for i, row in enumerate(rows):
+            # s_i changes coordinate i only, on the root and on its coroot
+            c = n[i] - sum(map(mul, row, n))
+            if c < 0:
+                if sum(n) != n[i]:  # only alpha_i goes to a nonpositive vector, -alpha_i
+                    raise NotFiniteType(
+                        "reflection closure produced a mixed-sign vector; "
+                        "matrix is not of finite type"
+                    )
                 continue
-            if any(c < 0 for c in image):
-                raise NotFiniteType(
-                    "reflection closure produced a mixed-sign vector; "
-                    "matrix is not of finite type"
-                )
+            image = n[:i] + (c,) + n[i + 1:]
             if image in seen:
                 continue
-            co_pairing = sum(rows[j][i] * m[j] for j in range(rank))
-            co_image = tuple(m[j] - co_pairing * int(j == i) for j in range(rank))
-            seen[image] = co_image
-            queue.append(image)
+            seen[image] = m[:i] + (m[i] - sum(map(mul, columns[i], m)),) + m[i + 1:]
+            found.append(image)
             if len(seen) > MAX_ROOTS:
                 raise NotFiniteType(f"more than {MAX_ROOTS} positive roots; closure aborted")
 
     ordered = sorted(seen, key=lambda n: (sum(n), n))
     roots = []
     for n in ordered:
-        fw = tuple(sum(rows[i][j] * n[j] for j in range(rank)) for i in range(rank))
+        fw = tuple(sum(map(mul, row, n)) for row in rows)
         co = seen[n]
-        if sum(c * f for c, f in zip(co, fw)) != 2:
+        if sum(map(mul, co, fw)) != 2:
             raise InvariantViolation(f"coroot of {n} does not pair to 2 against its root")
         roots.append(Root(root_coords=n, fw_coords=fw, coroot_coords=co))
 

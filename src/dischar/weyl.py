@@ -1,14 +1,16 @@
 """W and W_K on one reflection kernel: one record, one closure, one tree sweep.
 
 A reflecting root is one record, its coroot and its root as sparse (k, value)
-pairs on fundamental-weight coordinates; :func:`move` moves a vector of W or
-W_K by a pairing that :func:`reflect` computes and :func:`close` takes from
-its ascent test, and :func:`sweep` inlines it.  :func:`close` builds a group
-on w(rho), one length at a time along ascents, into ShortLex order and a
-(parent, letter) tree whose depth is the length: W from the simple roots
-(:func:`generate`), W_K from the simple compact roots (``realform.weyl_k``).
-:func:`sweep` walks such a tree, one reflection per element, on integer
-tuples: ``KWeylData.orbit`` linearly, :func:`dot_orbit` about rho.
+pairs on fundamental-weight coordinates; :func:`reflect` applies it to a
+vector of W or W_K, and :func:`sweep` inlines that.  :func:`close` builds a
+group on its generators' own Cartan matrix, one length at a time along
+ascents, into ShortLex order and a (parent, letter) tree whose depth is the
+length: W from the simple roots (:func:`generate`), W_K from the simple
+compact roots (``realform.weyl_k``).  It keeps no set of the elements it has
+seen: the ShortLex descent test tells a new element from its pairing vector
+alone.  :func:`sweep` walks such a tree, one reflection per element, on
+integer tuples: ``KWeylData.orbit`` linearly, :func:`dot_orbit` about rho,
+and ``weyl_k`` the W-images w(rho).
 
 An element is its w(rho), which determines it because rho is regular, so
 every lookup is keyed by that integer vector, never by an element.  A group
@@ -43,55 +45,68 @@ def reflection(beta: Root) -> Reflection:
             tuple((k, a) for k, a in enumerate(beta.fw_coords) if a))
 
 
-def move(r: Reflection, vec: IntVec, value: int) -> IntVec:
-    """vec - value * beta, for the beta of the record ``r``."""
+def reflect(r: Reflection, vec: IntVec) -> IntVec:
+    """s_beta(vec) = vec - <beta-check, vec> beta."""
+    value = 0
+    for k, c in r[0]:
+        value += c * vec[k]
     v = list(vec)
     for k, a in r[1]:
         v[k] -= value * a
     return tuple(v)
 
 
-def reflect(r: Reflection, vec: IntVec) -> IntVec:
-    """s_beta(vec) = vec - <beta-check, vec> beta."""
-    value = 0
-    for k, c in r[0]:
-        value += c * vec[k]
-    return move(r, vec, value)
-
-
-def close(reflections: Sequence[Reflection], rank: int,
+def close(cartan: Sequence[Sequence[int]], start: Sequence[int],
           limit: int) -> tuple[list[IntVec], list[IntVec], Tree]:
-    """The w(rho), ShortLex words and tree of the group the simple ``reflections`` generate.
+    """The pairing vectors, ShortLex words and tree of the group of a Cartan matrix.
 
-    s_j * p is longer than p exactly when <beta_j-check, p(rho)> > 0
-    (Humphreys, *Reflection Groups and Coxeter Groups*, 1.6-1.7); only these
-    ascents are followed, one length at a time, so depth is length.  Letters
-    go outer and the previous length inner, so the words (j,) + word(p) come
-    in lexicographic order and each element is found first by its ShortLex
-    word (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 3).  More
-    than ``limit`` elements, or two longest, raise :class:`InvariantViolation`.
+    ``cartan[i][j]`` is <beta_i-check, beta_j> for the generators beta_i and
+    ``start`` is the <beta_i-check, rho>.  An element p is its vector of
+    <beta_i-check, p(rho)>, and s_j moves it by value * column j, value its
+    j-th entry.  s_j * p is longer than p exactly when value > 0 (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.6-1.7); only these ascents are
+    followed, one length at a time, so depth is length.  Letters go outer and
+    the previous length inner, so an element is found first by its ShortLex
+    word, under its smallest left descent (Casselman, *Machine calculations
+    in Weyl groups*, 1994): s_j * p is new exactly when no i < j pairs
+    negatively with s_j p(rho), image[i] < value * cartan[i][j].  The i
+    below p's own smallest left descent, the letter p was found under, pair
+    positively with p(rho) and so with s_j p(rho); that letter stays a
+    descent unless it is a neighbour of j.  More than ``limit`` elements, or
+    two longest, raise :class:`InvariantViolation`.
     """
-    images, words, tree = [(1,) * rank], [()], []
-    seen = set(images)
-    start, end = 0, 1  # images[start:end] have the previous length
-    while start < end:
-        for j, r in enumerate(reflections):
-            coroot = r[0]
-            for p in range(start, end):
-                image = images[p]
-                value = 0
-                for k, c in coroot:
-                    value += c * image[k]
-                if value > 0 and (key := move(r, image, value)) not in seen:
-                    seen.add(key)
-                    images.append(key)
-                    words.append((j,) + words[p])
-                    tree.append((p, j))
+    rank = len(start)
+    columns = [[(i, row[j]) for i, row in enumerate(cartan) if row[j]] for j in range(rank)]
+    images, words, tree = [tuple(start)], [()], []
+    firsts = [rank]  # the smallest left descent of each element; the identity has none
+
+    def descends(image: IntVec, value: int, first: int, j: int) -> bool:
+        for i in range(first, j):
+            if image[i] < value * cartan[i][j]:
+                return True
+        return False
+
+    begin, end = 0, 1  # images[begin:end] have the previous length
+    while begin < end:
+        for j, column in enumerate(columns):
+            for p in range(begin, end):
+                first, image = firsts[p], images[p]
+                value = image[j]
+                if first <= j and (value < 0 or not cartan[first][j]
+                                   or descends(image, value, first, j)):
+                    continue
+                v = list(image)
+                for i, c in column:
+                    v[i] -= value * c
+                images.append(tuple(v))
+                words.append((j,) + words[p])
+                tree.append((p, j))
+                firsts.append(j)
         if len(images) > limit:
             raise InvariantViolation(f"closure passes {limit} elements")
-        if len(images) == end and end - start != 1:
+        if len(images) == end and end - begin != 1:
             raise InvariantViolation("longest element is not unique")
-        start, end = end, len(images)
+        begin, end = end, len(images)
     return images, words, tuple(tree)
 
 
@@ -105,7 +120,7 @@ def sweep(reflections: Sequence[Reflection], tree: Tree, vec: IntVec,
     shifts = [2 * sum(c for _k, c in coroot) if about_rho else 0 for coroot, _ in reflections]
     images = [vec]
     for parent, j in tree:
-        # the pairing and the move inline, so one pass per element
+        # reflect inline, so one pass per element
         (coroot, root), v = reflections[j], images[parent]
         value = -shifts[j]
         for k, c in coroot:
@@ -216,19 +231,19 @@ def weyl_order(rs: RootSystem) -> int:
 
 
 def generate(rs: RootSystem) -> WeylGroup:
-    """W as the :func:`close` of the simple reflections.
+    """W as the :func:`close` of the Cartan matrix, its vectors w(rho) in fw coordinates.
 
     The order is predicted by :func:`weyl_order` and checked against
     ``MAX_WEYL_ORDER`` before any element is built; the closure must reach
-    it exactly.
+    it exactly, in as many distinct w(rho).
     """
     order = weyl_order(rs)
     if order > MAX_WEYL_ORDER:
         raise GroupTooLarge(f"Weyl group has {order} elements; the limit is {MAX_WEYL_ORDER}")
     simple = tuple(reflection(alpha) for alpha in rs.simple_roots)
-    images, words, tree = close(simple, rs.rank, order)
-    if len(images) != order:
-        raise InvariantViolation(f"closure has {len(images)} elements, predicted {order}")
+    images, words, tree = close(rs.cartan, (1,) * rs.rank, order)
     elements = tuple([WeylElement(image, word, simple) for image, word in zip(images, words)])
-    return WeylGroup(rank=rs.rank, elements=elements,
-                     by_rho=dict(zip(images, elements)), tree=tree)
+    by_rho = dict(zip(images, elements))
+    if len(by_rho) != order:
+        raise InvariantViolation(f"closure has {len(by_rho)} distinct elements, predicted {order}")
+    return WeylGroup(rank=rs.rank, elements=elements, by_rho=by_rho, tree=tree)

@@ -26,6 +26,10 @@ EXTRA_CARTAN = {
     "B3perm": _permuted(CARTAN["B3"], (2, 0, 1)),
 }
 
+# |W| = 51 840, built by the tests that need it
+E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+      [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+
 # |W| = 2 903 040, past generate's default bound: refused before any closure
 E7 = [[2, 0, -1, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0],
       [0, -1, -1, 2, -1, 0, 0], [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, -1],

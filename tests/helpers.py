@@ -6,6 +6,9 @@ rebuilds the dense closure.  ``reference_closed_formula`` and
 ``RowPartitionTable`` keep the plain Blattner closed formula, with no
 pruning, stepping or padding, as the reference for the fast one.
 ``solve_root_coords`` is the rational reference for ``RootSystem.root_coords``.
+``reference_close`` closes a group with a set of the w(rho) it has seen and
+``reference_roots`` the positive roots with a queue of whole-tuple
+reflections: the references for ``weyl.close`` and ``build_root_system``.
 ``inverse`` finds w^-1 by its reversed word.
 ``multiset_walk`` resolves one Borel-Weil-Bott twist per multiset of
 noncompact roots, the reference for the oracle's fill by distinct sums.
@@ -20,8 +23,9 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from dischar import FormalCharacter, Weight, act, bwb_cohomology
-from dischar.rootdata import dominant_twice
+from dischar import FormalCharacter, NotFiniteType, Weight, act, bwb_cohomology
+from dischar.errors import InvariantViolation
+from dischar.rootdata import MAX_ROOTS, dominant_twice
 from dischar.weyl import reflect
 
 
@@ -223,3 +227,91 @@ def multiset_walk(grading, kdata, lam, level):
             degree, lowest = result
             buckets[lowest] = buckets.get(lowest, 0) + (-1 if degree % 2 else 1)
     return buckets
+
+
+def move(r, vec, value):
+    """vec - value * beta, for the beta of the record ``r``."""
+    v = list(vec)
+    for k, a in r[1]:
+        v[k] -= value * a
+    return tuple(v)
+
+
+def reference_close(reflections, rank, limit):
+    """The w(rho), ShortLex words and tree of the group the simple ``reflections`` generate.
+
+    The reference for ``dischar.weyl.close``: it tells a new element by a
+    set of the w(rho) seen so far, not by the descent test.
+
+    s_j * p is longer than p exactly when <beta_j-check, p(rho)> > 0
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 1.6-1.7); only these
+    ascents are followed, one length at a time, so depth is length.  Letters
+    go outer and the previous length inner, so the words (j,) + word(p) come
+    in lexicographic order and each element is found first by its ShortLex
+    word (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 3).  More
+    than ``limit`` elements, or two longest, raise :class:`InvariantViolation`.
+    """
+    images, words, tree = [(1,) * rank], [()], []
+    seen = set(images)
+    start, end = 0, 1  # images[start:end] have the previous length
+    while start < end:
+        for j, r in enumerate(reflections):
+            coroot = r[0]
+            for p in range(start, end):
+                image = images[p]
+                value = 0
+                for k, c in coroot:
+                    value += c * image[k]
+                if value > 0 and (key := move(r, image, value)) not in seen:
+                    seen.add(key)
+                    images.append(key)
+                    words.append((j,) + words[p])
+                    tree.append((p, j))
+        if len(images) > limit:
+            raise InvariantViolation(f"closure passes {limit} elements")
+        if len(images) == end and end - start != 1:
+            raise InvariantViolation("longest element is not unique")
+        start, end = end, len(images)
+    return images, words, tuple(tree)
+
+
+def reference_roots(rows):
+    """root_coords -> coroot_coords of every positive root, by the queue closure.
+
+    The reference for the closure in ``dischar.rootdata.build_root_system``:
+    each reflection builds the whole image tuple, and the queue is popped
+    from the front.
+    """
+    rank = len(rows)
+    # root_coords -> coroot_coords during the closure
+    seen = {}
+    queue = []
+    for i in range(rank):
+        unit = tuple(int(j == i) for j in range(rank))
+        seen[unit] = unit
+        queue.append(unit)
+
+    while queue:
+        n = queue.pop(0)
+        m = seen[n]
+        for i in range(rank):
+            pairing = sum(rows[i][j] * n[j] for j in range(rank))
+            image = tuple(n[j] - pairing * int(j == i) for j in range(rank))
+            if all(c <= 0 for c in image):
+                # only -alpha_i arises this way; nothing new
+                continue
+            if any(c < 0 for c in image):
+                raise NotFiniteType(
+                    "reflection closure produced a mixed-sign vector; "
+                    "matrix is not of finite type"
+                )
+            if image in seen:
+                continue
+            co_pairing = sum(rows[j][i] * m[j] for j in range(rank))
+            co_image = tuple(m[j] - co_pairing * int(j == i) for j in range(rank))
+            seen[image] = co_image
+            queue.append(image)
+            if len(seen) > MAX_ROOTS:
+                raise NotFiniteType(f"more than {MAX_ROOTS} positive roots; closure aborted")
+
+    return seen

@@ -495,6 +495,35 @@ def test_size_limits_admit_their_bound(monkeypatch, systems, groups):
         filtration_oracle(grading, kdata, lam, Weight((-11,)))
 
 
+
+def test_closed_formula_refuses_at_the_first_point_past_the_table_bound(
+        monkeypatch, systems, groups):
+    # A1 all noncompact, lam = -2: nu = -3 - 2k has the one argument k alpha,
+    # so the table's extent grows by one entry at each of these points
+    rs, grading, kdata = setup(systems, groups, "A1", (-1,))
+    lam = Weight((-2,))
+    points = [Weight((-3 - 2 * k,)) for k in range(50)]
+    stepped = []
+
+    def counted(terms, lattice):
+        for found in stepped_arguments(terms, lattice):
+            stepped.append(found)
+            yield found
+
+    stepped_arguments = blattner._stepped_arguments
+    monkeypatch.setattr(blattner, "_stepped_arguments", counted)
+    monkeypatch.setattr(blattner, "MAX_TABLE_ENTRIES", 11)
+    assert blattner._closed_formula(grading, kdata, lam, points[:11]) == [1] * 11
+    # both passes over the 11 points: one for the extent, one to read the table
+    assert len(stepped) == 22
+    stepped.clear()
+    with pytest.raises(PartitionTableTooLarge,
+                       match=r"^partition table grows to 0\.\.\[11\] with 12 entries; "
+                             r"the limit is 11$"):
+        blattner._closed_formula(grading, kdata, lam, points)
+    assert len(stepped) == 12
+
+
 WRONG_RANK = {
     # the box has the right rank, so the lam check is the one that refuses
     "ktype_table": (
