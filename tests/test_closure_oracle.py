@@ -25,23 +25,14 @@ from dischar import (
 from dischar.weyl import reflection
 from tests.conftest import CARTAN, E6, EXTRA_CARTAN
 from tests.helpers import reference_close, reference_roots
-
-
-def _block_diagonal(*names):
-    blocks = [CARTAN[name] for name in names]
-    size = sum(map(len, blocks))
-    out, offset = [[0] * size for _ in range(size)], 0
-    for block in blocks:
-        for i, row in enumerate(block):
-            out[offset + i][offset:offset + len(row)] = row
-        offset += len(block)
-    return out
+from tests.test_blattner import _block_diagonal
 
 
 PRODUCTS = {"A1xB2": ("A1", "B2"), "G2xA2": ("G2", "A2"), "B2xA3": ("B2", "A3"),
             "A1xG2xA1": ("A1", "G2", "A1")}
 CASES = {**CARTAN, **EXTRA_CARTAN, "E6": E6,
-         **{name: _block_diagonal(*factors) for name, factors in PRODUCTS.items()}}
+         **{name: _block_diagonal([CARTAN[f] for f in factors])
+            for name, factors in PRODUCTS.items()}}
 
 
 @lru_cache(maxsize=None)
